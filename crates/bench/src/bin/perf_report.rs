@@ -55,11 +55,8 @@ use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
 use gfsc_daemon::{Daemon, DaemonConfig, FaultPlan, SimTelemetry};
 use gfsc_rack::{RackPlant, RackSpec, RackTopology};
 use gfsc_sim::sweep::thread_count;
-use gfsc_thermal::{
-    BatchRcNetwork, HeatSinkLaw, MultiSocketPlant, PlantCalibration, RcNetwork, ServerThermalModel,
-    Topology,
-};
-use gfsc_units::{Celsius, KelvinPerWatt, Rpm, Seconds, Watts};
+use gfsc_thermal::{BatchRcNetwork, RcNetwork, ServerThermalModel, Topology};
+use gfsc_units::{Celsius, Rpm, Seconds, Watts};
 use gfsc_workload::{SquareWave, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -104,10 +101,10 @@ fn main() {
     };
     let (rc2_cached, rc2_uncached) = rc(2);
     let (rc8_cached, rc8_uncached) = rc(8);
-    let mut plant_4s = quad_socket_plant();
+    let mut plant_4s = board_plant(Topology::quad_socket());
     let powers_4s = [Watts::new(140.8); 4];
     let plant_4s_ns = time_per_iter(200_000, || {
-        plant_4s.step(Seconds::new(0.5), &powers_4s, Rpm::new(4000.0));
+        plant_4s.step(Seconds::new(0.5), &powers_4s, &[Rpm::new(4000.0)]);
     });
     let rack_8s_ns = time_rack_8s_step();
     println!(
@@ -129,7 +126,7 @@ fn main() {
         let powers = [Watts::new(140.8); 2];
         let mut k = 0usize;
         time_per_iter(20_000, || {
-            plant.step(Seconds::new(0.5), &powers, lattice_fan(k, 0));
+            plant.step(Seconds::new(0.5), &powers, &[lattice_fan(k, 0)]);
             k += 1;
         })
     };
@@ -346,14 +343,7 @@ fn main() {
 /// Mean nanoseconds per step of the 1U×8 rack plant (8 servers behind two
 /// fan walls, shared plenum with recirculation — 18 capacitive nodes).
 fn time_rack_8s_step() -> f64 {
-    let cal = PlantCalibration {
-        ambient: Celsius::new(35.0),
-        law: HeatSinkLaw::date14(),
-        sink_tau: Seconds::new(60.0),
-        tau_speed: Rpm::new(8500.0),
-        r_jc: KelvinPerWatt::new(0.10),
-        die_tau: Seconds::new(0.1),
-    };
+    let cal = ServerSpec::enterprise_default().calibration();
     let mut rack = RackPlant::new(&cal, &RackTopology::rack_1u_x8()).expect("preset compiles");
     let powers = [Watts::new(140.8); 8];
     let fans = [Rpm::new(4000.0), Rpm::new(4500.0)];
@@ -519,9 +509,9 @@ fn lattice_fan(step: usize, lane: usize) -> Rpm {
 /// comparison point is `scalar_moving_fan_step_ns`: same plant, same
 /// pattern, one network at a time.
 fn batch_step_ns_per_scenario(b: usize) -> f64 {
-    let mut plants: Vec<MultiSocketPlant> = (0..b).map(|_| finned_plant()).collect();
+    let mut plants: Vec<RackPlant> = (0..b).map(|_| finned_plant()).collect();
     let mut batch = {
-        let nets: Vec<&RcNetwork> = plants.iter().map(MultiSocketPlant::network).collect();
+        let nets: Vec<&RcNetwork> = plants.iter().map(RackPlant::network).collect();
         BatchRcNetwork::new(&nets).expect("identical presets batch")
     };
     let powers = [Watts::new(140.8); 2];
@@ -529,10 +519,9 @@ fn batch_step_ns_per_scenario(b: usize) -> f64 {
     let mut k = 0usize;
     let batch_step_ns = time_per_iter(iters, || {
         for (lane, plant) in plants.iter_mut().enumerate() {
-            plant.prepare_step(&powers, lattice_fan(k, lane));
+            plant.prepare_step(&powers, &[lattice_fan(k, lane)]);
         }
-        let mut nets: Vec<&mut RcNetwork> =
-            plants.iter_mut().map(MultiSocketPlant::network_mut).collect();
+        let mut nets: Vec<&mut RcNetwork> = plants.iter_mut().map(RackPlant::network_mut).collect();
         batch.step(&mut nets, Seconds::new(0.5));
         k += 1;
     });
@@ -589,33 +578,19 @@ fn batched_sweep64() -> (f64, f64, f64, bool) {
     (horizon, serial_s, batched_s, bit_identical)
 }
 
-/// The shared 4S benchmark plant (Table I calibration per socket).
-fn quad_socket_plant() -> MultiSocketPlant {
-    let cal = PlantCalibration {
-        ambient: Celsius::new(35.0),
-        law: HeatSinkLaw::date14(),
-        sink_tau: Seconds::new(60.0),
-        tau_speed: Rpm::new(8500.0),
-        r_jc: KelvinPerWatt::new(0.10),
-        die_tau: Seconds::new(0.1),
-    };
-    MultiSocketPlant::new(&cal, &Topology::quad_socket()).expect("stock topology compiles")
+/// One server on `board` (Table I calibration per socket): the one-slot
+/// rack plant a multi-socket `Server` runs.
+fn board_plant(board: Topology) -> RackPlant {
+    let cal = ServerSpec::enterprise_default().calibration();
+    RackPlant::new(&cal, &RackTopology::single_server(board)).expect("stock topology compiles")
 }
 
 /// The finned 2S batch-benchmark plant: two sockets whose heat sinks carry
 /// 32 fin segments each — dense per-socket matrix blocks, so the scalar
 /// path's per-speed-change refactorization is expensive and the batch
 /// engine's shared factors have something real to delete.
-fn finned_plant() -> MultiSocketPlant {
-    let cal = PlantCalibration {
-        ambient: Celsius::new(35.0),
-        law: HeatSinkLaw::date14(),
-        sink_tau: Seconds::new(60.0),
-        tau_speed: Rpm::new(8500.0),
-        r_jc: KelvinPerWatt::new(0.10),
-        die_tau: Seconds::new(0.1),
-    };
-    MultiSocketPlant::new(&cal, &Topology::finned(2, 32)).expect("finned topology compiles")
+fn finned_plant() -> RackPlant {
+    board_plant(Topology::finned(2, 32))
 }
 
 /// `--check` mode: re-measures the gate metrics, compares them against the

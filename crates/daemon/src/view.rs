@@ -70,7 +70,7 @@ impl DaemonRackView {
     #[must_use]
     pub fn new(spec: RackSpec, start_utilization: Utilization, start_fan: Rpm) -> Self {
         spec.validate();
-        let mut model = RackPlant::new(&spec.calibration(), &spec.rack)
+        let mut model = RackPlant::new(&spec.server.calibration(), &spec.rack)
             // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
             .expect("stock rack topologies compile");
         let server = &spec.server;

@@ -1,22 +1,16 @@
-//! Rack-scale plant: multi-fan zones, shared plenum, per-zone plant views.
+//! Rack-scale simulation: multi-fan zones, shared plenum, per-zone plant
+//! views.
 //!
 //! The paper controls one fan in one server. A rack is the same physics
 //! one level up: N servers in a shared plenum, cooled by *zones* of fans
 //! (front/rear walls), every zone's fans driving many airflow-dependent
-//! thermal paths at once. This crate generalizes the single-server world:
+//! thermal paths at once. The rack structure ([`RackTopology`]) and its
+//! thermal plant ([`RackPlant`], per-zone [`ZonePlant`] views) live in
+//! `gfsc_thermal`, next to the board [`gfsc_thermal::Topology`] — a single
+//! server is the one-slot rack, so servers and racks share one plant —
+//! and are re-exported here. This crate closes the physical rack around
+//! them:
 //!
-//! - [`RackTopology`]: plain-data rack structure — fan zones, server
-//!   slots (each with its own board [`gfsc_thermal::Topology`]), shared
-//!   plenum coupling and recirculation; presets
-//!   [`RackTopology::rack_1u_x8`] (8 × 1U, two walls) and
-//!   [`RackTopology::rack_2u_x4`] (4 × 2U dual-socket),
-//! - [`RackPlant`]: the topology compiled onto one cached-factorization
-//!   `RcNetwork` with an explicit fan→link mapping
-//!   (`gfsc_thermal::FanZoneMap`) — the general form of the legacy "every
-//!   sink→ambient link follows the one fan" rule,
-//! - [`RackPlant::zone_plant`]: a per-zone view implementing the
-//!   single-fan `gfsc_server::PlantModel` contract, so zone controllers
-//!   and tuners see exactly what a server controller sees,
 //! - [`RackServer`]: the closed physical rack — per-zone slew-limited fan
 //!   walls, per-socket non-ideal sensor chains, per-zone max aggregation,
 //!   rack-wide energy metering,
@@ -44,10 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod plant;
 mod server;
-mod topology;
 
-pub use plant::{RackPlant, ZonePlant};
+pub use gfsc_thermal::{PlenumDef, RackPlant, RackTopology, RackZoneDef, ServerSlot, ZonePlant};
 pub use server::{RackServer, RackSpec, ZoneFanPlant};
-pub use topology::{PlenumDef, RackTopology, RackZoneDef, ServerSlot};

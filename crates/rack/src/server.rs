@@ -39,19 +39,6 @@ impl RackSpec {
         self.server.validate();
         self.rack.validate();
     }
-
-    /// The per-socket base calibration the server spec implies.
-    #[must_use]
-    pub fn calibration(&self) -> gfsc_thermal::PlantCalibration {
-        gfsc_thermal::PlantCalibration {
-            ambient: self.server.ambient,
-            law: self.server.heatsink_law,
-            sink_tau: self.server.heatsink_tau,
-            tau_speed: self.server.fan_power.max_speed(),
-            r_jc: self.server.r_jc,
-            die_tau: self.server.die_tau,
-        }
-    }
 }
 
 /// The closed physical rack: per-socket CPU power → coupled rack thermal
@@ -124,7 +111,7 @@ impl RackServer {
     #[must_use]
     pub fn new(spec: RackSpec) -> Self {
         spec.validate();
-        let plant = RackPlant::new(&spec.calibration(), &spec.rack)
+        let plant = RackPlant::new(&spec.server.calibration(), &spec.rack)
             // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
             .expect("stock rack topologies compile");
         let server = &spec.server;
@@ -187,7 +174,7 @@ impl RackServer {
     }
 
     /// The rack thermal plant (for model-based controllers and per-zone
-    /// [`gfsc_server::PlantModel`] views).
+    /// [`gfsc_thermal::PlantModel`] views).
     #[must_use]
     pub fn plant(&self) -> &RackPlant {
         &self.plant

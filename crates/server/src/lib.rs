@@ -7,8 +7,8 @@
 //! substrates and calibrated with the published Table I constants (see
 //! `DESIGN.md` §5 for the substitution rationale). The default is the
 //! paper's single-socket machine; `gfsc_thermal::Topology` variants put
-//! the same calibration on 2S/4S boards or a blade chassis, all behind one
-//! shared fan.
+//! the same calibration on 2S/4S boards, a blade chassis or finned sinks,
+//! all behind one shared fan.
 //!
 //! - [`ServerSpec`]: every physical and firmware parameter in one place
 //!   ([`ServerSpec::enterprise_default`] = Table I),
@@ -17,9 +17,10 @@
 //!   per-socket sensor chains → aggregation — stepped at a fixed
 //!   simulation interval,
 //! - [`Plant`]: the thermal backend — the exact two-node model for the
-//!   paper's server, the cached RC network for everything else,
-//! - [`PlantModel`]: the same contract as a trait, so rack-scale plants
-//!   (`gfsc_rack`) can expose per-zone views of it,
+//!   paper's server, the board compiled as a one-slot
+//!   `gfsc_thermal::RackPlant` for everything else,
+//! - [`PlantModel`]: the same contract as a trait (defined in
+//!   `gfsc_thermal`), so a zone of a rack plant looks like a server,
 //! - [`TempAggregation`]: how per-socket readings fold into the one
 //!   temperature the global controllers act on,
 //! - [`FanPlant`]: adapter exposing the fan→measured-temperature loop as a
@@ -51,7 +52,8 @@ mod server;
 mod spec;
 
 pub use actuator::FanActuator;
+pub use gfsc_thermal::PlantModel;
 pub use monitor::PerformanceMonitor;
-pub use plant::{FanPlant, PlantModel};
+pub use plant::FanPlant;
 pub use server::{build_measurement_pipeline, Plant, Server};
 pub use spec::{ServerSpec, TempAggregation};

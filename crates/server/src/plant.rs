@@ -1,39 +1,10 @@
 //! `gfsc_control::Plant` adapter for Ziegler–Nichols tuning, and the
-//! thermal-plant contract shared by single-server and rack-scale plants.
+//! server plant's side of the [`PlantModel`] contract.
 
 use crate::{Server, ServerSpec};
 use gfsc_control::Plant;
+use gfsc_thermal::PlantModel;
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization, Watts};
-
-/// The contract model-based controllers rely on, abstracted from the
-/// concrete [`crate::Plant`] enum: a set of heat sources behind one fan
-/// that can be stepped, probed at steady state, and inverted for the
-/// minimum safe airflow.
-///
-/// [`crate::Plant`] implements it for the single-server world; rack-scale
-/// plants (`gfsc_rack`) implement it per fan zone, so a zone controller
-/// sees exactly the interface a server controller sees.
-pub trait PlantModel {
-    /// Number of heat sources (dies) behind this plant's fan.
-    fn socket_count(&self) -> usize;
-
-    /// Junction temperature of socket `i`.
-    fn junction(&self, i: usize) -> Celsius;
-
-    /// The hottest junction across this plant's sockets.
-    fn hottest_junction(&self) -> Celsius;
-
-    /// Advances the plant by `dt` under per-socket powers and fan speed.
-    fn step(&mut self, dt: Seconds, powers: &[Watts], fan: Rpm);
-
-    /// The hottest steady-state junction at `(powers, fan)` — the model
-    /// inversion target.
-    fn steady_state_junction(&self, powers: &[Watts], fan: Rpm) -> Celsius;
-
-    /// The minimum fan speed keeping every steady-state junction at or
-    /// below `limit`, or `None` if unreachable at any airflow.
-    fn min_safe_fan_speed(&self, powers: &[Watts], limit: Celsius) -> Option<Rpm>;
-}
 
 impl PlantModel for crate::Plant {
     fn socket_count(&self) -> usize {

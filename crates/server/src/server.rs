@@ -3,9 +3,7 @@
 use crate::{FanActuator, ServerSpec, TempAggregation};
 use gfsc_power::EnergyMeter;
 use gfsc_sensors::{AdcQuantizer, MeasurementPipeline, Rounding};
-use gfsc_thermal::{
-    DieNode, HeatSinkNode, MultiSocketPlant, PlantCalibration, RcNetwork, ServerThermalModel,
-};
+use gfsc_thermal::{DieNode, HeatSinkNode, RackPlant, RackTopology, RcNetwork, ServerThermalModel};
 use gfsc_units::{total_max, Celsius, Joules, Rpm, Seconds, Utilization, Watts};
 
 /// The thermal plant behind a [`Server`]: either the paper's exact
@@ -14,17 +12,18 @@ use gfsc_units::{total_max, Celsius, Joules, Rpm, Seconds, Utilization, Watts};
 /// The single-socket default stays on [`ServerThermalModel`]'s exact
 /// exponential integrator so the paper-reproduction traces are
 /// bit-identical to the pre-abstraction code; every other topology steps
-/// the backward-Euler [`MultiSocketPlant`], whose LU cache makes N-node
-/// stepping affordable at the controller rate.
+/// the backward-Euler [`RackPlant`] of a one-slot rack
+/// ([`RackTopology::single_server`]) — the same plant racks run on, whose
+/// LU cache makes N-node stepping affordable at the controller rate.
 #[derive(Debug, Clone)]
 pub enum Plant {
     /// The paper's two-node single-socket server (exact exponential
     /// updates, bit-compatible with the pre-abstraction simulator).
     TwoNode(ServerThermalModel),
-    /// An N-socket topology on the cached RC network (boxed: the network
-    /// owns several buffers and would otherwise dwarf the two-node
-    /// variant).
-    Network(Box<MultiSocketPlant>),
+    /// An N-socket topology on the cached RC network: the one-zone,
+    /// one-slot rack (boxed: the network owns several buffers and would
+    /// otherwise dwarf the two-node variant).
+    Network(Box<RackPlant>),
 }
 
 impl Plant {
@@ -89,7 +88,7 @@ impl Plant {
                 assert_eq!(powers.len(), 1, "single-socket plant takes one power");
                 m.step(dt, powers.first().copied().unwrap_or_default(), fan);
             }
-            Plant::Network(p) => p.step(dt, powers, fan),
+            Plant::Network(p) => p.step(dt, powers, &[fan]),
         }
     }
 
@@ -106,14 +105,15 @@ impl Plant {
                 assert_eq!(powers.len(), 1, "single-socket plant takes one power");
                 m.steady_state_junction(powers.first().copied().unwrap_or_default(), fan)
             }
-            Plant::Network(p) => p.steady_state_hottest(powers, fan),
+            Plant::Network(p) => p.steady_state_hottest_in_zone(0, powers, &[fan]),
         }
     }
 
     /// The minimum fan speed keeping every steady-state junction at or
     /// below `limit` under per-socket `powers`, or `None` if unreachable at
     /// any airflow (analytic inversion on the two-node model, deterministic
-    /// bisection on the network).
+    /// bisection on the network). All-idle powers need no airflow: 0 rpm,
+    /// whatever the limit.
     ///
     /// # Panics
     ///
@@ -125,7 +125,14 @@ impl Plant {
                 assert_eq!(powers.len(), 1, "single-socket plant takes one power");
                 m.min_safe_fan_speed(powers.first().copied().unwrap_or_default(), limit)
             }
-            Plant::Network(p) => p.min_safe_fan_speed(powers, limit),
+            Plant::Network(p) => {
+                if powers.iter().all(|p| p.value() <= 0.0) {
+                    return Some(Rpm::new(0.0));
+                }
+                // One zone: the inversion sweeps its fan, so the held-fan
+                // entry is never read.
+                p.min_safe_zone_fan(0, powers, &[Rpm::new(0.0)], limit)
+            }
         }
     }
 }
@@ -196,8 +203,9 @@ impl Server {
                 DieNode::new(spec.r_jc, spec.die_tau, spec.ambient),
             ))
         } else {
+            let board = RackTopology::single_server(spec.topology.clone());
             Plant::Network(Box::new(
-                MultiSocketPlant::new(&Self::calibration(&spec), &spec.topology)
+                RackPlant::new(&spec.calibration(), &board)
                     // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
                     .expect("stock topologies compile"),
             ))
@@ -238,18 +246,6 @@ impl Server {
             total += p.value();
         }
         Watts::new(total)
-    }
-
-    /// The per-socket base calibration the spec implies.
-    fn calibration(spec: &ServerSpec) -> PlantCalibration {
-        PlantCalibration {
-            ambient: spec.ambient,
-            law: spec.heatsink_law,
-            sink_tau: spec.heatsink_tau,
-            tau_speed: spec.fan_power.max_speed(),
-            r_jc: spec.r_jc,
-            die_tau: spec.die_tau,
-        }
     }
 
     fn build_pipeline(spec: &ServerSpec, initial: Celsius) -> MeasurementPipeline {
@@ -411,12 +407,15 @@ impl Server {
             // Identical arithmetic to the pre-abstraction path: one affine
             // power evaluation, then the analytic inversion.
             Plant::TwoNode(m) => m.min_safe_fan_speed(self.spec.cpu_power.power(demand), limit),
-            Plant::Network(p) => {
-                let mut powers = vec![Watts::new(0.0); p.socket_count()];
-                Self::fill_socket_powers(&self.spec, demand, &mut powers);
-                p.min_safe_fan_speed(&powers, limit)
-            }
+            Plant::Network(_) => self.plant.min_safe_fan_speed(&self.demand_powers(demand), limit),
         }
+    }
+
+    /// Per-socket powers while executing `demand`, for the network probes.
+    fn demand_powers(&self, demand: Utilization) -> Vec<Watts> {
+        let mut powers = vec![Watts::new(0.0); self.plant.socket_count()];
+        Self::fill_socket_powers(&self.spec, demand, &mut powers);
+        powers
     }
 
     /// The hottest steady-state junction while executing `demand` at fan
@@ -425,11 +424,7 @@ impl Server {
     pub fn steady_state_junction(&self, demand: Utilization, fan: Rpm) -> Celsius {
         match &self.plant {
             Plant::TwoNode(m) => m.steady_state_junction(self.spec.cpu_power.power(demand), fan),
-            Plant::Network(p) => {
-                let mut powers = vec![Watts::new(0.0); p.socket_count()];
-                Self::fill_socket_powers(&self.spec, demand, &mut powers);
-                p.steady_state_hottest(&powers, fan)
-            }
+            Plant::Network(_) => self.plant.steady_state_junction(&self.demand_powers(demand), fan),
         }
     }
 
@@ -492,7 +487,7 @@ impl Server {
                 // gfsc-lint: allow(panic) documented API contract: the batch halves are only reachable through run_batch, which asserts RC-network lanes up front
                 panic!("batched stepping requires an RC-network plant (multi-socket topology)")
             }
-            Plant::Network(p) => p.prepare_step(&self.socket_powers, fan_speed),
+            Plant::Network(p) => p.prepare_step(&self.socket_powers, &[fan_speed]),
         }
         self.cpu_energy.accumulate(p_cpu, dt);
         self.fan_energy.accumulate(self.spec.fan_power.power(fan_speed), dt);
@@ -570,7 +565,7 @@ impl Server {
             }
             Plant::Network(p) => {
                 Self::fill_socket_powers(&self.spec, utilization, &mut self.socket_powers);
-                p.equilibrate(&self.socket_powers, fan);
+                p.equilibrate(&self.socket_powers, &[fan]);
                 for i in 0..p.socket_count() {
                     self.pipelines[i] = Self::build_pipeline(&self.spec, p.junction(i));
                 }
@@ -839,5 +834,28 @@ mod tests {
         let u = Utilization::new(0.7);
         let v = s.min_safe_fan_speed(u, Celsius::new(75.0)).expect("reachable");
         assert!((s.steady_state_junction(u, v) - Celsius::new(75.0)).abs() < 0.01);
+        assert!(s.steady_state_junction(u, v + 100.0) < Celsius::new(75.0));
+        assert!(s.steady_state_junction(u, v - 100.0) > Celsius::new(75.0));
+    }
+
+    #[test]
+    fn min_safe_fan_speed_edge_cases() {
+        let s = dual_socket_server();
+        let plant = s.plant();
+        // All-idle powers need no airflow, even under a limit below the
+        // 35 °C ambient.
+        for limit in [20.0, 40.0] {
+            assert_eq!(
+                plant.min_safe_fan_speed(&[Watts::new(0.0); 2], Celsius::new(limit)),
+                Some(Rpm::new(0.0))
+            );
+        }
+        // 160 W per socket through the shared floor cannot hold 40 °C.
+        assert!(plant.min_safe_fan_speed(&[Watts::new(160.0); 2], Celsius::new(40.0)).is_none());
+        // Trivially safe limit: even a stopped fan suffices.
+        assert_eq!(
+            plant.min_safe_fan_speed(&[Watts::new(0.5); 2], Celsius::new(90.0)),
+            Some(Rpm::new(0.0))
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Server calibration: every model parameter in one value.
 
 use gfsc_power::{CpuPowerModel, FanPowerModel};
-use gfsc_thermal::{HeatSinkLaw, Topology};
+use gfsc_thermal::{HeatSinkLaw, PlantCalibration, Topology};
 use gfsc_units::{Bounds, Celsius, KelvinPerWatt, Rpm, RpmPerSecond, Seconds};
 
 /// How the per-socket firmware readings are folded into the one
@@ -86,7 +86,7 @@ pub struct ServerSpec {
     pub sim_dt: Seconds,
     /// Thermal topology: how many sockets share the fan. The single-socket
     /// default runs the paper's exact two-node model; anything else is
-    /// compiled onto the cached RC network.
+    /// compiled onto the cached RC network as a one-slot rack.
     pub topology: Topology,
     /// How per-socket readings aggregate into the controller input.
     pub aggregation: TempAggregation,
@@ -137,6 +137,21 @@ impl ServerSpec {
     #[must_use]
     pub fn ideal_sensing() -> Self {
         Self { sensor_lag: Seconds::new(0.0), quantization_step: 0.0, ..Self::enterprise_default() }
+    }
+
+    /// The per-socket base calibration of the RC-network plant: the
+    /// spec's thermal constants, with the sink time constant quoted at the
+    /// fan's maximum speed.
+    #[must_use]
+    pub fn calibration(&self) -> PlantCalibration {
+        PlantCalibration {
+            ambient: self.ambient,
+            law: self.heatsink_law,
+            sink_tau: self.heatsink_tau,
+            tau_speed: self.fan_power.max_speed(),
+            r_jc: self.r_jc,
+            die_tau: self.die_tau,
+        }
     }
 
     /// Validates internal consistency (interval divisibility, positive

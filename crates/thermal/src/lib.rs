@@ -16,16 +16,19 @@
 //!   backward-Euler integrator) for cross-validation and extensions,
 //! - [`Topology`]: a plain-data description of how many heat sources share
 //!   the one fan (1S/2S/4S boards, blade chassis with a coupled spreader),
-//! - [`MultiSocketPlant`]: a [`Topology`] compiled onto the cached
-//!   [`RcNetwork`] — the N-socket plant behind the multi-socket
-//!   closed-loop scenarios,
+//!   and [`RackTopology`], the same one level up (servers in fan zones
+//!   over a shared plenum; a single server is the one-slot rack),
+//! - [`RackPlant`]: a [`RackTopology`] compiled onto the cached
+//!   [`RcNetwork`] — the one plant behind every multi-socket server and
+//!   every rack, with per-zone [`PlantModel`] views ([`ZonePlant`]) for
+//!   the model-based controllers,
 //! - [`BatchRcNetwork`]: B same-structure [`RcNetwork`]s stepped in
 //!   lockstep through shared, memoized LU factorizations — bitwise
 //!   identical to scalar stepping, built for wide scenario sweeps,
 //! - [`FanZoneMap`]: the explicit fan→link mapping — which
 //!   airflow-dependent links follow which fan. The single-zone map is the
 //!   legacy "every sink→ambient link follows the one fan" rule;
-//!   multi-zone maps are what rack-scale plants (`gfsc_rack`) build on.
+//!   multi-zone maps are what rack-scale plants build on.
 //!
 //! # Examples
 //!
@@ -48,8 +51,8 @@
 mod batch;
 mod die;
 mod heatsink;
-mod multi_socket;
 mod network;
+mod plant;
 mod server_model;
 mod topology;
 mod zone;
@@ -57,8 +60,10 @@ mod zone;
 pub use batch::BatchRcNetwork;
 pub use die::DieNode;
 pub use heatsink::{HeatSinkLaw, HeatSinkNode};
-pub use multi_socket::{MultiSocketPlant, PlantCalibration};
 pub use network::{BoundaryId, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder};
+pub use plant::{PlantCalibration, PlantModel, RackPlant, ZonePlant};
 pub use server_model::ServerThermalModel;
-pub use topology::{ChassisDef, SocketDef, Topology};
+pub use topology::{
+    ChassisDef, PlenumDef, RackTopology, RackZoneDef, ServerSlot, SocketDef, Topology,
+};
 pub use zone::{FanZoneMap, ZoneId};

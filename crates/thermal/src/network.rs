@@ -16,12 +16,6 @@ use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
 pub struct NodeId(usize);
 
 impl NodeId {
-    /// The node's position in [`RcNetwork::node_names`] order (the order
-    /// [`RcNetwork::steady_state`] reports temperatures in).
-    pub(crate) fn from_index(index: usize) -> Self {
-        Self(index)
-    }
-
     /// The node's position in [`RcNetwork::node_names`] order — the index
     /// of this node's entry in the vectors [`RcNetwork::steady_state`] and
     /// [`RcNetwork::steady_state_with`] return.

@@ -1,25 +1,76 @@
-//! The rack-scale thermal plant: every server of a [`RackTopology`]
-//! compiled onto one cached-factorization `RcNetwork`, with a multi-zone
-//! fan→link mapping.
+//! The RC-network thermal plant: a [`RackTopology`] compiled onto one
+//! cached-factorization [`RcNetwork`], with a multi-zone fan→link
+//! mapping. A single server is the degenerate one-slot rack
+//! ([`RackTopology::single_server`]): one zone, one fan, no plenum.
 //!
 //! Structure per server socket: a die node on a sink node, the sink
 //! exhausting to ambient through its airflow-dependent link (driven by the
-//! *zone's* fan, derated by slot position × socket position). With a
-//! plenum, each sink additionally leaks into its zone's shared air node,
-//! which exhausts through a zone-fan-driven path of its own and optionally
-//! recirculates into the adjacent zone — that is the inlet-temperature
-//! coupling a single-server model cannot express.
+//! *zone's* fan, derated by slot position × socket position). A finned
+//! board ([`crate::Topology::finned`]) expands each sink into a base plate
+//! plus mutually-coupled fin nodes, each fin exhausting through its own
+//! share of the fan law; a board chassis couples its sinks through a
+//! spreader node. With a plenum, each sink additionally leaks into its
+//! zone's shared air node, which exhausts through a zone-fan-driven path
+//! of its own and optionally recirculates into the adjacent zone — that is
+//! the inlet-temperature coupling a single-server model cannot express.
 //!
-//! The per-step cost is one forward/backward substitution on the rack-wide
-//! LU cache, so an 8-server rack steps at nearly the same cost as a board.
+//! The per-step cost is one forward/backward substitution on the LU
+//! cache, so an 8-server rack steps at nearly the same cost as a board.
 
-use crate::{PlenumDef, RackTopology, ServerSlot};
-use gfsc_server::PlantModel;
-use gfsc_thermal::{
-    BoundaryId, FanZoneMap, LinkId, NetworkError, NodeId, PlantCalibration, RcNetwork,
-    RcNetworkBuilder, ZoneId,
+use crate::{
+    BoundaryId, FanZoneMap, HeatSinkLaw, LinkId, NetworkError, NodeId, PlenumDef, RackTopology,
+    RcNetwork, RcNetworkBuilder, ServerSlot, ZoneId,
 };
 use gfsc_units::{total_max, Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
+
+/// The base per-socket calibration shared by every socket before topology
+/// scaling — the same constants [`crate::ServerThermalModel::date14`] uses,
+/// lifted out so the server spec can supply its own values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlantCalibration {
+    /// Inlet air temperature.
+    pub ambient: Celsius,
+    /// The heat-sink resistance law before any airflow derate (Table I).
+    pub law: HeatSinkLaw,
+    /// Heat-sink time constant at `tau_speed`.
+    pub sink_tau: Seconds,
+    /// The fan speed `sink_tau` is quoted at (Table I: maximum airflow).
+    pub tau_speed: Rpm,
+    /// Junction-to-sink resistance before per-socket scaling.
+    pub r_jc: KelvinPerWatt,
+    /// Die thermal time constant.
+    pub die_tau: Seconds,
+}
+
+/// The contract model-based controllers rely on: a set of heat sources
+/// behind one fan that can be stepped, probed at steady state, and
+/// inverted for the minimum safe airflow.
+///
+/// A server's plant (`gfsc_server::Plant`) implements it for the
+/// single-server world; [`ZonePlant`] implements it per fan zone of a
+/// rack, so a zone controller sees exactly the interface a server
+/// controller sees.
+pub trait PlantModel {
+    /// Number of heat sources (dies) behind this plant's fan.
+    fn socket_count(&self) -> usize;
+
+    /// Junction temperature of socket `i`.
+    fn junction(&self, i: usize) -> Celsius;
+
+    /// The hottest junction across this plant's sockets.
+    fn hottest_junction(&self) -> Celsius;
+
+    /// Advances the plant by `dt` under per-socket powers and fan speed.
+    fn step(&mut self, dt: Seconds, powers: &[Watts], fan: Rpm);
+
+    /// The hottest steady-state junction at `(powers, fan)` — the model
+    /// inversion target.
+    fn steady_state_junction(&self, powers: &[Watts], fan: Rpm) -> Celsius;
+
+    /// The minimum fan speed keeping every steady-state junction at or
+    /// below `limit`, or `None` if unreachable at any airflow.
+    fn min_safe_fan_speed(&self, powers: &[Watts], limit: Celsius) -> Option<Rpm>;
+}
 
 /// Handles of one socket, resolved once at build time (no name scans on
 /// the step path).
@@ -37,7 +88,7 @@ struct SocketHandles {
 /// model-inversion bisections (40+ probes per decision) run without per-
 /// probe heap allocation — the rack epoch loop's allocation-free contract
 /// extends to the model-based controllers (`tests/alloc_free_rack.rs`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ProbeScratch {
     links: Vec<(LinkId, KelvinPerWatt)>,
     powers: Vec<(NodeId, Watts)>,
@@ -45,13 +96,21 @@ struct ProbeScratch {
     temps: Vec<f64>,
 }
 
+std::thread_local! {
+    /// One probe scratch per thread, shared by every plant probed on it
+    /// and sized by the first probe of the largest one. Plants carry no
+    /// scratch of their own, so a plant that is only ever stepped (a
+    /// batch-sweep lane) pays nothing for it, and plants stay `Sync` (the
+    /// parallel gain tuner shares a server across worker threads).
+    static SCRATCH: core::cell::RefCell<ProbeScratch> = core::cell::RefCell::default();
+}
+
 /// An N-server, multi-fan-zone thermal plant on the cached RC network.
 ///
 /// # Examples
 ///
 /// ```
-/// use gfsc_rack::{RackPlant, RackTopology};
-/// use gfsc_thermal::{HeatSinkLaw, PlantCalibration};
+/// use gfsc_thermal::{HeatSinkLaw, PlantCalibration, RackPlant, RackTopology};
 /// use gfsc_units::{Celsius, KelvinPerWatt, Rpm, Seconds, Watts};
 ///
 /// let cal = PlantCalibration {
@@ -63,7 +122,7 @@ struct ProbeScratch {
 ///     die_tau: Seconds::new(0.1),
 /// };
 /// let mut rack = RackPlant::new(&cal, &RackTopology::rack_1u_x8()).unwrap();
-/// let powers = vec![gfsc_units::Watts::new(140.8); rack.socket_count()];
+/// let powers = vec![Watts::new(140.8); rack.socket_count()];
 /// // Starve the rear wall: its sockets must settle hotter than the front.
 /// let fans = [Rpm::new(6000.0), Rpm::new(2000.0)];
 /// rack.equilibrate(&powers, &fans);
@@ -85,11 +144,6 @@ pub struct RackPlant {
     /// The ambient boundary handle, resolved once at build time so
     /// `set_ambient` needs no name lookup (and no panic path).
     ambient_boundary: BoundaryId,
-    /// Shared probe buffers (interior mutability: probes are logically
-    /// `&self` — they never touch the live network state).
-    probe: core::cell::RefCell<ProbeScratch>,
-    /// Per-zone fan scratch for the min-safe bisection.
-    probe_fans: core::cell::RefCell<Vec<Rpm>>,
 }
 
 impl RackPlant {
@@ -110,14 +164,17 @@ impl RackPlant {
         let fan0 = cal.tau_speed;
         let mut builder = RcNetworkBuilder::new().boundary("ambient", cal.ambient);
         let mut zone_sink_caps: Vec<(f64, usize)> = vec![(0.0, 0); topology.zones().len()];
-        // Server nodes/links first, in slot order — the single-server
-        // no-plenum case must replay MultiSocketPlant's build sequence
-        // exactly (the step-for-step parity contract).
+        // Server nodes/links first, in slot order; the plenum comes after
+        // every server.
         for slot in topology.servers() {
+            let segments = slot.board.sink_segments();
             let mut sink_cap_sum = 0.0;
             for socket in slot.board.sockets() {
                 let law = Self::socket_law(cal, slot, socket.airflow_derate);
                 let r_jc = KelvinPerWatt::new(cal.r_jc.value() * socket.r_jc_scale);
+                // Capacitances from the quoted time constants, exactly as
+                // the hand-rolled nodes calibrate them: C = tau / R(tau_speed)
+                // for the sink, C = die_tau / R_jc for the die.
                 let sink_cap =
                     JoulesPerKelvin::from_time_constant(cal.sink_tau, law.resistance(fan0));
                 let die_cap = JoulesPerKelvin::from_time_constant(cal.die_tau, r_jc);
@@ -127,11 +184,37 @@ impl RackPlant {
                 entry.1 += 1;
                 let die = format!("die-{}-{}", slot.name, socket.name);
                 let sink = format!("sink-{}-{}", slot.name, socket.name);
-                builder = builder
-                    .node(die.clone(), die_cap, cal.ambient)
-                    .node(sink.clone(), sink_cap, cal.ambient)
-                    .link(die, sink.clone(), r_jc)
-                    .link(sink, "ambient", law.resistance(fan0));
+                builder = builder.node(die.clone(), die_cap, cal.ambient).link(die, &sink, r_jc);
+                if segments == 0 {
+                    builder = builder.node(&sink, sink_cap, cal.ambient).link(
+                        sink,
+                        "ambient",
+                        law.resistance(fan0),
+                    );
+                    continue;
+                }
+                // Folded fin-array sink: the lumped capacitance splits
+                // evenly between base plate and fins, each fin carries
+                // `segments`× the sink law's resistance (so the fins in
+                // parallel reproduce the lumped convective path), the base
+                // spreads into every fin, and the fins couple pairwise —
+                // the dense Schur-complement remnant of eliminating the
+                // fast shared-air node from a detailed model.
+                let fin_law = law.with_airflow_derate(segments as f64);
+                let node_cap = JoulesPerKelvin::new(sink_cap.value() / (segments + 1) as f64);
+                let spread = KelvinPerWatt::new(0.2);
+                let mix = KelvinPerWatt::new(0.8);
+                builder = builder.node(&sink, node_cap, cal.ambient);
+                for j in 0..segments {
+                    let fin = Self::fin_name(slot, &socket.name, j);
+                    builder = builder
+                        .node(&fin, node_cap, cal.ambient)
+                        .link(&sink, &fin, spread)
+                        .link(&fin, "ambient", fin_law.resistance(fan0));
+                    for i in 0..j {
+                        builder = builder.link(Self::fin_name(slot, &socket.name, i), &fin, mix);
+                    }
+                }
             }
             if let Some(chassis) = slot.board.chassis() {
                 let cap = JoulesPerKelvin::new(
@@ -199,8 +282,8 @@ impl RackPlant {
         let net = builder.build()?;
 
         // Resolve handles and attach every airflow-dependent link to its
-        // zone: each socket's sink→ambient path, then the zone's plenum
-        // exhaust.
+        // zone: each socket's sink→ambient path (or its fins'), then the
+        // zone's plenum exhaust.
         let mut zones = FanZoneMap::new();
         let zone_ids: Vec<ZoneId> =
             topology.zones().iter().map(|zone| zones.add_zone(zone.name.clone(), fan0)).collect();
@@ -208,14 +291,22 @@ impl RackPlant {
         let mut zone_sockets = vec![Vec::new(); topology.zones().len()];
         let mut server_ranges = Vec::with_capacity(topology.servers().len());
         for (s, slot) in topology.servers().iter().enumerate() {
+            let segments = slot.board.sink_segments();
             let start = sockets.len();
             for socket in slot.board.sockets() {
                 let sink_name = format!("sink-{}-{}", slot.name, socket.name);
-                zones.attach(
-                    zone_ids[slot.zone],
-                    net.link_id(&sink_name, "ambient")?,
-                    Self::socket_law(cal, slot, socket.airflow_derate),
-                );
+                let law = Self::socket_law(cal, slot, socket.airflow_derate);
+                if segments == 0 {
+                    zones.attach(zone_ids[slot.zone], net.link_id(&sink_name, "ambient")?, law);
+                } else {
+                    // Every fin breathes the zone fan; identical laws per
+                    // socket let the zone evaluate the law once per socket.
+                    let fin_law = law.with_airflow_derate(segments as f64);
+                    for j in 0..segments {
+                        let fin = Self::fin_name(slot, &socket.name, j);
+                        zones.attach(zone_ids[slot.zone], net.link_id(&fin, "ambient")?, fin_law);
+                    }
+                }
                 zone_sockets[slot.zone].push(sockets.len());
                 let die_name = format!("die-{}-{}", slot.name, socket.name);
                 sockets.push(SocketHandles {
@@ -246,8 +337,6 @@ impl RackPlant {
         let ambient_boundary = net
             .boundary_id("ambient")
             .ok_or_else(|| NetworkError::UnknownName("ambient".to_string()))?;
-        let nodes = net.node_names().len();
-        let links_cap = sockets.len() + zone_ids.len();
         Ok(Self {
             net,
             zones,
@@ -258,35 +347,25 @@ impl RackPlant {
             plenums,
             ambient: cal.ambient,
             ambient_boundary,
-            probe: core::cell::RefCell::new(ProbeScratch {
-                links: Vec::with_capacity(links_cap),
-                powers: Vec::with_capacity(nodes),
-                matrix: Vec::with_capacity(nodes * nodes),
-                temps: Vec::with_capacity(nodes),
-            }),
-            probe_fans: core::cell::RefCell::new(Vec::with_capacity(topology.zones().len())),
         })
     }
 
     /// A socket's effective resistance law: the base law derated by slot
     /// position × socket position.
-    fn socket_law(
-        cal: &PlantCalibration,
-        slot: &ServerSlot,
-        socket_derate: f64,
-    ) -> gfsc_thermal::HeatSinkLaw {
+    fn socket_law(cal: &PlantCalibration, slot: &ServerSlot, socket_derate: f64) -> HeatSinkLaw {
         cal.law.with_airflow_derate(slot.airflow_derate * socket_derate)
     }
 
     /// Zone `z`'s plenum-exhaust law: the base law derated by
     /// `exhaust_derate / fans` (a whole wall of fans pushes the shared air
     /// out proportionally more freely than one).
-    fn exhaust_law(
-        cal: &PlantCalibration,
-        plenum: &PlenumDef,
-        zone_fans: usize,
-    ) -> gfsc_thermal::HeatSinkLaw {
+    fn exhaust_law(cal: &PlantCalibration, plenum: &PlenumDef, zone_fans: usize) -> HeatSinkLaw {
         cal.law.with_airflow_derate(plenum.exhaust_derate / zone_fans as f64)
+    }
+
+    /// Node name of fin `j` on a finned socket's sink.
+    fn fin_name(slot: &ServerSlot, socket: &str, j: usize) -> String {
+        format!("fin{j}-{}-{socket}", slot.name)
     }
 
     /// Number of fan zones.
@@ -359,7 +438,8 @@ impl RackPlant {
         self.net.temperature(self.sockets[i].die)
     }
 
-    /// Heat-sink temperature of flat socket `i`.
+    /// Heat-sink (base plate, for a finned sink) temperature of flat
+    /// socket `i`.
     ///
     /// # Panics
     ///
@@ -444,15 +524,49 @@ impl RackPlant {
     ///
     /// Panics if the slice lengths disagree with the topology.
     pub fn step(&mut self, dt: Seconds, powers: &[Watts], fans: &[Rpm]) {
-        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
+        self.prepare_step(powers, fans);
+        self.net.step(dt);
+    }
+
+    /// Everything [`RackPlant::step`] does *except* solving the network:
+    /// applies per-socket powers and the fan speeds' conductances. The
+    /// batched sweep engine calls this per lane, then advances all lanes'
+    /// networks together through one [`crate::BatchRcNetwork::step`] —
+    /// bitwise identical to calling [`RackPlant::step`] on each plant
+    /// alone.
+    ///
+    /// After preparing, the caller **must** step [`Self::network_mut`]
+    /// (scalar or batched) to complete the plant step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree with the topology.
+    pub fn prepare_step(&mut self, powers: &[Watts], fans: &[Rpm]) {
+        self.check_lengths(powers, fans);
         for (socket, &power) in self.sockets.iter().zip(powers) {
             self.net.set_power(socket.die, power);
         }
+        // Unchanged fan speeds keep the factorization warm (the setter
+        // skips identical conductances).
         for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
             self.zones.set_fan(&mut self.net, zone, fan);
         }
-        self.net.step(dt);
+    }
+
+    /// The plant's RC network — read access for batch-lane registration
+    /// and structure checks.
+    #[must_use]
+    pub fn network(&self) -> &RcNetwork {
+        &self.net
+    }
+
+    /// Mutable access to the plant's RC network, for the batched stepper
+    /// to solve after [`RackPlant::prepare_step`]. Mutating anything but
+    /// the step state through this handle voids the plant's handles; it
+    /// exists for the batch engine, not for re-plumbing.
+    #[must_use]
+    pub fn network_mut(&mut self) -> &mut RcNetwork {
+        &mut self.net
     }
 
     /// Non-mutating steady-state probe of the whole rack at `(powers,
@@ -463,9 +577,14 @@ impl RackPlant {
     /// Panics if the slice lengths disagree with the topology.
     #[must_use]
     pub fn steady_state_junctions(&self, powers: &[Watts], fans: &[Rpm]) -> Vec<Celsius> {
-        self.probe_with(powers, fans, |plant, temps| {
-            plant.sockets.iter().map(|s| Celsius::new(temps[s.die.index()])).collect()
-        })
+        self.check_lengths(powers, fans);
+        self.probe_with(
+            powers,
+            |z| fans[z],
+            |plant, temps| {
+                plant.sockets.iter().map(|s| Celsius::new(temps[s.die.index()])).collect()
+            },
+        )
     }
 
     /// The hottest steady-state junction in zone `z` at `(powers, fans)`,
@@ -482,19 +601,11 @@ impl RackPlant {
         powers: &[Watts],
         fans: &[Rpm],
     ) -> Celsius {
+        self.check_lengths(powers, fans);
         if self.zone_sockets[z].is_empty() {
             return self.ambient;
         }
-        self.probe_with(powers, fans, |plant, temps| {
-            let Some((&first, rest)) = plant.zone_sockets[z].split_first() else {
-                return plant.ambient;
-            };
-            let mut hottest = temps[plant.sockets[first].die.index()];
-            for &i in rest {
-                hottest = total_max(hottest, temps[plant.sockets[i].die.index()]);
-            }
-            Celsius::new(hottest)
-        })
+        self.probe_with(powers, |zone| fans[zone], |plant, temps| plant.zone_hottest(z, temps))
     }
 
     /// Non-mutating whole-rack probe at `(powers, fans)`: fills `out` with
@@ -517,43 +628,76 @@ impl RackPlant {
         out: &mut [Celsius],
     ) {
         assert_eq!(out.len(), self.zone_sockets.len(), "one output slot per zone");
-        self.probe_with(powers, fans, |plant, temps| {
-            for (z, slot) in out.iter_mut().enumerate() {
-                let sockets = &plant.zone_sockets[z];
-                let Some((&first, rest)) = sockets.split_first() else {
-                    *slot = plant.ambient;
-                    continue;
-                };
-                let mut hottest = temps[plant.sockets[first].die.index()];
-                for &i in rest {
-                    hottest = total_max(hottest, temps[plant.sockets[i].die.index()]);
+        self.check_lengths(powers, fans);
+        self.probe_with(
+            powers,
+            |z| fans[z],
+            |plant, temps| {
+                for (z, slot) in out.iter_mut().enumerate() {
+                    *slot = plant.zone_hottest(z, temps);
                 }
-                *slot = Celsius::new(hottest);
-            }
-        });
+            },
+        );
     }
 
-    /// Runs one non-mutating steady-state probe at `(powers, fans)` in the
-    /// shared scratch and reduces the solved node temperatures —
-    /// allocation-free once the buffers are warm.
+    /// Zone `z`'s hottest junction in a solved node-temperature vector,
+    /// or the ambient for a slotless zone.
+    fn zone_hottest(&self, z: usize, temps: &[f64]) -> Celsius {
+        let Some((&first, rest)) = self.zone_sockets[z].split_first() else {
+            return self.ambient;
+        };
+        let mut hottest = temps[self.sockets[first].die.index()];
+        for &i in rest {
+            hottest = total_max(hottest, temps[self.sockets[i].die.index()]);
+        }
+        Celsius::new(hottest)
+    }
+
+    /// The slice-length contract of every whole-rack entry point.
+    fn check_lengths(&self, powers: &[Watts], fans: &[Rpm]) {
+        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
+        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
+    }
+
+    /// Runs one non-mutating steady-state probe of the whole rack at
+    /// `powers` with zone `z`'s fan at `fan(z)`, and reduces the solved
+    /// node temperatures.
     fn probe_with<R>(
         &self,
         powers: &[Watts],
-        fans: &[Rpm],
+        fan: impl Fn(usize) -> Rpm,
         reduce: impl FnOnce(&Self, &[f64]) -> R,
     ) -> R {
-        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
-        let mut scratch = self.probe.borrow_mut();
-        let ProbeScratch { links, powers: power_overrides, matrix, temps } = &mut *scratch;
-        links.clear();
-        for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
-            self.zones.extend_overrides(zone, fan, links);
-        }
-        power_overrides.clear();
-        power_overrides.extend(self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)));
-        self.net.steady_state_with_into(links, power_overrides, matrix, temps);
-        reduce(self, temps)
+        self.probe(
+            |links, power_overrides| {
+                for (z, &zone) in self.zone_ids.iter().enumerate() {
+                    self.zones.extend_overrides(zone, fan(z), links);
+                }
+                power_overrides.extend(self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)));
+            },
+            reduce,
+        )
+    }
+
+    /// One non-mutating steady-state solve in the thread's scratch:
+    /// `overrides` fills the (cleared) link and power override lists,
+    /// everything else stays at the live network's values, and `reduce`
+    /// reads the solved node temperatures. Allocation-free once the
+    /// buffers are warm.
+    fn probe<R>(
+        &self,
+        overrides: impl FnOnce(&mut Vec<(LinkId, KelvinPerWatt)>, &mut Vec<(NodeId, Watts)>),
+        reduce: impl FnOnce(&Self, &[f64]) -> R,
+    ) -> R {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let ProbeScratch { links, powers, matrix, temps } = &mut *scratch;
+            links.clear();
+            powers.clear();
+            overrides(links, powers);
+            self.net.steady_state_with_into(links, powers, matrix, temps);
+            reduce(self, temps)
+        })
     }
 
     /// The minimum fan speed for zone `z` keeping every steady-state
@@ -563,9 +707,8 @@ impl RackPlant {
     /// A slotless zone has nothing to guard: any speed is safe, so the
     /// answer is 0 rpm.
     ///
-    /// Deterministic bisection over the monotone zone-hottest curve, like
-    /// the multi-socket plant's inversion. Allocation-free once the probe
-    /// scratch is warm.
+    /// Deterministic bisection over the monotone zone-hottest curve.
+    /// Allocation-free once the probe scratch is warm.
     ///
     /// # Panics
     ///
@@ -579,38 +722,14 @@ impl RackPlant {
         fans: &[Rpm],
         limit: Celsius,
     ) -> Option<Rpm> {
-        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
+        self.check_lengths(powers, fans);
         if self.zone_sockets[z].is_empty() {
             return Some(Rpm::new(0.0));
         }
-        let mut probe_fans = self.probe_fans.borrow_mut();
-        probe_fans.clear();
-        probe_fans.extend_from_slice(fans);
-        let at = |v: f64, probe_fans: &mut [Rpm]| {
-            probe_fans[z] = Rpm::new(v);
-            self.steady_state_hottest_in_zone(z, powers, probe_fans)
-        };
-        // Same bracket rationale as MultiSocketPlant::min_safe_fan_speed:
-        // the law saturates below 100 rpm, 1e6 rpm is indistinguishable
-        // from infinite airflow, 40 halvings out-resolve any actuator.
-        let (lo, hi) = (100.0, 1e6);
-        if at(lo, &mut probe_fans) <= limit {
-            return Some(Rpm::new(0.0));
-        }
-        if at(hi, &mut probe_fans) > limit {
-            return None;
-        }
-        let (mut lo, mut hi) = (lo, hi);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if at(mid, &mut probe_fans) > limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Rpm::new(hi))
+        bisect_min_safe(limit, |v| {
+            let fan = |zone| if zone == z { v } else { fans[zone] };
+            self.probe_with(powers, fan, |plant, temps| plant.zone_hottest(z, temps))
+        })
     }
 
     /// Snaps the whole rack (dies, sinks, chassis, plenums) to its
@@ -621,14 +740,7 @@ impl RackPlant {
     ///
     /// Panics if the slice lengths disagree with the topology.
     pub fn equilibrate(&mut self, powers: &[Watts], fans: &[Rpm]) {
-        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
-        for (socket, &power) in self.sockets.iter().zip(powers) {
-            self.net.set_power(socket.die, power);
-        }
-        for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
-            self.zones.set_fan(&mut self.net, zone, fan);
-        }
+        self.prepare_step(powers, fans);
         self.net.snap_to_steady_state();
     }
 
@@ -644,6 +756,38 @@ impl RackPlant {
         assert!(z < self.zone_ids.len(), "zone {z} out of range");
         ZonePlant { rack: self, zone: z }
     }
+}
+
+/// The min-safe inversion every plant view shares: the lowest fan speed
+/// at which `hottest_at` (a steady-state probe, monotone decreasing in
+/// airflow) stays at or below `limit`, or `None` if even unbounded
+/// airflow cannot hold it. An N-socket plant with chassis or plenum
+/// coupling has no closed form, so this bisects — deterministically:
+/// fixed bracket, fixed iteration count.
+fn bisect_min_safe(limit: Celsius, mut hottest_at: impl FnMut(Rpm) -> Celsius) -> Option<Rpm> {
+    // The law saturates below 100 rpm, so v = 100 is the stopped-fan
+    // envelope; 1e6 rpm is numerically indistinguishable from the
+    // infinite-airflow asymptote.
+    let (lo, hi) = (100.0, 1e6);
+    if hottest_at(Rpm::new(lo)) <= limit {
+        return Some(Rpm::new(0.0));
+    }
+    if hottest_at(Rpm::new(hi)) > limit {
+        return None;
+    }
+    // 40 halvings take the 1e6-wide bracket to ~1e-6 rpm — far past any
+    // fan actuator's resolution; more iterations cannot change the
+    // commanded speed and each costs a dense steady-state solve.
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..40 {
+        let mid = 0.5 * (lo + hi);
+        if hottest_at(Rpm::new(mid)) > limit {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(Rpm::new(hi))
 }
 
 /// One fan zone of a [`RackPlant`], viewed through the single-fan
@@ -670,27 +814,19 @@ impl ZonePlant<'_> {
     /// for a slotless zone.
     fn zone_steady_state(&self, powers: &[Watts], fan: Rpm) -> Celsius {
         assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
-        let sockets = &self.rack.zone_sockets[self.zone];
-        if sockets.is_empty() {
-            return self.rack.ambient;
+        let rack = &*self.rack;
+        if rack.zone_sockets[self.zone].is_empty() {
+            return rack.ambient;
         }
-        let mut scratch = self.rack.probe.borrow_mut();
-        let ProbeScratch { links, powers: power_overrides, matrix, temps } = &mut *scratch;
-        links.clear();
-        self.rack.zones.extend_overrides(self.rack.zone_ids[self.zone], fan, links);
-        power_overrides.clear();
-        power_overrides.extend(
-            powers.iter().enumerate().map(|(i, &p)| (self.rack.sockets[self.flat(i)].die, p)),
-        );
-        self.rack.net.steady_state_with_into(links, power_overrides, matrix, temps);
-        let Some((&first, rest)) = sockets.split_first() else {
-            return self.rack.ambient;
-        };
-        let mut hottest = temps[self.rack.sockets[first].die.index()];
-        for &i in rest {
-            hottest = total_max(hottest, temps[self.rack.sockets[i].die.index()]);
-        }
-        Celsius::new(hottest)
+        rack.probe(
+            |links, power_overrides| {
+                rack.zones.extend_overrides(rack.zone_ids[self.zone], fan, links);
+                power_overrides.extend(
+                    powers.iter().enumerate().map(|(i, &p)| (rack.sockets[self.flat(i)].die, p)),
+                );
+            },
+            |rack, temps| rack.zone_hottest(self.zone, temps),
+        )
     }
 }
 
@@ -726,31 +862,14 @@ impl PlantModel for ZonePlant<'_> {
         if self.socket_count() == 0 {
             return Some(Rpm::new(0.0));
         }
-        let (lo, hi) = (100.0, 1e6);
-        if self.zone_steady_state(powers, Rpm::new(lo)) <= limit {
-            return Some(Rpm::new(0.0));
-        }
-        if self.zone_steady_state(powers, Rpm::new(hi)) > limit {
-            return None;
-        }
-        let (mut lo, mut hi) = (lo, hi);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if self.zone_steady_state(powers, Rpm::new(mid)) > limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Rpm::new(hi))
+        bisect_min_safe(limit, |v| self.zone_steady_state(powers, v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RackTopology;
-    use gfsc_thermal::HeatSinkLaw;
+    use crate::{ServerThermalModel, Topology};
 
     fn cal() -> PlantCalibration {
         PlantCalibration {
@@ -765,6 +884,11 @@ mod tests {
 
     fn rack_1u8() -> RackPlant {
         RackPlant::new(&cal(), &RackTopology::rack_1u_x8()).unwrap()
+    }
+
+    /// One server on `board`: the degenerate one-slot rack.
+    fn board(board: Topology) -> RackPlant {
+        RackPlant::new(&cal(), &RackTopology::single_server(board)).unwrap()
     }
 
     #[test]
@@ -816,8 +940,50 @@ mod tests {
             "no cross-wall coupling: idle sink at {}",
             rack.heat_sink(2)
         );
-        // Without a plenum (degenerate single-server world) there is no
-        // such path — covered by the parity property test.
+    }
+
+    #[test]
+    fn chassis_couples_the_sockets() {
+        // All power on socket 0: with the chassis spreader, socket 1's sink
+        // must sit measurably above ambient purely through coupling.
+        let hot_idle = [Watts::new(160.0), Watts::new(0.0)];
+        let mut plant = board(Topology::blade_chassis());
+        plant.equilibrate(&hot_idle, &[Rpm::new(3000.0)]);
+        assert!(
+            plant.heat_sink(1) > Celsius::new(30.5),
+            "no cross-socket coupling: sink1 at {}",
+            plant.heat_sink(1)
+        );
+        // Without a chassis (or a plenum) the idle socket stays at ambient.
+        let mut plant = board(Topology::dual_socket());
+        plant.equilibrate(&hot_idle, &[Rpm::new(3000.0)]);
+        assert!(plant.heat_sink(1) < Celsius::new(30.1));
+    }
+
+    #[test]
+    fn downstream_socket_runs_hotter() {
+        let mut plant = board(Topology::quad_socket());
+        plant.equilibrate(&[Watts::new(140.8); 4], &[Rpm::new(4000.0)]);
+        for i in 1..4 {
+            assert!(
+                plant.junction(i) > plant.junction(i - 1),
+                "socket {i} not hotter: {} vs {}",
+                plant.junction(i),
+                plant.junction(i - 1)
+            );
+        }
+        assert_eq!(plant.hottest_junction(), plant.junction(3));
+    }
+
+    #[test]
+    fn single_socket_steady_state_matches_two_node_model() {
+        let plant = board(Topology::single_socket());
+        let model = ServerThermalModel::date14(Celsius::new(30.0));
+        for (p, v) in [(96.0, 2000.0), (140.8, 4000.0), (160.0, 8500.0)] {
+            let net = plant.steady_state_hottest_in_zone(0, &[Watts::new(p)], &[Rpm::new(v)]);
+            let exact = model.steady_state_junction(Watts::new(p), Rpm::new(v));
+            assert!((net - exact).abs() < 1e-9, "p={p} v={v}: {net} vs {exact}");
+        }
     }
 
     #[test]
@@ -852,15 +1018,51 @@ mod tests {
 
     #[test]
     fn transient_converges_to_probed_steady_state() {
-        let mut rack = rack_1u8();
-        let powers = vec![Watts::new(140.8); 8];
-        let fans = [Rpm::new(4000.0), Rpm::new(4000.0)];
-        let ss = rack.steady_state_junctions(&powers, &fans);
-        for _ in 0..200_000 {
-            rack.step(Seconds::new(1.0), &powers, &fans);
+        for (mut plant, fans, steps) in [
+            (rack_1u8(), vec![Rpm::new(4000.0); 2], 200_000),
+            (board(Topology::dual_socket()), vec![Rpm::new(4000.0)], 100_000),
+        ] {
+            let powers = vec![Watts::new(140.8); plant.socket_count()];
+            let ss = plant.steady_state_junctions(&powers, &fans);
+            for _ in 0..steps {
+                plant.step(Seconds::new(1.0), &powers, &fans);
+            }
+            for (i, &ss_i) in ss.iter().enumerate() {
+                assert!((plant.junction(i) - ss_i).abs() < 1e-6, "socket {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn finned_plant_behaves_like_a_server() {
+        // The fin-array expansion changes the matrix structure, not the
+        // physics: downstream sockets still run hotter, more airflow still
+        // cools, and the min-safe probe still lands tight on the limit.
+        let mut plant = board(Topology::finned(2, 8));
+        let p = [Watts::new(140.8); 2];
+        plant.equilibrate(&p, &[Rpm::new(4000.0)]);
+        assert!(plant.junction(1) > plant.junction(0), "downstream socket not hotter");
+        assert!(plant.hottest_junction() > plant.ambient());
+        let at = |v: Rpm| plant.steady_state_hottest_in_zone(0, &p, &[v]);
+        let (slow, fast) = (at(Rpm::new(3000.0)), at(Rpm::new(6000.0)));
+        assert!(fast < slow, "more airflow must cool the fins: {fast} vs {slow}");
+        let limit = Celsius::new(75.0);
+        let v = plant.min_safe_zone_fan(0, &p, &[Rpm::new(4000.0)], limit).expect("reachable");
+        assert!((at(v) - limit).abs() < 0.01, "at {}", at(v));
+        assert!(at(v + 100.0) < limit);
+        assert!(at(v - 100.0) > limit);
+    }
+
+    #[test]
+    fn finned_transient_converges_to_probed_steady_state() {
+        let mut plant = board(Topology::finned(2, 8));
+        let (p, v) = ([Watts::new(140.8); 2], [Rpm::new(4000.0)]);
+        let ss = plant.steady_state_junctions(&p, &v);
+        for _ in 0..100_000 {
+            plant.step(Seconds::new(1.0), &p, &v);
         }
         for (i, &ss_i) in ss.iter().enumerate() {
-            assert!((rack.junction(i) - ss_i).abs() < 1e-6, "socket {i}");
+            assert!((plant.junction(i) - ss_i).abs() < 1e-6, "socket {i}");
         }
     }
 

@@ -8,7 +8,8 @@
 //! [`ZoneId`] owns a fan speed and the set of [`crate::RcNetwork`] links
 //! whose resistance moves with that fan (each through its own, possibly
 //! derated, [`HeatSinkLaw`]). The single-zone map reproduces the legacy
-//! behavior exactly; [`crate::MultiSocketPlant`] is routed through it.
+//! behavior exactly; a server's board, compiled as the one-slot
+//! [`crate::RackPlant`], is routed through it.
 //!
 //! # Examples
 //!

@@ -1,21 +1,23 @@
 //! Property-based tests for the thermal models.
 
 use gfsc_thermal::{
-    FanZoneMap, HeatSinkLaw, HeatSinkNode, MultiSocketPlant, PlantCalibration, RcNetworkBuilder,
-    ServerThermalModel, Topology, ZoneId,
+    FanZoneMap, HeatSinkLaw, HeatSinkNode, PlantCalibration, RackPlant, RackTopology,
+    RcNetworkBuilder, ServerThermalModel, Topology, ZoneId,
 };
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 use proptest::prelude::*;
 
-fn date14_calibration() -> PlantCalibration {
-    PlantCalibration {
+/// The paper's single-socket server on the RC network: the one-slot rack.
+fn network_single_socket() -> RackPlant {
+    let cal = PlantCalibration {
         ambient: Celsius::new(30.0),
         law: HeatSinkLaw::date14(),
         sink_tau: Seconds::new(60.0),
         tau_speed: Rpm::new(8500.0),
         r_jc: KelvinPerWatt::new(0.10),
         die_tau: Seconds::new(0.1),
-    }
+    };
+    RackPlant::new(&cal, &RackTopology::single_server(Topology::single_socket())).unwrap()
 }
 
 proptest! {
@@ -118,15 +120,14 @@ proptest! {
         powers in proptest::collection::vec(96.0f64..160.0, 1..5),
         fans in proptest::collection::vec(1500.0f64..8500.0, 1..5),
     ) {
-        let cal = date14_calibration();
-        let mut network = MultiSocketPlant::new(&cal, &Topology::single_socket()).unwrap();
+        let mut network = network_single_socket();
         let mut exact = ServerThermalModel::date14(Celsius::new(30.0));
         let phases = powers.len().min(fans.len());
         for k in 0..phases {
             let (p, v) = (Watts::new(powers[k]), Rpm::new(fans[k]));
             // Steady states agree to solver precision at every phase's
             // operating point.
-            let ss_net = network.steady_state_hottest(&[p], v);
+            let ss_net = network.steady_state_hottest_in_zone(0, &[p], &[v]);
             let ss_exact = exact.steady_state_junction(p, v);
             prop_assert!((ss_net - ss_exact).abs() < 1e-9,
                 "steady state diverged: {ss_net} vs {ss_exact}");
@@ -139,7 +140,7 @@ proptest! {
             // a 0.5 s backward-Euler step legitimately smears over a few
             // steps) dominates, and no controller samples that fast.
             for s in 0..800 {
-                network.step(Seconds::new(0.5), &[p], v);
+                network.step(Seconds::new(0.5), &[p], &[v]);
                 exact.step(Seconds::new(0.5), p, v);
                 let (a, b) = (network.hottest_junction(), exact.junction());
                 prop_assert!(s < 4 || (a - b).abs() < 0.5,
@@ -150,23 +151,24 @@ proptest! {
         // equilibrium.
         let (p, v) = (Watts::new(powers[phases - 1]), Rpm::new(fans[phases - 1]));
         for _ in 0..40_000 {
-            network.step(Seconds::new(0.5), &[p], v);
+            network.step(Seconds::new(0.5), &[p], &[v]);
             exact.step(Seconds::new(0.5), p, v);
         }
         let (a, b) = (network.hottest_junction(), exact.junction());
         prop_assert!((a - b).abs() < 1e-6, "settled states differ: {a} vs {b}");
     }
 
-    /// Multi-socket min-safe-speed bisection agrees with the analytic
-    /// two-node inversion when the topology is the plain single socket.
+    /// The network plant's min-safe-speed bisection agrees with the
+    /// analytic two-node inversion when the topology is the plain single
+    /// socket.
     #[test]
     fn network_min_safe_speed_matches_analytic_inversion(
         p in 100.0f64..160.0,
         limit in 60.0f64..95.0,
     ) {
-        let plant = MultiSocketPlant::new(&date14_calibration(), &Topology::single_socket()).unwrap();
+        let plant = network_single_socket();
         let exact = ServerThermalModel::date14(Celsius::new(30.0));
-        let a = plant.min_safe_fan_speed(&[Watts::new(p)], Celsius::new(limit));
+        let a = plant.min_safe_zone_fan(0, &[Watts::new(p)], &[Rpm::new(0.0)], Celsius::new(limit));
         let b = exact.min_safe_fan_speed(Watts::new(p), Celsius::new(limit));
         match (a, b) {
             (Some(va), Some(vb)) => {
