@@ -391,12 +391,7 @@ impl RackControlBank {
                 // server behind another wall; demands re-derive from the
                 // shifted weights.
                 if let Some(migrator) = &mut self.migrator {
-                    migrator.rebalance_traced(
-                        &mut *rack,
-                        &self.measured,
-                        epoch,
-                        &mut self.recorder,
-                    );
+                    migrator.rebalance(&mut *rack, &self.measured, epoch, &mut self.recorder);
                     rack.socket_demands(demand, &mut demands);
                 }
                 // Layer 1: per-socket integral capper proposals.
@@ -405,7 +400,7 @@ impl RackControlBank {
                 }
                 // Layer 2: the coordinator grants raises freely and cuts
                 // against the per-epoch budget, hottest sockets first.
-                self.coordinator.arbitrate_traced(
+                self.coordinator.arbitrate(
                     &self.measured,
                     &mut self.caps,
                     &self.proposed,
@@ -441,7 +436,7 @@ impl RackControlBank {
                         bank.begin_epoch();
                         for z in 0..zones {
                             let reference = self.fans[z].reference();
-                            let action = bank.evaluate_traced(
+                            let action = bank.evaluate(
                                 z,
                                 rack.measured_zone(z),
                                 reference,
@@ -575,7 +570,7 @@ impl RackControlBank {
                     }
                 }
                 if fan_due {
-                    descent.descend_traced(
+                    descent.descend(
                         rack.plant(),
                         &self.rack_powers,
                         bounds,

@@ -182,26 +182,17 @@ impl RackEnergyDescent {
     /// runs out). Unreachable zones (even unbounded airflow cannot hold the
     /// sizing limit — e.g. recirculated heat from a frozen, starved
     /// neighbour) pin at the upper bound, exactly like the per-zone mode.
-    /// Allocation-free once the plant's probe scratch is warm.
+    /// The sweep count, the final convergence residual, and every
+    /// unfrozen zone's converged target (or its pin at the upper bound)
+    /// land in `rec` as `epoch`-stamped events (pass
+    /// [`Recorder::disarmed`] to trace nothing). Allocation-free once the
+    /// thread's probe scratch is warm.
     ///
     /// # Panics
     ///
     /// Panics if the bound zone count disagrees with `plant` or `powers`
     /// is not one entry per socket.
-    pub fn descend(&mut self, plant: &RackPlant, powers: &[Watts], bounds: Bounds<Rpm>) {
-        self.descend_traced(plant, powers, bounds, 0, &mut Recorder::disarmed());
-    }
-
-    /// [`Self::descend`] with decision tracing: the sweep count, the
-    /// final convergence residual, and every unfrozen zone's converged
-    /// target (or its pin at the upper bound) land in `rec` as
-    /// `epoch`-stamped events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bound zone count disagrees with `plant` or `powers`
-    /// is not one entry per socket.
-    pub fn descend_traced(
+    pub fn descend(
         &mut self,
         plant: &RackPlant,
         powers: &[Watts],
@@ -287,7 +278,7 @@ mod tests {
         rack.equilibrate(&powers, &[Rpm::new(6000.0), Rpm::new(6000.0)]);
         let mut descent = RackEnergyDescent::date14_rack();
         seeded(&mut descent, &rack);
-        descent.descend(&rack, &powers, bounds());
+        descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         let limit = descent.policy().fan_sizing_limit();
         let fans = [descent.target(0), descent.target(1)];
         let mut hottest = [Celsius::new(0.0); 2];
@@ -319,7 +310,7 @@ mod tests {
         rack.equilibrate(&powers, &[Rpm::new(3000.0)]);
         let mut descent = RackEnergyDescent::date14_rack();
         seeded(&mut descent, &rack);
-        descent.descend(&rack, &powers, bounds());
+        descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         let limit = descent.policy().fan_sizing_limit();
         let view = rack.zone_plant(0);
         let expected = bounds().clamp(view.min_safe_fan_speed(&powers, limit).unwrap());
@@ -337,13 +328,13 @@ mod tests {
         // sized higher than it would be with the right wall free, because
         // the shared air arrives hotter.
         seeded(&mut descent, &rack);
-        descent.descend(&rack, &powers, bounds());
+        descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         let free_left = descent.target(0);
 
         seeded(&mut descent, &rack);
         descent.seed(1, Rpm::new(1000.0));
         descent.freeze(1);
-        descent.descend(&rack, &powers, bounds());
+        descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         assert!(descent.is_frozen(1));
         assert_eq!(descent.target(1), Rpm::new(1000.0), "frozen wall must not move");
         assert!(
@@ -362,7 +353,7 @@ mod tests {
         rack.equilibrate(&powers, &[Rpm::new(4000.0), Rpm::new(4000.0)]);
         let mut descent = RackEnergyDescent::date14_rack();
         seeded(&mut descent, &rack);
-        descent.descend(&rack, &powers, bounds());
+        descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         assert_eq!(descent.target(1), bounds().lo(), "empty wall idles at the lower bound");
     }
 

@@ -167,23 +167,14 @@ impl WorkMigrator {
     /// per-epoch and ledger budgets — shed one step of weight from the
     /// hottest over-threshold server to the coolest headroomed server in
     /// another fan zone. Deterministic (ties break toward the lowest
-    /// index) and allocation-free.
+    /// index) and allocation-free. Every shift (source and absorber
+    /// temperatures) and every reversal lands in `rec` as `epoch`-stamped
+    /// events (pass [`Recorder::disarmed`] to trace nothing).
     ///
     /// # Panics
     ///
     /// Panics if `measured` is not one entry per socket.
-    pub fn rebalance(&mut self, server: &mut dyn RackView, measured: &[Celsius]) {
-        self.rebalance_traced(server, measured, 0, &mut Recorder::disarmed());
-    }
-
-    /// [`Self::rebalance`] with decision tracing: every shift (source
-    /// and absorber temperatures) and every reversal lands in `rec` as
-    /// `epoch`-stamped events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measured` is not one entry per socket.
-    pub fn rebalance_traced(
+    pub fn rebalance(
         &mut self,
         server: &mut dyn RackView,
         measured: &[Celsius],
@@ -309,7 +300,7 @@ mod tests {
         let mut m = measured(8, 74.0, 2, 81.0);
         m[1] = Celsius::new(80.0);
         m[6] = Celsius::new(70.0);
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(
             migrator.outstanding(),
             &[Migration { from: 2, to: 6, weight: 0.2 }],
@@ -323,13 +314,13 @@ mod tests {
     fn reverts_once_the_source_cools() {
         let mut server = rack();
         let mut migrator = WorkMigrator::date14_rack();
-        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 81.0));
+        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 81.0), 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 1);
         // Still warm (above the reclaim threshold): the shift holds.
-        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 77.5));
+        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 77.5), 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 1, "hysteresis band must hold the shift");
         // Cooled: the weight comes home, exactly.
-        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 75.0));
+        migrator.rebalance(&mut server, &measured(8, 74.0, 0, 75.0), 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 0);
         for s in 0..server.server_count() {
             assert!((server.server_load_weight(s) - 1.0).abs() < 1e-12, "server {s}");
@@ -345,11 +336,11 @@ mod tests {
         let hot = measured(8, 82.0, 0, 83.0); // whole front wall hot…
         let mut m = hot.clone();
         m[4..8].fill(Celsius::new(70.0)); // …rear wall cool
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 1, "one shift per epoch");
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 2);
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 2, "ledger capacity caps the exposure");
     }
 
@@ -360,11 +351,11 @@ mod tests {
         // The only cool server shares the hot server's zone: no move.
         let mut m = measured(8, 79.5, 0, 82.0);
         m[1] = Celsius::new(70.0);
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 0, "same-zone target must be rejected");
         // Every other-zone server is warm (inside the headroom band): no move.
         let m = measured(8, 77.0, 0, 82.0);
-        migrator.rebalance(&mut server, &m);
+        migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         assert_eq!(migrator.outstanding().len(), 0, "no headroomed target, no migration");
     }
 
@@ -376,7 +367,7 @@ mod tests {
         let mut m = measured(8, 70.0, 0, 82.0);
         m[0] = Celsius::new(82.0);
         for _ in 0..10 {
-            migrator.rebalance(&mut server, &m);
+            migrator.rebalance(&mut server, &m, 0, &mut Recorder::disarmed());
         }
         assert!(
             server.server_load_weight(0) > 0.0,

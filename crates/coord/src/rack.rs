@@ -170,28 +170,15 @@ impl CappingCoordinator {
 
     /// Arbitrates one epoch in place: `caps[i]` becomes the enforced cap
     /// for socket `i`, given the capper proposals and per-socket
-    /// measurements. Allocation-free.
+    /// measurements. Every granted cut, its triggering measurement,
+    /// emergency clamps, and held (budget-denied) proposals land in `rec`
+    /// as `epoch`-stamped events (pass [`Recorder::disarmed`] to trace
+    /// nothing). Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths disagree with the socket count.
     pub fn arbitrate(
-        &mut self,
-        measured: &[Celsius],
-        caps: &mut [Utilization],
-        proposed: &[Utilization],
-    ) {
-        self.arbitrate_traced(measured, caps, proposed, 0, &mut Recorder::disarmed());
-    }
-
-    /// [`Self::arbitrate`] with decision tracing: every granted cut, its
-    /// triggering measurement, emergency clamps, and held (budget-denied)
-    /// proposals land in `rec` as `epoch`-stamped events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree with the socket count.
-    pub fn arbitrate_traced(
         &mut self,
         measured: &[Celsius],
         caps: &mut [Utilization],
@@ -808,7 +795,7 @@ mod tests {
         let measured = [79.2, 79.6, 78.0, 79.4].map(Celsius::new);
         let mut caps = [0.8, 0.8, 0.8, 0.8].map(Utilization::new);
         let proposed = [0.7, 0.7, 0.9, 0.7].map(Utilization::new);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
         // Budget 1: only the hottest cut (socket 1) lands; the raise on
         // socket 2 passes; sockets 0 and 3 hold.
         assert_eq!(caps[0], Utilization::new(0.8));
@@ -824,7 +811,7 @@ mod tests {
         let measured = [80.5, 80.2, 79.5].map(Celsius::new);
         let mut caps = [0.8, 0.8, 0.8].map(Utilization::new);
         let proposed = [0.5, 0.6, 0.7].map(Utilization::new);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
         // Both emergencies cut; the sub-emergency socket is also granted
         // (it is the budgeted pick once emergencies are already marked).
         assert_eq!(caps[0], Utilization::new(0.5));
@@ -842,12 +829,12 @@ mod tests {
         let measured = [80.4, 70.0].map(Celsius::new);
         let mut caps = [0.6, 0.8].map(Utilization::new);
         let proposed = [0.8, 0.8].map(Utilization::new);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
         assert_eq!(caps[0], Utilization::new(0.6), "hot socket must not raise");
         assert_eq!(caps[1], Utilization::new(0.8));
         // The same proposal below the limit is an ordinary raise and passes.
         let measured = [79.0, 70.0].map(Celsius::new);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
         assert_eq!(caps[0], Utilization::new(0.8));
     }
 
@@ -857,7 +844,7 @@ mod tests {
         let measured = [80.4, 79.8].map(Celsius::new);
         let mut caps = [0.8, 0.8].map(Utilization::new);
         let proposed = [0.5, 0.6].map(Utilization::new);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
         // Emergency cut on 0 outside the budget; budget grants 1's cut.
         assert_eq!(caps[0], Utilization::new(0.5));
         assert_eq!(caps[1], Utilization::new(0.6));

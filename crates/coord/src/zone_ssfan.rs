@@ -70,6 +70,7 @@ impl ViolationWindow {
 /// # Examples
 ///
 /// ```
+/// use gfsc_coord::obs::Recorder;
 /// use gfsc_coord::{SingleStepFanScaling, SsFanAction, ZoneSsFanBank};
 /// use gfsc_units::Celsius;
 ///
@@ -78,11 +79,11 @@ impl ViolationWindow {
 /// bank.record(1, 4, 4);
 /// bank.begin_epoch();
 /// assert_eq!(
-///     bank.evaluate(1, Celsius::new(82.0), Celsius::new(75.0)),
+///     bank.evaluate(1, Celsius::new(82.0), Celsius::new(75.0), 0, &mut Recorder::disarmed()),
 ///     SsFanAction::Hold,
 /// );
 /// assert_eq!(
-///     bank.evaluate(0, Celsius::new(74.0), Celsius::new(75.0)),
+///     bank.evaluate(0, Celsius::new(74.0), Celsius::new(75.0), 0, &mut Recorder::disarmed()),
 ///     SsFanAction::None,
 /// );
 /// ```
@@ -171,23 +172,15 @@ impl ZoneSsFanBank {
         }
     }
 
-    /// One epoch of zone `z`'s state machine, guard included.
+    /// One epoch of zone `z`'s state machine, guard included. Boost
+    /// entries, holds, thermal releases and guard releases (the
+    /// rack-level borrowed-heat verdict) land in `rec` as `epoch`-stamped
+    /// events (pass [`Recorder::disarmed`] to trace nothing).
     ///
     /// # Panics
     ///
     /// Panics if `z` is out of range.
-    pub fn evaluate(&mut self, z: usize, measured: Celsius, reference: Celsius) -> SsFanAction {
-        self.evaluate_traced(z, measured, reference, 0, &mut Recorder::disarmed())
-    }
-
-    /// [`Self::evaluate`] with decision tracing: boost entries, holds,
-    /// thermal releases and guard releases (the rack-level
-    /// borrowed-heat verdict) land in `rec` as `epoch`-stamped events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
-    pub fn evaluate_traced(
+    pub fn evaluate(
         &mut self,
         z: usize,
         measured: Celsius,
@@ -240,8 +233,14 @@ mod tests {
         let mut b = bank(true);
         b.record(1, 4, 4);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(74.0), c(75.0)), SsFanAction::None);
-        assert_eq!(b.evaluate(1, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(
+            b.evaluate(0, c(74.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::None
+        );
+        assert_eq!(
+            b.evaluate(1, c(82.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
         assert!(!b.is_active(0));
         assert!(b.is_active(1));
         assert_eq!(b.zone_count(), 2);
@@ -278,8 +277,14 @@ mod tests {
         b.record(0, 4, 4);
         b.record(1, 4, 4);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(83.0), c(75.0)), SsFanAction::Hold);
-        assert_eq!(b.evaluate(1, c(83.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(
+            b.evaluate(0, c(83.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
+        assert_eq!(
+            b.evaluate(1, c(83.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
         // Zone 0's own sockets go clean, but the neighbour's hot
         // recirculated air keeps its measurement above the release band.
         for _ in 0..10 {
@@ -290,10 +295,16 @@ mod tests {
         // Without the guard this would Hold (measured far above the
         // band); with it, the borrowed heat is attributed to the
         // boosting neighbour and the zone releases.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Release);
+        assert_eq!(
+            b.evaluate(0, c(82.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Release
+        );
         assert!(!b.is_active(0));
         // The dirty neighbour keeps holding on its own merits.
-        assert_eq!(b.evaluate(1, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(
+            b.evaluate(1, c(82.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
     }
 
     #[test]
@@ -302,15 +313,18 @@ mod tests {
         b.record(0, 4, 4);
         b.record(1, 4, 4);
         b.begin_epoch();
-        b.evaluate(0, c(83.0), c(75.0));
-        b.evaluate(1, c(83.0), c(75.0));
+        b.evaluate(0, c(83.0), c(75.0), 0, &mut Recorder::disarmed());
+        b.evaluate(1, c(83.0), c(75.0), 0, &mut Recorder::disarmed());
         for _ in 0..10 {
             b.record(0, 0, 4);
             b.record(1, 4, 4);
         }
         b.begin_epoch();
         // Isolated zones: a hot reading is this zone's own problem.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(
+            b.evaluate(0, c(82.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
     }
 
     #[test]
@@ -318,14 +332,23 @@ mod tests {
         let mut b = ZoneSsFanBank::new(1, SingleStepFanScaling::new(0.3), 10, true);
         b.record(0, 1, 1);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(83.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(
+            b.evaluate(0, c(83.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
         for _ in 0..10 {
             b.record(0, 0, 1);
         }
         b.begin_epoch();
         // No neighbour exists, so only the thermal condition releases.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Hold);
-        assert_eq!(b.evaluate(0, c(76.0), c(75.0)), SsFanAction::Release);
+        assert_eq!(
+            b.evaluate(0, c(82.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Hold
+        );
+        assert_eq!(
+            b.evaluate(0, c(76.0), c(75.0), 0, &mut Recorder::disarmed()),
+            SsFanAction::Release
+        );
     }
 
     #[test]

@@ -135,6 +135,7 @@ proptest! {
         cap_bits in proptest::collection::vec(0.05f64..=1.0, 1..10),
         prop_bits in proptest::collection::vec(0.05f64..=1.0, 1..10),
     ) {
+        use gfsc_coord::obs::Recorder;
         use gfsc_coord::CappingCoordinator;
         let n = measured.len().min(cap_bits.len()).min(prop_bits.len());
         let t_emergency = Celsius::new(80.0);
@@ -144,7 +145,7 @@ proptest! {
             prop_bits[..n].iter().map(|&p| Utilization::new(p)).collect();
         let mut caps = before.clone();
         let mut coord = CappingCoordinator::new(n, budget, t_emergency);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
 
         let mut non_emergency_cuts = 0;
         for i in 0..n {

@@ -14,6 +14,7 @@
 //!   rack with one zone and no neighbours.
 
 use gfsc_control::PidGains;
+use gfsc_coord::obs::Recorder;
 use gfsc_coord::{
     AdaptiveReference, CappingCoordinator, ClosedLoopSim, EnergyAwareCoordinator, FanController,
     FixedPidFan, IntegralCapper, RackControl, RackLoopSim, SingleStepFanScaling, SsFanAction,
@@ -236,7 +237,13 @@ impl SingleFanSsLoop {
         for i in 0..sockets {
             self.proposed[i] = self.capper.propose(self.measured[i], self.caps[i]);
         }
-        self.coordinator.arbitrate(&self.measured, &mut self.caps, &self.proposed);
+        self.coordinator.arbitrate(
+            &self.measured,
+            &mut self.caps,
+            &self.proposed,
+            0,
+            &mut Recorder::disarmed(),
+        );
         let mut sum = 0.0;
         for d in &self.demands {
             sum += d.value();
