@@ -389,51 +389,44 @@ impl RackControl {
         RackControl::MigratingCoordinated { adaptive_reference: true },
     ];
 
+    /// Every mode with its label — all nine, including the two
+    /// `adaptive_reference: false` variants [`Self::ALL`] omits. The one
+    /// source [`Self::label`] and [`Self::from_label`] read.
+    const LABELS: [(RackControl, &'static str); 9] = [
+        (RackControl::GlobalLockstep, "lockstep"),
+        (RackControl::Coordinated { adaptive_reference: false }, "coordinated"),
+        (RackControl::Coordinated { adaptive_reference: true }, "coordinated+adaptive"),
+        (RackControl::CoordinatedSsFan { adaptive_reference: false }, "coordinated+ss-fixed"),
+        (RackControl::CoordinatedSsFan { adaptive_reference: true }, "coordinated+ss"),
+        (RackControl::CoordinatedECoord, "coordinated+e-coord"),
+        (RackControl::GlobalECoord, "global-e-coord"),
+        (
+            RackControl::MigratingCoordinated { adaptive_reference: false },
+            "coordinated+migrate-fixed",
+        ),
+        (RackControl::MigratingCoordinated { adaptive_reference: true }, "coordinated+migrate"),
+    ];
+
     /// The short display name used in study tables and sweep labels.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            RackControl::GlobalLockstep => "lockstep",
-            RackControl::Coordinated { adaptive_reference: false } => "coordinated",
-            RackControl::Coordinated { adaptive_reference: true } => "coordinated+adaptive",
-            RackControl::CoordinatedSsFan { adaptive_reference: false } => "coordinated+ss-fixed",
-            RackControl::CoordinatedSsFan { adaptive_reference: true } => "coordinated+ss",
-            RackControl::CoordinatedECoord => "coordinated+e-coord",
-            RackControl::GlobalECoord => "global-e-coord",
-            RackControl::MigratingCoordinated { adaptive_reference: false } => {
-                "coordinated+migrate-fixed"
-            }
-            RackControl::MigratingCoordinated { adaptive_reference: true } => "coordinated+migrate",
-        }
+        // Every variant has a row (the round-trip test walks them all).
+        Self::LABELS.iter().find(|(mode, _)| *mode == self).map_or("", |&(_, label)| label)
     }
 
-    /// Parses a [`label`](Self::label) back into its mode — the config
-    ///-file boundary (`gfsc-daemond` names its control mode by label).
+    /// Parses a [`label`](Self::label) back into its mode — the
+    /// config-file boundary (`gfsc-daemond` names its control mode by
+    /// label).
     ///
     /// # Errors
     ///
     /// Returns the unknown label.
     pub fn from_label(label: &str) -> Result<Self, String> {
-        // `ALL` omits the `adaptive_reference: false` variants, so match
-        // over the full label set rather than iterating it.
-        match label {
-            "lockstep" => Ok(RackControl::GlobalLockstep),
-            "coordinated" => Ok(RackControl::Coordinated { adaptive_reference: false }),
-            "coordinated+adaptive" => Ok(RackControl::Coordinated { adaptive_reference: true }),
-            "coordinated+ss-fixed" => {
-                Ok(RackControl::CoordinatedSsFan { adaptive_reference: false })
-            }
-            "coordinated+ss" => Ok(RackControl::CoordinatedSsFan { adaptive_reference: true }),
-            "coordinated+e-coord" => Ok(RackControl::CoordinatedECoord),
-            "global-e-coord" => Ok(RackControl::GlobalECoord),
-            "coordinated+migrate-fixed" => {
-                Ok(RackControl::MigratingCoordinated { adaptive_reference: false })
-            }
-            "coordinated+migrate" => {
-                Ok(RackControl::MigratingCoordinated { adaptive_reference: true })
-            }
-            other => Err(format!("unknown control mode: {other}")),
-        }
+        Self::LABELS
+            .iter()
+            .find(|(_, known)| *known == label)
+            .map(|&(mode, _)| mode)
+            .ok_or_else(|| format!("unknown control mode: {label}"))
     }
 }
 
@@ -759,15 +752,16 @@ mod tests {
 
     #[test]
     fn control_labels_round_trip_every_mode() {
-        for control in RackControl::ALL {
-            assert_eq!(RackControl::from_label(control.label()), Ok(control));
+        for (i, (control, label)) in RackControl::LABELS.into_iter().enumerate() {
+            assert_eq!(control.label(), label);
+            assert_eq!(RackControl::from_label(label), Ok(control));
+            for (other, other_label) in &RackControl::LABELS[..i] {
+                assert_ne!(*other, control, "{label} listed twice");
+                assert_ne!(*other_label, label, "label {label} names two modes");
+            }
         }
-        // The two `adaptive_reference: false` variants ALL omits.
-        for control in [
-            RackControl::CoordinatedSsFan { adaptive_reference: false },
-            RackControl::MigratingCoordinated { adaptive_reference: false },
-        ] {
-            assert_eq!(RackControl::from_label(control.label()), Ok(control));
+        for control in RackControl::ALL {
+            assert!(RackControl::LABELS.iter().any(|&(mode, _)| mode == control));
         }
         assert!(RackControl::from_label("not-a-mode").is_err());
     }
