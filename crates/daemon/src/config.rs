@@ -1,6 +1,5 @@
-//! `gfsc-daemond` configuration — a hand-rolled TOML-subset parser in
-//! the `lint.toml` mold (the container is offline; no serde, no TOML
-//! crate).
+//! `gfsc-daemond` configuration, read through the TOML-subset reader
+//! (`gfsc_obs::toml_subset`) `lint.toml` shares.
 //!
 //! The supported subset: `[section]` headers; `key = "string"`,
 //! `key = 123`, `key = 1.5`; `key = ["a", "b"]` string arrays (which
@@ -18,6 +17,7 @@ use crate::{
     ProcessRunner, SimTelemetry,
 };
 use gfsc_coord::{RackControl, RackControlConfig};
+use gfsc_obs::toml_subset::{self, parse_string, parse_string_array};
 use gfsc_obs::Recorder;
 use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_units::{Bounds, Rpm, Seconds, Utilization, Watts};
@@ -198,40 +198,15 @@ impl DaemondSpec {
     /// The first construct outside the supported subset or schema.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut spec = Self::default();
-        let mut section = String::new();
-        let mut lines = text.lines().enumerate().peekable();
-        while let Some((idx, raw)) = lines.next() {
-            let lineno = idx + 1;
-            let line = strip_comment(raw).trim().to_string();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-                section = name.trim().to_string();
-                match section.as_str() {
-                    "daemon" | "pacing" | "backend" | "workload" | "ipmi" | "caps" => {}
-                    other => return Err(format!("line {lineno}: unknown section `[{other}]`")),
-                }
-                continue;
-            }
-            let Some((key, mut value)) = split_key_value(&line) else {
-                return Err(format!("line {lineno}: expected `key = value`"));
-            };
-            if value.starts_with('[') && !balanced_array(&value) {
-                for (_, cont) in lines.by_ref() {
-                    value.push(' ');
-                    value.push_str(strip_comment(cont).trim());
-                    if balanced_array(&value) {
-                        break;
-                    }
-                }
-                if !balanced_array(&value) {
-                    return Err(format!("line {lineno}: unterminated array for `{key}`"));
-                }
-            }
-            apply_key(&mut spec, &section, &key, &value)
-                .map_err(|e| format!("line {lineno}: {e}"))?;
-        }
+        toml_subset::read(
+            text,
+            |section| match section {
+                "daemon" | "pacing" | "backend" | "workload" | "ipmi" | "caps" => Ok(()),
+                other => Err(format!("unknown section `[{other}]`")),
+            },
+            |section, key, value| apply_key(&mut spec, section, key, value),
+        )
+        .map_err(|e| e.to_string())?;
         Ok(spec)
     }
 
@@ -518,68 +493,6 @@ fn apply_key(spec: &mut DaemondSpec, section: &str, key: &str, value: &str) -> R
     Ok(())
 }
 
-/// Splits `key = value`, trimming both halves.
-fn split_key_value(line: &str) -> Option<(String, String)> {
-    let eq = line.find('=')?;
-    let key = line.get(..eq)?.trim();
-    let value = line.get(eq + 1..)?.trim();
-    if key.is_empty() || value.is_empty() {
-        return None;
-    }
-    Some((key.to_string(), value.to_string()))
-}
-
-/// Removes a trailing `#` comment that is not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_backslash = false;
-    for (i, ch) in line.char_indices() {
-        match ch {
-            '"' if !prev_backslash => in_str = !in_str,
-            '#' if !in_str => return line.get(..i).unwrap_or(line),
-            _ => {}
-        }
-        prev_backslash = ch == '\\' && !prev_backslash;
-    }
-    line
-}
-
-fn balanced_array(value: &str) -> bool {
-    let mut in_str = false;
-    for ch in value.chars() {
-        match ch {
-            '"' => in_str = !in_str,
-            ']' if !in_str => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-fn parse_string(value: &str) -> Result<String, String> {
-    value
-        .strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("expected a quoted string, got `{value}`"))
-}
-
-fn parse_string_array(value: &str) -> Result<Vec<String>, String> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|r| r.strip_suffix(']'))
-        .ok_or_else(|| format!("expected an array, got `{value}`"))?;
-    let mut out = Vec::new();
-    for item in inner.split(',') {
-        let item = item.trim();
-        if item.is_empty() {
-            continue;
-        }
-        out.push(parse_string(item)?);
-    }
-    Ok(out)
-}
-
 fn parse_f64(value: &str) -> Result<f64, String> {
     value
         .parse::<f64>()
@@ -665,6 +578,12 @@ max_power_w = 150.0
         assert_eq!(spec.ipmi.zones, 2);
         assert_eq!(spec.caps.enforcer, "rapl");
         assert_eq!(spec.caps.min_power, Watts::new(50.0));
+    }
+
+    #[test]
+    fn sensor_names_may_contain_commas() {
+        let spec = DaemondSpec::parse("[ipmi]\nsensors = [\"CPU0, Die\", \"CPU1\"]\n").unwrap();
+        assert_eq!(spec.ipmi.sensors, ["CPU0, Die", "CPU1"]);
     }
 
     #[test]

@@ -1,17 +1,11 @@
-//! `lint.toml` loading — a hand-rolled TOML-subset parser.
-//!
-//! The container is offline, so no TOML crate can be added; the config
-//! file sticks to the subset this parser understands:
-//!
-//! - `[section]` / `[section.sub]` headers;
-//! - `key = "string"`, `key = 123`, `key = true`;
-//! - `key = ["a", "b"]` arrays of strings, which may span lines;
-//! - `#` comments (full-line or trailing, outside quotes).
+//! `lint.toml` loading, through the TOML-subset reader
+//! (`gfsc_obs::toml_subset`) the daemon config shares.
 //!
 //! Scope patterns are `/`-separated globs: `*` matches within one path
 //! segment, `**` matches any number of segments (including zero).
 
 use crate::findings::Severity;
+use gfsc_obs::toml_subset::{self, parse_string, parse_string_array};
 use std::collections::BTreeMap;
 
 /// Per-rule configuration block (`[rules.<slug>]`).
@@ -67,37 +61,12 @@ impl Config {
     /// Unknown syntax, unterminated arrays, or bad severity values.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut config = Self::default();
-        let mut section = String::new();
-        let mut lines = text.lines().enumerate().peekable();
-        while let Some((idx, raw)) = lines.next() {
-            let lineno = idx + 1;
-            let line = strip_comment(raw).trim().to_string();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-                section = name.trim().to_string();
-                continue;
-            }
-            let Some((key, mut value)) = split_key_value(&line) else {
-                return Err(format!("lint.toml:{lineno}: expected `key = value`"));
-            };
-            // Multi-line arrays: keep consuming until the `]` closes.
-            if value.starts_with('[') && !balanced_array(&value) {
-                for (_, cont) in lines.by_ref() {
-                    value.push(' ');
-                    value.push_str(strip_comment(cont).trim());
-                    if balanced_array(&value) {
-                        break;
-                    }
-                }
-                if !balanced_array(&value) {
-                    return Err(format!("lint.toml:{lineno}: unterminated array for `{key}`"));
-                }
-            }
-            apply_key(&mut config, &section, &key, &value)
-                .map_err(|e| format!("lint.toml:{lineno}: {e}"))?;
-        }
+        toml_subset::read(
+            text,
+            |_| Ok(()),
+            |section, key, value| apply_key(&mut config, section, key, value),
+        )
+        .map_err(|e| format!("lint.toml:{}: {}", e.line, e.message))?;
         Ok(config)
     }
 }
@@ -132,68 +101,6 @@ fn apply_key(config: &mut Config, section: &str, key: &str, value: &str) -> Resu
         }
     }
     Ok(())
-}
-
-/// Splits `key = value`, trimming both halves.
-fn split_key_value(line: &str) -> Option<(String, String)> {
-    let eq = line.find('=')?;
-    let key = line[..eq].trim();
-    let value = line[eq + 1..].trim();
-    if key.is_empty() || value.is_empty() {
-        return None;
-    }
-    Some((key.to_string(), value.to_string()))
-}
-
-/// Removes a trailing `#` comment that is not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_backslash = false;
-    for (i, ch) in line.char_indices() {
-        match ch {
-            '"' if !prev_backslash => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        prev_backslash = ch == '\\' && !prev_backslash;
-    }
-    line
-}
-
-fn balanced_array(value: &str) -> bool {
-    let mut in_str = false;
-    for ch in value.chars() {
-        match ch {
-            '"' => in_str = !in_str,
-            ']' if !in_str => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-fn parse_string(value: &str) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a quoted string, got `{value}`"))?;
-    Ok(inner.to_string())
-}
-
-fn parse_string_array(value: &str) -> Result<Vec<String>, String> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|r| r.strip_suffix(']'))
-        .ok_or_else(|| format!("expected an array, got `{value}`"))?;
-    let mut out = Vec::new();
-    for item in inner.split(',') {
-        let item = item.trim();
-        if item.is_empty() {
-            continue;
-        }
-        out.push(parse_string(item)?);
-    }
-    Ok(out)
 }
 
 /// `/`-separated glob match: `**` spans segments, `*` stays within one.

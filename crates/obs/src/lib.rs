@@ -21,6 +21,8 @@
 //!   tag names, plus the recorder counter export.
 //! - [`explain`] — renders a [`FlightSnapshot`] as a per-epoch causal
 //!   timeline ("epoch 412: s7 measured 79.3 °C, capper proposed …").
+//! - [`toml_subset`] — the one reader for the TOML-subset config files
+//!   (`lint.toml`, the `gfsc-daemond` config).
 //!
 //! Recording never allocates: the ring is sized once at arming time and
 //! evicts the oldest event when full, counting every drop so a saturated
@@ -34,6 +36,7 @@ pub mod explain;
 pub mod hist;
 pub mod lineproto;
 pub mod recorder;
+pub mod toml_subset;
 
 pub use event::{Event, EventKind, Source};
 pub use hist::LogHistogram;
