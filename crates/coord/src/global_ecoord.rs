@@ -244,8 +244,7 @@ impl RackEnergyDescent {
 mod tests {
     use super::*;
     use gfsc_rack::{RackPlant, RackTopology};
-    use gfsc_server::PlantModel;
-    use gfsc_thermal::{HeatSinkLaw, PlantCalibration, Topology};
+    use gfsc_thermal::{HeatSinkLaw, PlantCalibration, PlantModel, Topology};
     use gfsc_units::{KelvinPerWatt, Seconds};
 
     fn cal() -> PlantCalibration {

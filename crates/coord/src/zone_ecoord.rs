@@ -15,7 +15,7 @@
 //! E-coord trace bit for bit (`crates/coord/tests/rack_degenerate.rs`).
 
 use crate::EnergyAwareCoordinator;
-use gfsc_server::PlantModel;
+use gfsc_thermal::PlantModel;
 use gfsc_units::{Bounds, Celsius, Rpm, Utilization, Watts};
 
 /// The per-zone E-coord policy: one [`EnergyAwareCoordinator`] rule set

@@ -88,7 +88,6 @@ struct SocketHandles {
 /// model-inversion bisections (40+ probes per decision) run without per-
 /// probe heap allocation — the rack epoch loop's allocation-free contract
 /// extends to the model-based controllers (`tests/alloc_free_rack.rs`).
-#[derive(Debug, Default)]
 struct ProbeScratch {
     links: Vec<(LinkId, KelvinPerWatt)>,
     powers: Vec<(NodeId, Watts)>,
@@ -102,7 +101,14 @@ std::thread_local! {
     /// scratch of their own, so a plant that is only ever stepped (a
     /// batch-sweep lane) pays nothing for it, and plants stay `Sync` (the
     /// parallel gain tuner shares a server across worker threads).
-    static SCRATCH: core::cell::RefCell<ProbeScratch> = core::cell::RefCell::default();
+    static SCRATCH: core::cell::RefCell<ProbeScratch> = const {
+        core::cell::RefCell::new(ProbeScratch {
+            links: Vec::new(),
+            powers: Vec::new(),
+            matrix: Vec::new(),
+            temps: Vec::new(),
+        })
+    };
 }
 
 /// An N-server, multi-fan-zone thermal plant on the cached RC network.

@@ -5,10 +5,11 @@
 #                              # (GFSC_SWEEP_THREADS=1 and =4 — determinism
 #                              # under both executors), release tests,
 #                              # daemon HIL + wall-clock pacing drills,
-#                              # large-grid smoke, bench smoke, bench check
+#                              # large-grid smoke, bench smoke, bench check,
+#                              # perfbench build + one short run per workload
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
-#                              # daemon HIL + pacing drills; skip the
-#                              # release tests & bench stages
+#                              # daemon HIL + pacing drills + perfbench
+#                              # build; skip the release tests & bench runs
 #
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds the style gates that keep the tree warning-free.
@@ -89,10 +90,41 @@ run_explain_stage() {
     run_stage "explain-hil" explain_hil_events
 }
 
+# The repository benchmark (perfbench/: its own workspace and lockfile,
+# built against the crates by path). A --locked build fails on a broken
+# public path or a changed dependency edge. The full gate also runs every
+# workload briefly, plus one traced run, and requires each run's last
+# output line (the JSON result) to report "correct": true.
+perfbench() {
+    cargo run -q --release --locked --offline --manifest-path perfbench/Cargo.toml -- "$@"
+}
+run_perfbench_stage() {
+    run_stage "perfbench-build" cargo build --release --locked --offline \
+        --manifest-path perfbench/Cargo.toml
+    [ "${1:-}" = "full" ] || return 0
+    perfbench_smoke() {
+        local run workload trace last
+        for run in rack-ecoord:0 rack-pid:0 daemon-ipmi:0 sweep:0 sweep:1; do
+            workload=${run%:*}
+            trace=${run#*:}
+            last=$(perfbench --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+            case "$last" in
+                *'"correct": true'*) echo "perfbench $workload --trace $trace: correct" ;;
+                *)
+                    echo "perfbench $workload --trace $trace: not correct: $last" >&2
+                    return 1
+                    ;;
+            esac
+        done
+    }
+    run_stage "perfbench-smoke" perfbench_smoke
+}
+
 if [ "${1:-}" = "quick" ]; then
     run_stage "test" cargo test -q --locked --offline
     run_hil_stage
     run_paced_stage
+    run_perfbench_stage quick
 else
     # The full gate runs the suite under both a serial and a parallel
     # sweep executor: the parallel==serial determinism contract must hold
@@ -111,6 +143,7 @@ else
     run_stage "bench-smoke" env GFSC_BENCH_FAST=1 \
         cargo bench -p gfsc-bench --locked --offline --bench hot_paths
     run_stage "bench-check" ./scripts/bench_check.sh
+    run_perfbench_stage full
 fi
 
 # The gate must leave the tree exactly as it found it (no fmt rewrites, no
