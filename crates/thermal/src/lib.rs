@@ -67,3 +67,69 @@ pub use topology::{
     ChassisDef, PlenumDef, RackTopology, RackZoneDef, ServerSlot, SocketDef, Topology,
 };
 pub use zone::{FanZoneMap, ZoneId};
+
+/// A multi-socket server is the one-slot [`RackPlant`]
+/// ([`RackTopology::single_server`]); its server-level contract — probes
+/// that leave the live state alone, a tight min-safe inversion, an
+/// ambient-relative equilibrium — is pinned here on the 2S board.
+#[cfg(test)]
+mod multi_socket {
+    use crate::{HeatSinkLaw, PlantCalibration, RackPlant, RackTopology, Topology};
+    use gfsc_units::{Celsius, KelvinPerWatt, Rpm, Seconds, Watts};
+
+    /// The dual-socket server at 30 °C ambient.
+    fn dual_socket() -> RackPlant {
+        let cal = PlantCalibration {
+            ambient: Celsius::new(30.0),
+            law: HeatSinkLaw::date14(),
+            sink_tau: Seconds::new(60.0),
+            tau_speed: Rpm::new(8500.0),
+            r_jc: KelvinPerWatt::new(0.10),
+            die_tau: Seconds::new(0.1),
+        };
+        RackPlant::new(&cal, &RackTopology::single_server(Topology::dual_socket())).unwrap()
+    }
+
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn transient_converges_to_probed_steady_state() {
+            let mut plant = dual_socket();
+            let (p, v) = ([Watts::new(140.8); 2], [Rpm::new(4000.0)]);
+            let ss = plant.steady_state_junctions(&p, &v);
+            // The probe itself never disturbed the live state.
+            assert_eq!(plant.hottest_junction(), Celsius::new(30.0));
+            for _ in 0..100_000 {
+                plant.step(Seconds::new(1.0), &p, &v);
+            }
+            for (i, &ss_i) in ss.iter().enumerate() {
+                assert!((plant.junction(i) - ss_i).abs() < 1e-6, "socket {i}");
+            }
+            assert_eq!(plant.fan_speed(0), v[0]);
+        }
+
+        #[test]
+        fn min_safe_fan_speed_is_tight_and_monotone() {
+            let plant = dual_socket();
+            let p = [Watts::new(140.8); 2];
+            let limit = Celsius::new(75.0);
+            let v = plant.min_safe_zone_fan(0, &p, &[Rpm::new(0.0)], limit).expect("reachable");
+            let at = |v: Rpm| plant.steady_state_hottest_in_zone(0, &p, &[v]);
+            assert!((at(v) - limit).abs() < 0.01, "at {}", at(v));
+            assert!(at(v + 100.0) < limit);
+            assert!(at(v - 100.0) > limit);
+        }
+
+        #[test]
+        fn ambient_shifts_equilibrium() {
+            let mut plant = dual_socket();
+            let (p, v) = ([Watts::new(100.0); 2], [Rpm::new(4000.0)]);
+            let a = plant.steady_state_hottest_in_zone(0, &p, &v);
+            plant.set_ambient(Celsius::new(40.0));
+            let b = plant.steady_state_hottest_in_zone(0, &p, &v);
+            assert!((b - a - 10.0).abs() < 1e-9);
+            assert_eq!(plant.ambient(), Celsius::new(40.0));
+        }
+    }
+}
