@@ -7,11 +7,15 @@
 //! server-level [`Plant`], and the single-fan [`PlantModel`] view the
 //! per-zone controllers tune on — and each assembles its power and
 //! link overrides its own way. They must never disagree by a single bit.
+//!
+//! The closed plant around the network follows the same rule: a
+//! multi-socket [`Server`] is the one-slot [`RackServer`] — fan, sensor
+//! chains, aggregation, meters and clock included.
 
 use gfsc::thermal::Topology;
-use gfsc_rack::{RackPlant, RackTopology};
+use gfsc_rack::{RackPlant, RackServer, RackSpec, RackTopology};
 use gfsc_server::{Plant, PlantModel, Server, ServerSpec};
-use gfsc_units::{Celsius, Rpm, Seconds, Watts};
+use gfsc_units::{Celsius, Rpm, Seconds, Utilization, Watts};
 use proptest::prelude::*;
 
 fn boards() -> Vec<Topology> {
@@ -106,6 +110,69 @@ fn single_zone_rack_matches_multi_socket_steady_state_and_inversion() {
             "{}",
             board.label()
         );
+    }
+}
+
+/// Per-socket junction and measured temperatures, then the aggregate
+/// reading, fan speed, CPU and fan energy and clock — as bits, so a
+/// [`Server`] and the [`RackServer`] on its one-slot rack compare exactly.
+fn server_bits(s: &Server) -> Vec<u64> {
+    let mut v: Vec<f64> = (0..s.socket_count())
+        .flat_map(|i| [s.junction_socket(i).value(), s.measured_socket(i).value()])
+        .collect();
+    v.extend([s.measured_temperature().value(), s.fan_speed().value()]);
+    v.extend([s.cpu_energy().value(), s.fan_energy().value(), s.now().value()]);
+    v.into_iter().map(f64::to_bits).collect()
+}
+
+fn rack_bits(r: &RackServer) -> Vec<u64> {
+    let mut v: Vec<f64> = (0..r.socket_count())
+        .flat_map(|i| [r.junction_socket(i).value(), r.measured_socket(i).value()])
+        .collect();
+    v.extend([r.measured_zone(0).value(), r.zone_fan_speed(0).value()]);
+    v.extend([r.cpu_energy().value(), r.fan_energy().value(), r.now().value()]);
+    v.into_iter().map(f64::to_bits).collect()
+}
+
+#[test]
+fn multi_socket_server_is_the_one_slot_rack_server() {
+    for board in boards() {
+        let label = board.label().to_owned();
+        let spec = ServerSpec::with_topology(board.clone());
+        let mut server = Server::new(spec.clone());
+        let mut rack =
+            RackServer::new(RackSpec { server: spec, rack: RackTopology::single_server(board) });
+        assert_eq!(server_bits(&server), rack_bits(&rack), "{label}: at construction");
+
+        // `plant_golden`'s schedule: a utilization ramp, a target move
+        // every 45 steps, dt alternating 0.5 s / 1 s in 200-step blocks.
+        let mut executed = vec![Utilization::IDLE; rack.socket_count()];
+        for k in 0..600u32 {
+            let u = Utilization::new(0.1 + 0.8 * f64::from((k * 7) % 10) / 10.0);
+            if k.is_multiple_of(45) {
+                let target = Rpm::new(1500.0 + 900.0 * f64::from((k / 45) % 8));
+                server.set_fan_target(target);
+                rack.set_zone_fan_target(0, target);
+            }
+            let dt = Seconds::new(if (k / 200).is_multiple_of(2) { 0.5 } else { 1.0 });
+            server.step(dt, u);
+            rack.socket_demands(u, &mut executed);
+            rack.step(dt, &executed);
+            assert_eq!(server_bits(&server), rack_bits(&rack), "{label}: step {k}");
+        }
+
+        server.equilibrate(Utilization::new(0.6), Rpm::new(3500.0));
+        rack.equilibrate(Utilization::new(0.6), &[Rpm::new(3500.0)]);
+        assert_eq!(server_bits(&server), rack_bits(&rack), "{label}: after equilibrate");
+
+        for u in [0.2, 0.7, 1.0] {
+            for limit in [60.0, 75.0, 80.0] {
+                let (u, limit) = (Utilization::new(u), Celsius::new(limit));
+                let server_min = server.min_safe_fan_speed(u, limit).map(|v| v.value().to_bits());
+                let rack_min = rack.min_safe_zone_fan(0, u, limit).map(|v| v.value().to_bits());
+                assert_eq!(server_min, rack_min, "{label}: min-safe at {u:?}, {limit}");
+            }
+        }
     }
 }
 
