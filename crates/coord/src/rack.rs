@@ -31,13 +31,13 @@
 
 use crate::{
     AdaptiveReference, RackChannels, RackControlBank, RackControlConfig, RackEnergyDescent,
-    SingleStepFanScaling, WorkMigrator, ZoneEnergyCoordinator,
+    RunOutcome, SingleStepFanScaling, WorkMigrator, ZoneEnergyCoordinator,
 };
 use gfsc_control::GainSchedule;
-use gfsc_obs::{EventKind, FlightSnapshot, Recorder, Source};
+use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::{RackServer, RackSpec};
 use gfsc_sim::{Clock, Periodic, TraceSet};
-use gfsc_units::{total_max, total_min, Bounds, Celsius, Joules, Rpm, Seconds, Utilization};
+use gfsc_units::{total_max, total_min, Bounds, Celsius, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
 /// A per-socket adjustable-gain integral cap controller (after Rao et
@@ -430,31 +430,9 @@ impl RackControl {
     }
 }
 
-/// Everything a finished rack run reports.
-#[derive(Debug)]
-pub struct RackRunOutcome {
-    /// Epoch-rate time series: `u_demand`, per-zone `z{z}_fan_rpm` /
-    /// `z{z}_t_hot_c` / `z{z}_t_meas_c` / `z{z}_t_ref_c`, per-socket
-    /// `s{i}_cap` / `s{i}_t_junction_c`.
-    pub traces: TraceSet,
-    /// Violated socket-epochs as a percentage of all socket-epochs.
-    pub violation_percent: f64,
-    /// Violated socket-epochs.
-    pub total_violations: u64,
-    /// Total socket-epochs (sockets × CPU epochs).
-    pub total_epochs: u64,
-    /// Work lost to capping, in utilization-epochs summed over sockets.
-    pub lost_utilization: f64,
-    /// Energy consumed by every fan wall over the run.
-    pub fan_energy: Joules,
-    /// Energy consumed by every CPU over the run.
-    pub cpu_energy: Joules,
-    /// Simulated duration.
-    pub horizon: Seconds,
-    /// The decision-event recording, when the run was armed with
-    /// [`RackLoopSimBuilder::flight_recorder`] (`None` otherwise).
-    pub flight: Option<FlightSnapshot>,
-}
+/// Everything a finished rack run reports: the one [`RunOutcome`] every
+/// simulated loop returns.
+pub type RackRunOutcome = RunOutcome;
 
 /// Builder for [`RackLoopSim`].
 pub struct RackLoopSimBuilder {
@@ -592,7 +570,7 @@ impl RackLoopSimBuilder {
 
     /// Arms the decision flight recorder with a ring of `capacity`
     /// events (default: disarmed — recording is a no-op). The recording
-    /// comes back in [`RackRunOutcome::flight`].
+    /// comes back in [`RunOutcome::flight`].
     ///
     /// # Panics
     ///
@@ -687,7 +665,7 @@ impl RackLoopSim {
     }
 
     /// Runs the closed loop for `horizon` simulated seconds.
-    pub fn run(&mut self, horizon: Seconds) -> RackRunOutcome {
+    pub fn run(&mut self, horizon: Seconds) -> RunOutcome {
         let spec = self.server.spec().server.clone();
         let mut clock = Clock::new(spec.sim_dt);
         let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
@@ -719,7 +697,7 @@ impl RackLoopSim {
             clock.tick();
         }
 
-        RackRunOutcome {
+        RunOutcome {
             traces,
             violation_percent: if self.bank.socket_epochs() == 0 {
                 0.0

@@ -4,26 +4,30 @@ use crate::{
     AdaptiveReference, CoordinationInputs, Coordinator, CpuCapController, FanController,
     SingleStepFanScaling, SsFanAction, Uncoordinated,
 };
+use gfsc_obs::FlightSnapshot;
 use gfsc_sensors::MovingAverage;
 use gfsc_server::{PerformanceMonitor, Server, ServerSpec};
 use gfsc_sim::{ChannelId, Clock, Periodic, TraceSet};
 use gfsc_units::{Joules, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
-/// Everything a finished run reports: full traces plus the Table III
-/// metrics.
+/// Everything a finished run reports — a single server's
+/// [`ClosedLoopSim`] or a rack's [`crate::RackLoopSim`]: full traces plus
+/// the Table III metrics. A rack counts socket-epochs where a server
+/// counts CPU epochs, and sums its metrics over every socket and fan wall.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Time series recorded at the CPU epoch rate (1 s): `u_demand`,
     /// `u_cap`, `u_executed`, `t_measured_c`, `t_junction_c`, `fan_rpm`,
     /// `fan_target_rpm`, `t_ref_c`. Multi-socket plants additionally
-    /// record `t_junction_s{i}_c` and `t_measured_s{i}_c` per socket.
+    /// record `t_junction_s{i}_c` and `t_measured_s{i}_c` per socket; a
+    /// rack records the [`crate::RackChannels`] set instead.
     pub traces: TraceSet,
-    /// Fraction of CPU epochs whose demand exceeded the cap, in percent.
+    /// Fraction of (socket-)epochs whose demand exceeded the cap, in percent.
     pub violation_percent: f64,
-    /// Violated epochs.
+    /// Violated (socket-)epochs.
     pub total_violations: u64,
-    /// Total CPU epochs.
+    /// Total (socket-)epochs.
     pub total_epochs: u64,
     /// Work lost to capping, in utilization-epochs.
     pub lost_utilization: f64,
@@ -33,6 +37,10 @@ pub struct RunOutcome {
     pub cpu_energy: Joules,
     /// Simulated duration.
     pub horizon: Seconds,
+    /// The decision-event recording of a rack run armed with
+    /// [`crate::RackLoopSimBuilder::flight_recorder`]; `None` otherwise,
+    /// and always from [`ClosedLoopSim`].
+    pub flight: Option<FlightSnapshot>,
 }
 
 /// Builder for [`ClosedLoopSim`].
@@ -265,6 +273,11 @@ impl ClosedLoopSim {
             clock.tick();
         }
 
+        self.outcome(traces, horizon)
+    }
+
+    /// The run's report: `traces` plus the metrics accumulated so far.
+    fn outcome(&self, traces: TraceSet, horizon: Seconds) -> RunOutcome {
         RunOutcome {
             traces,
             violation_percent: self.monitor.violation_percent(),
@@ -274,6 +287,7 @@ impl ClosedLoopSim {
             fan_energy: self.server.fan_energy(),
             cpu_energy: self.server.cpu_energy(),
             horizon,
+            flight: None,
         }
     }
 
@@ -466,19 +480,7 @@ pub fn run_batch(sims: &mut [ClosedLoopSim], horizon: Seconds) -> Vec<RunOutcome
         clock.tick();
     }
 
-    sims.iter()
-        .zip(lanes)
-        .map(|(sim, lane)| RunOutcome {
-            traces: lane.traces,
-            violation_percent: sim.monitor.violation_percent(),
-            total_violations: sim.monitor.total_violations(),
-            total_epochs: sim.monitor.total_epochs(),
-            lost_utilization: sim.monitor.lost_utilization(),
-            fan_energy: sim.server.fan_energy(),
-            cpu_energy: sim.server.cpu_energy(),
-            horizon,
-        })
-        .collect()
+    sims.iter().zip(lanes).map(|(sim, lane)| sim.outcome(lane.traces, horizon)).collect()
 }
 
 /// The epoch-rate channels, resolved to [`ChannelId`]s once per run: the

@@ -257,17 +257,7 @@ impl Scenario {
             .gain_schedule(schedule)
             .fixed_reference(self.fixed_reference)
             .build();
-        let outcome = sim.run(self.horizon);
-        RunOutcome {
-            traces: outcome.traces,
-            violation_percent: outcome.violation_percent,
-            total_violations: outcome.total_violations,
-            total_epochs: outcome.total_epochs,
-            lost_utilization: outcome.lost_utilization,
-            fan_energy: outcome.fan_energy,
-            cpu_energy: outcome.cpu_energy,
-            horizon: outcome.horizon,
-        }
+        sim.run(self.horizon)
     }
 }
 

@@ -451,7 +451,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                     // reset, mirror targets at what firmware commanded.
                     self.bank.reset_after_fallback();
                     let hi = self.view.spec().server.fan_bounds.hi();
-                    self.view.force_targets(hi);
+                    self.view.set_all_fan_targets(hi);
                     for (acked, z) in self.last_acked.iter_mut().zip(0usize..) {
                         *acked = self.view.zone_fan_target(z);
                     }

@@ -207,9 +207,7 @@ impl TelemetrySource for SimTelemetry {
     fn advance(&mut self, dt: Seconds) {
         if self.fallback {
             // Firmware auto-control: demand runs uncapped.
-            for i in 0..self.executed.len() {
-                self.executed[i] = self.server.socket_demand(i, self.last_demand);
-            }
+            self.server.socket_demands(self.last_demand, &mut self.executed);
         }
         let executed = core::mem::take(&mut self.executed);
         self.server.step(dt, &executed);
@@ -257,9 +255,7 @@ impl FanActuator for SimTelemetry {
         let hi = self.server.spec().server.fan_bounds.hi();
         self.server.set_all_fan_targets(hi);
         self.caps.fill(Utilization::FULL);
-        for i in 0..self.executed.len() {
-            self.executed[i] = self.server.socket_demand(i, self.last_demand);
-        }
+        self.server.socket_demands(self.last_demand, &mut self.executed);
         Ok(())
     }
 

@@ -7,13 +7,14 @@
 //! and whose commanded state the daemon flushes to the
 //! [`crate::FanActuator`] afterwards.
 //!
-//! Every derived quantity replicates the `RackServer` arithmetic
-//! operation-for-operation — zone aggregation order, demand-weight
-//! products, the actuator's command-step rounding — because the daemon
-//! parity contract (`tests/parity.rs`) is bit-for-bit, not "close".
+//! The daemon parity contract (`tests/parity.rs`) is bit-for-bit, so the
+//! mirror derives nothing by hand: it splits demand with the rack's
+//! [`LoadWeights`], folds zone and rack readings with the rack's
+//! [`hottest_reading`], and commands its walls through the rack's
+//! slew-limited actuator type.
 
 use gfsc_coord::RackView;
-use gfsc_rack::{RackPlant, RackSpec};
+use gfsc_rack::{hottest_reading, LoadWeights, RackPlant, RackSpec};
 use gfsc_units::{Celsius, Rpm, Utilization, Watts};
 
 /// One recorded load migration, queued for the actuator.
@@ -39,23 +40,19 @@ pub struct DaemonRackView {
     model: RackPlant,
     /// Last usable per-socket measurement (held across failed polls).
     measured: Vec<Celsius>,
-    /// Per-zone max aggregates, recomputed on ingest exactly as
-    /// `RackServer::refresh_measured` does.
-    measured_zone: Vec<Celsius>,
     /// Polled tachometer speeds, one per zone.
     tach: Vec<Rpm>,
-    /// Commanded fan targets (the actuator's rounding replicated).
-    targets: Vec<Rpm>,
+    /// The walls as commanded: the platform actuator's command grid and
+    /// clamp, so a target equals the acknowledged hardware target. Never
+    /// stepped — the tachometers report the actual speeds.
+    walls: Vec<gfsc_rack::FanActuator>,
     /// The enforced utilizations of the previous epoch.
     executed: Vec<Utilization>,
-    server_weights: Vec<f64>,
-    socket_base_weights: Vec<f64>,
-    socket_weights: Vec<f64>,
+    weights: LoadWeights,
     /// Load shifts commanded by the bank this epoch, awaiting the
     /// actuator.
     pending_shifts: Vec<LoadShift>,
     probe_powers: Vec<Watts>,
-    probe_fans: Vec<Rpm>,
 }
 
 impl DaemonRackView {
@@ -74,48 +71,27 @@ impl DaemonRackView {
             // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
             .expect("stock rack topologies compile");
         let server = &spec.server;
-        let zones = model.zone_count();
         let sockets = model.socket_count();
-        let server_weights: Vec<f64> = spec.rack.servers().iter().map(|s| s.load_weight).collect();
-        let socket_base_weights: Vec<f64> = spec
-            .rack
-            .servers()
-            .iter()
-            .flat_map(|slot| slot.board.sockets().iter().map(|socket| socket.load_weight))
-            .collect();
-        let socket_weights: Vec<f64> = spec
-            .rack
-            .servers()
-            .iter()
-            .flat_map(|slot| {
-                slot.board.sockets().iter().map(|socket| slot.load_weight * socket.load_weight)
-            })
-            .collect();
-        let start = server.fan_bounds.clamp(start_fan);
-        let fans = vec![start; zones];
-        let executed: Vec<Utilization> = (0..sockets)
-            .map(|i| Utilization::new(start_utilization.value() * socket_weights[i]))
-            .collect();
-        let powers: Vec<Watts> = executed.iter().map(|&u| server.cpu_power.power(u)).collect();
-        model.equilibrate(&powers, &fans);
-        let measured: Vec<Celsius> = (0..sockets).map(|i| model.junction(i)).collect();
-        let mut view = Self {
-            measured,
-            measured_zone: vec![spec.server.ambient; zones],
-            tach: fans.clone(),
-            targets: fans,
+        let weights = LoadWeights::new(&spec.rack);
+        let wall = gfsc_rack::FanActuator::new(start_fan, server.fan_bounds, server.fan_slew)
+            .with_cmd_step(server.fan_cmd_step);
+        let tach = vec![wall.speed(); model.zone_count()];
+        let mut executed = vec![Utilization::IDLE; sockets];
+        weights.socket_demands(start_utilization, &mut executed);
+        let mut probe_powers = vec![Watts::new(0.0); sockets];
+        weights.socket_powers(&server.cpu_power, start_utilization, &mut probe_powers);
+        model.equilibrate(&probe_powers, &tach);
+        Self {
+            measured: (0..sockets).map(|i| model.junction(i)).collect(),
+            walls: vec![wall; tach.len()],
+            tach,
             executed,
-            server_weights,
-            socket_base_weights,
-            socket_weights,
+            weights,
             pending_shifts: Vec::new(),
-            probe_powers: vec![Watts::new(0.0); sockets],
-            probe_fans: vec![start; zones],
+            probe_powers,
             model,
             spec,
-        };
-        view.refresh_zone_aggregates();
-        view
+        }
     }
 
     /// The spec the mirror was built for.
@@ -138,7 +114,6 @@ impl DaemonRackView {
                 *slot = *v;
             }
         }
-        self.refresh_zone_aggregates();
     }
 
     /// Ingests one tachometer poll.
@@ -167,33 +142,6 @@ impl DaemonRackView {
     pub fn take_shifts(&mut self) -> Vec<LoadShift> {
         core::mem::take(&mut self.pending_shifts)
     }
-
-    /// Forces every mirrored target to `target` — used when firmware
-    /// took over the walls (fallback) so the mirror reflects what the
-    /// platform is actually commanding.
-    pub fn force_targets(&mut self, target: Rpm) {
-        for z in 0..self.targets.len() {
-            self.set_zone_fan_target(z, target);
-        }
-    }
-
-    /// Recomputes the per-zone max aggregates — the exact
-    /// `RackServer::refresh_measured` loop (first socket, then `max`
-    /// over the rest; a slotless zone reads the ambient).
-    fn refresh_zone_aggregates(&mut self) {
-        for z in 0..self.measured_zone.len() {
-            let sockets = self.model.zone_sockets(z);
-            let Some((&first, rest)) = sockets.split_first() else {
-                self.measured_zone[z] = self.spec.server.ambient;
-                continue;
-            };
-            let mut hottest = self.measured[first].value();
-            for &i in rest {
-                hottest = hottest.max(self.measured[i].value());
-            }
-            self.measured_zone[z] = Celsius::new(hottest);
-        }
-    }
 }
 
 impl RackView for DaemonRackView {
@@ -221,21 +169,16 @@ impl RackView for DaemonRackView {
         self.measured[i]
     }
 
+    /// Folded as the simulated rack folds it (a slotless zone reads the
+    /// ambient).
     fn measured_zone(&self, z: usize) -> Celsius {
-        self.measured_zone[z]
+        let readings = self.model.zone_sockets(z).iter().map(|&i| self.measured[i]);
+        hottest_reading(readings, self.spec.server.ambient)
     }
 
     fn measured_rack(&self) -> Celsius {
-        let Some((&first, rest)) = self.measured_zone.split_first() else {
-            // A zoneless rack cannot be built (the spec validates), but
-            // reading ambient beats indexing into an empty mirror.
-            return self.spec.server.ambient;
-        };
-        let mut hottest = first;
-        for &m in rest {
-            hottest = hottest.hotter(m);
-        }
-        hottest
+        let zones = (0..self.tach.len()).map(|z| self.measured_zone(z));
+        hottest_reading(zones, self.spec.server.ambient)
     }
 
     fn zone_fan_speed(&self, z: usize) -> Rpm {
@@ -243,22 +186,16 @@ impl RackView for DaemonRackView {
     }
 
     fn zone_fan_target(&self, z: usize) -> Rpm {
-        self.targets[z]
+        self.walls[z].target()
     }
 
     fn set_zone_fan_target(&mut self, z: usize, target: Rpm) {
-        // The platform actuator's command handling, replicated so the
-        // mirror's target equals the acknowledged hardware target:
-        // snap to the command grid, then clamp to the mechanical range.
-        let step = self.spec.server.fan_cmd_step;
-        let target =
-            if step > 0.0 { Rpm::new((target.value() / step).round() * step) } else { target };
-        self.targets[z] = self.spec.server.fan_bounds.clamp(target);
+        self.walls[z].set_target(target);
     }
 
     fn set_all_fan_targets(&mut self, target: Rpm) {
-        for z in 0..self.targets.len() {
-            self.set_zone_fan_target(z, target);
+        for wall in &mut self.walls {
+            wall.set_target(target);
         }
     }
 
@@ -267,41 +204,20 @@ impl RackView for DaemonRackView {
     }
 
     fn socket_demands(&self, u: Utilization, out: &mut [Utilization]) {
-        assert_eq!(out.len(), self.socket_weights.len(), "one demand per socket");
-        for (slot, &w) in out.iter_mut().zip(&self.socket_weights) {
-            *slot = Utilization::new(u.value() * w);
-        }
+        self.weights.socket_demands(u, out);
     }
 
     fn server_load_weight(&self, s: usize) -> f64 {
-        self.server_weights[s]
+        self.weights.server(s)
     }
 
     fn shift_load_weight(&mut self, from: usize, to: usize, amount: f64) {
-        assert!(from != to, "cannot migrate a server's work onto itself");
-        assert!(amount > 0.0, "migrated weight must be positive");
-        assert!(
-            self.server_weights[from] - amount > 0.0,
-            "migration would drain server {from} (weight {}, amount {amount})",
-            self.server_weights[from]
-        );
-        self.server_weights[from] -= amount;
-        self.server_weights[to] += amount;
-        for s in [from, to] {
-            let weight = self.server_weights[s];
-            for i in self.model.server_sockets(s) {
-                self.socket_weights[i] = weight * self.socket_base_weights[i];
-            }
-        }
+        self.weights.shift(from, to, amount);
         self.pending_shifts.push(LoadShift { from, to, amount });
     }
 
     fn min_safe_zone_fan(&mut self, z: usize, u: Utilization, limit: Celsius) -> Option<Rpm> {
-        for i in 0..self.probe_powers.len() {
-            let demand = Utilization::new(u.value() * self.socket_weights[i]);
-            self.probe_powers[i] = self.spec.server.cpu_power.power(demand);
-        }
-        self.probe_fans.copy_from_slice(&self.tach);
-        self.model.min_safe_zone_fan(z, &self.probe_powers, &self.probe_fans, limit)
+        self.weights.socket_powers(&self.spec.server.cpu_power, u, &mut self.probe_powers);
+        self.model.min_safe_zone_fan(z, &self.probe_powers, &self.tach, limit)
     }
 }

@@ -6,14 +6,15 @@
 //! (front/rear walls), every zone's fans driving many airflow-dependent
 //! thermal paths at once. The rack structure ([`RackTopology`]) and its
 //! thermal plant ([`RackPlant`], per-zone [`ZonePlant`] views) live in
-//! `gfsc_thermal`, next to the board [`gfsc_thermal::Topology`] — a single
-//! server is the one-slot rack, so servers and racks share one plant —
-//! and are re-exported here. This crate closes the physical rack around
-//! them:
+//! `gfsc_thermal`, next to the board [`gfsc_thermal::Topology`]; the
+//! closed rack lives in `gfsc_server`, next to the `Server` that is its
+//! one-slot case — servers and racks share one plant and one body. This
+//! crate re-exports them under their rack names:
 //!
 //! - [`RackServer`]: the closed physical rack — per-zone slew-limited fan
-//!   walls, per-socket non-ideal sensor chains, per-zone max aggregation,
-//!   rack-wide energy metering,
+//!   walls ([`FanActuator`]), per-socket non-ideal sensor chains, per-zone
+//!   max aggregation ([`hottest_reading`]), demand weights
+//!   ([`LoadWeights`]), rack-wide energy metering,
 //! - [`ZoneFanPlant`]: `gfsc_control::Plant` adapter for Ziegler–Nichols
 //!   tuning of one zone's fan loop.
 //!
@@ -38,7 +39,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod server;
 
+pub use gfsc_server::{
+    hottest_reading, FanActuator, LoadWeights, RackServer, RackSpec, ZoneFanPlant,
+};
 pub use gfsc_thermal::{PlenumDef, RackPlant, RackTopology, RackZoneDef, ServerSlot, ZonePlant};
-pub use server::{RackServer, RackSpec, ZoneFanPlant};

@@ -8,7 +8,8 @@
 //! `DESIGN.md` §5 for the substitution rationale). The default is the
 //! paper's single-socket machine; `gfsc_thermal::Topology` variants put
 //! the same calibration on 2S/4S boards, a blade chassis or finned sinks,
-//! all behind one shared fan.
+//! all behind one shared fan. A rack is the same body one level up, so
+//! it lives here too (`gfsc_rack` re-exports it).
 //!
 //! - [`ServerSpec`]: every physical and firmware parameter in one place
 //!   ([`ServerSpec::enterprise_default`] = Table I),
@@ -16,6 +17,10 @@
 //! - [`Server`]: the closed plant — CPU power → thermal topology →
 //!   per-socket sensor chains → aggregation — stepped at a fixed
 //!   simulation interval,
+//! - [`RackServer`] / [`RackSpec`]: the closed rack, whose one-slot case
+//!   a multi-socket `Server` is — both wear one chassis (fan actuators,
+//!   sensor chains, energy meters, clock), split demand with
+//!   [`LoadWeights`] and fold readings with [`hottest_reading`],
 //! - [`Plant`]: the thermal backend — the exact two-node model for the
 //!   paper's server, the board compiled as a one-slot
 //!   `gfsc_thermal::RackPlant` for everything else,
@@ -23,8 +28,9 @@
 //!   `gfsc_thermal`), so a zone of a rack plant looks like a server,
 //! - [`TempAggregation`]: how per-socket readings fold into the one
 //!   temperature the global controllers act on,
-//! - [`FanPlant`]: adapter exposing the fan→measured-temperature loop as a
-//!   `gfsc_control::Plant` for Ziegler–Nichols tuning,
+//! - [`FanPlant`] / [`ZoneFanPlant`]: a server's / a rack zone's
+//!   fan→measured-temperature loop as a `gfsc_control::Plant` for
+//!   Ziegler–Nichols tuning,
 //! - [`PerformanceMonitor`]: deadline-violation accounting (the Table III
 //!   performance metric).
 //!
@@ -46,14 +52,18 @@
 #![warn(missing_docs)]
 
 mod actuator;
+mod chassis;
 mod monitor;
 mod plant;
+mod rack;
 mod server;
 mod spec;
 
 pub use actuator::FanActuator;
+pub use chassis::{hottest_reading, LoadWeights};
 pub use gfsc_thermal::PlantModel;
 pub use monitor::PerformanceMonitor;
 pub use plant::FanPlant;
-pub use server::{build_measurement_pipeline, Plant, Server};
+pub use rack::{RackServer, RackSpec, ZoneFanPlant};
+pub use server::{Plant, Server};
 pub use spec::{ServerSpec, TempAggregation};

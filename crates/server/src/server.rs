@@ -1,10 +1,12 @@
 //! The assembled server plant.
 
-use crate::{FanActuator, ServerSpec, TempAggregation};
-use gfsc_power::EnergyMeter;
-use gfsc_sensors::{AdcQuantizer, MeasurementPipeline, Rounding};
+use crate::chassis::{hottest_reading, Chassis, LoadWeights};
+use crate::{ServerSpec, TempAggregation};
 use gfsc_thermal::{DieNode, HeatSinkNode, RackPlant, RackTopology, RcNetwork, ServerThermalModel};
-use gfsc_units::{total_max, Celsius, Joules, Rpm, Seconds, Utilization, Watts};
+use gfsc_units::{Celsius, Joules, Rpm, Seconds, Utilization, Watts};
+
+/// The server's one fan zone: a server is the one-zone, one-slot rack.
+const ZONE: usize = 0;
 
 /// The thermal plant behind a [`Server`]: either the paper's exact
 /// two-node model or a topology compiled onto the cached RC network.
@@ -67,11 +69,7 @@ impl Plant {
         match self {
             Plant::TwoNode(m) => m.heat_sink(),
             Plant::Network(p) => {
-                let mut hottest = p.heat_sink(0);
-                for i in 1..p.socket_count() {
-                    hottest = hottest.max(p.heat_sink(i));
-                }
-                hottest
+                hottest_reading((0..p.socket_count()).map(|i| p.heat_sink(i)), p.ambient())
             }
         }
     }
@@ -135,11 +133,25 @@ impl Plant {
             }
         }
     }
+
+    /// Snaps the plant to its equilibrium at `(powers, fan)`. The two-node
+    /// model resets and takes one 1e9 s step: both exact exponentials
+    /// decay to zero, landing bit for bit on the analytic steady state.
+    fn equilibrate(&mut self, powers: &[Watts], fan: Rpm) {
+        match self {
+            Plant::TwoNode(m) => {
+                m.reset();
+                m.step(Seconds::new(1e9), powers.first().copied().unwrap_or_default(), fan);
+            }
+            Plant::Network(p) => p.equilibrate(powers, &[fan]),
+        }
+    }
 }
 
 /// The closed physical plant: CPU power → thermal topology → fan →
 /// per-socket non-ideal sensor chains → aggregation, with CPU and fan
-/// energy metering.
+/// energy metering. A multi-socket server is the one-slot
+/// [`crate::RackServer`]: both wear the same chassis around their plants.
 ///
 /// The server knows nothing about control policy; controllers read
 /// [`Server::measured_temperature`] and command [`Server::set_fan_target`],
@@ -166,18 +178,11 @@ impl Plant {
 pub struct Server {
     spec: ServerSpec,
     plant: Plant,
-    fan: FanActuator,
-    /// One measurement chain per socket (the BMC polls every socket's
-    /// sensor over the same contended bus).
-    pipelines: Vec<MeasurementPipeline>,
-    cpu_energy: EnergyMeter,
-    fan_energy: EnergyMeter,
-    now: Seconds,
-    measured: Celsius,
+    chassis: Chassis,
+    /// The one-slot demand split: socket `i` executes
+    /// `clamp(u × load_weight_i)` (balanced SMP at weight 1).
+    weights: LoadWeights,
     executed: Utilization,
-    /// Per-socket power scratch, reused every step (no per-step
-    /// allocation).
-    socket_powers: Vec<Watts>,
 }
 
 impl Server {
@@ -191,6 +196,7 @@ impl Server {
     #[must_use]
     pub fn new(spec: ServerSpec) -> Self {
         spec.validate();
+        let board = RackTopology::single_server(spec.topology.clone());
         let plant = if spec.topology.is_single() {
             Plant::TwoNode(ServerThermalModel::new(
                 spec.ambient,
@@ -203,79 +209,22 @@ impl Server {
                 DieNode::new(spec.r_jc, spec.die_tau, spec.ambient),
             ))
         } else {
-            let board = RackTopology::single_server(spec.topology.clone());
             Plant::Network(Box::new(
                 RackPlant::new(&spec.calibration(), &board)
                     // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
                     .expect("stock topologies compile"),
             ))
         };
-        let fan = FanActuator::new(spec.fan_bounds.lo(), spec.fan_bounds, spec.fan_slew)
-            .with_cmd_step(spec.fan_cmd_step);
-        let pipelines: Vec<MeasurementPipeline> =
-            (0..plant.socket_count()).map(|_| Self::build_pipeline(&spec, spec.ambient)).collect();
-        let measured = Self::aggregate(&spec, &pipelines);
-        let socket_powers = vec![Watts::new(0.0); plant.socket_count()];
-        Self {
-            spec,
-            plant,
-            fan,
-            pipelines,
-            cpu_energy: EnergyMeter::new(),
-            fan_energy: EnergyMeter::new(),
-            now: Seconds::new(0.0),
-            measured,
-            executed: Utilization::IDLE,
-            socket_powers,
-        }
+        let chassis = Chassis::new(&spec, plant.socket_count(), [1]);
+        let weights = LoadWeights::new(&board);
+        Self { spec, plant, chassis, weights, executed: Utilization::IDLE }
     }
 
-    /// Per-socket utilization under server-wide demand `u`: socket `i`
-    /// executes `clamp(u × load_weight_i)` (balanced SMP at weight 1).
-    fn socket_utilization(spec: &ServerSpec, i: usize, u: Utilization) -> Utilization {
-        Utilization::new(u.value() * spec.topology.sockets()[i].load_weight)
-    }
-
-    /// Fills `out` with per-socket CPU powers for server-wide demand `u` and
-    /// returns the total.
-    fn fill_socket_powers(spec: &ServerSpec, u: Utilization, out: &mut [Watts]) -> Watts {
-        let mut total = 0.0;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let p = spec.cpu_power.power(Self::socket_utilization(spec, i, u));
-            *slot = p;
-            total += p.value();
-        }
-        Watts::new(total)
-    }
-
-    fn build_pipeline(spec: &ServerSpec, initial: Celsius) -> MeasurementPipeline {
-        build_measurement_pipeline(spec, initial)
-    }
-
-    /// Folds the per-socket chain outputs into the controller input.
-    fn aggregate(spec: &ServerSpec, pipelines: &[MeasurementPipeline]) -> Celsius {
-        match spec.aggregation {
-            TempAggregation::Max => {
-                let Some((first, rest)) = pipelines.split_first() else {
-                    // A socketless spec cannot validate; ambient is the
-                    // honest reading for "no sensors", not a panic.
-                    return spec.ambient;
-                };
-                let mut hottest = first.current();
-                for p in rest {
-                    hottest = total_max(hottest, p.current());
-                }
-                Celsius::new(hottest)
-            }
-            TempAggregation::LoadWeightedMean => {
-                let (mut sum, mut weight_sum) = (0.0, 0.0);
-                for (p, socket) in pipelines.iter().zip(spec.topology.sockets()) {
-                    sum += socket.load_weight * p.current();
-                    weight_sum += socket.load_weight;
-                }
-                Celsius::new(sum / weight_sum)
-            }
-        }
+    /// Sets server-wide demand `u` as the executed load: socket `i` runs
+    /// its weighted share.
+    fn load(&mut self, u: Utilization) {
+        self.executed = u;
+        self.weights.socket_demands(u, &mut self.chassis.executed);
     }
 
     /// The calibration in use.
@@ -287,7 +236,7 @@ impl Server {
     /// Simulation time accumulated by this server.
     #[must_use]
     pub fn now(&self) -> Seconds {
-        self.now
+        self.chassis.now
     }
 
     /// Hottest true junction temperature across sockets (invisible to
@@ -326,26 +275,39 @@ impl Server {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn measured_socket(&self, i: usize) -> Celsius {
-        Celsius::new(self.pipelines[i].current())
+        self.chassis.measured(i)
     }
 
     /// The firmware's aggregated (lagged, quantized) view of the junction
-    /// temperature — what every controller acts on.
+    /// temperature — what every controller acts on: the per-socket chain
+    /// outputs folded by [`ServerSpec::aggregation`]. A socketless spec
+    /// cannot validate; ambient is the honest reading for "no sensors",
+    /// not a panic.
     #[must_use]
     pub fn measured_temperature(&self) -> Celsius {
-        self.measured
+        match self.spec.aggregation {
+            TempAggregation::Max => hottest_reading(self.chassis.readings(), self.spec.ambient),
+            TempAggregation::LoadWeightedMean => {
+                let (mut sum, mut weight_sum) = (0.0, 0.0);
+                for (t, socket) in self.chassis.readings().zip(self.spec.topology.sockets()) {
+                    sum += socket.load_weight * t.value();
+                    weight_sum += socket.load_weight;
+                }
+                Celsius::new(sum / weight_sum)
+            }
+        }
     }
 
     /// Actual fan speed.
     #[must_use]
     pub fn fan_speed(&self) -> Rpm {
-        self.fan.speed()
+        self.chassis.fan(ZONE).speed()
     }
 
     /// Commanded fan target.
     #[must_use]
     pub fn fan_target(&self) -> Rpm {
-        self.fan.target()
+        self.chassis.fan(ZONE).target()
     }
 
     /// The utilization executed during the latest step.
@@ -356,37 +318,32 @@ impl Server {
 
     /// Commands the fan toward `target` (clamped to the mechanical range).
     pub fn set_fan_target(&mut self, target: Rpm) {
-        self.fan.set_target(target);
+        self.chassis.set_fan_target(ZONE, target);
     }
 
     /// Total CPU energy so far.
     #[must_use]
     pub fn cpu_energy(&self) -> Joules {
-        self.cpu_energy.total()
+        self.chassis.cpu_energy.total()
     }
 
     /// Total fan energy so far — the Table III metric.
     #[must_use]
     pub fn fan_energy(&self) -> Joules {
-        self.fan_energy.total()
+        self.chassis.fan_energy.total()
     }
 
     /// Instantaneous CPU power at the executed utilization, summed over
     /// all sockets.
     #[must_use]
     pub fn cpu_power(&self) -> Watts {
-        let mut total = 0.0;
-        for i in 0..self.plant.socket_count() {
-            let u = Self::socket_utilization(&self.spec, i, self.executed);
-            total += self.spec.cpu_power.power(u).value();
-        }
-        Watts::new(total)
+        self.chassis.cpu_power()
     }
 
     /// Instantaneous fan power at the actual fan speed.
     #[must_use]
     pub fn fan_power(&self) -> Watts {
-        self.spec.fan_power.power(self.fan.speed())
+        self.chassis.fan_power(&self.spec)
     }
 
     /// The thermal plant (for model-based controllers such as E-coord and
@@ -414,7 +371,7 @@ impl Server {
     /// Per-socket powers while executing `demand`, for the network probes.
     fn demand_powers(&self, demand: Utilization) -> Vec<Watts> {
         let mut powers = vec![Watts::new(0.0); self.plant.socket_count()];
-        Self::fill_socket_powers(&self.spec, demand, &mut powers);
+        self.weights.socket_powers(&self.spec.cpu_power, demand, &mut powers);
         powers
     }
 
@@ -432,40 +389,16 @@ impl Server {
     /// fan mechanics → thermal step → energy metering → sensor chains.
     /// Returns the new firmware-visible (aggregated) temperature.
     pub fn step(&mut self, dt: Seconds, utilization: Utilization) -> Celsius {
-        self.executed = utilization;
-        let p_cpu = Self::fill_socket_powers(&self.spec, utilization, &mut self.socket_powers);
-
-        let fan_speed = self.fan.step(dt);
-        self.plant.step(dt, &self.socket_powers, fan_speed);
-
-        self.cpu_energy.accumulate(p_cpu, dt);
-        self.fan_energy.accumulate(self.spec.fan_power.power(fan_speed), dt);
-
-        self.now += dt;
-        match &mut self.plant {
-            // Single socket: observe-and-aggregate collapses to the exact
-            // sequence the pre-abstraction simulator ran.
-            Plant::TwoNode(m) => {
-                if let Some(pipeline) = self.pipelines.first_mut() {
-                    self.measured = pipeline.observe_celsius(self.now, m.junction());
-                }
-            }
-            Plant::Network(p) => {
-                for (i, pipeline) in self.pipelines.iter_mut().enumerate() {
-                    let _ = pipeline.observe_celsius(self.now, p.junction(i));
-                }
-                self.measured = Self::aggregate(&self.spec, &self.pipelines);
-            }
-        }
-        self.measured
+        self.load(utilization);
+        let (powers, fans) = self.chassis.begin(&self.spec, dt);
+        self.plant.step(dt, powers, fans[ZONE]);
+        self.finish_step(dt)
     }
 
     /// The first half of [`Server::step`] for batched lockstep stepping:
     /// everything up to (but not including) the thermal solve — executed
-    /// utilization, per-socket powers, fan mechanics, the fan speed's
-    /// conductances, and the energy meters (which read powers, never
-    /// temperatures, so metering before the solve lands on the same bits
-    /// as the scalar order).
+    /// utilization, per-socket powers, fan mechanics, energy metering, and
+    /// the powers' and fan speed's effect on the network.
     ///
     /// The caller must advance [`Server::batch_network_mut`] by `dt`
     /// (typically through a `gfsc_thermal::BatchRcNetwork` shared with
@@ -479,43 +412,23 @@ impl Server {
     /// model has no RC network to batch; batch runners must fall back to
     /// the scalar path for those.
     pub fn begin_step(&mut self, dt: Seconds, utilization: Utilization) {
-        self.executed = utilization;
-        let p_cpu = Self::fill_socket_powers(&self.spec, utilization, &mut self.socket_powers);
-        let fan_speed = self.fan.step(dt);
+        self.load(utilization);
+        let (powers, fans) = self.chassis.begin(&self.spec, dt);
         match &mut self.plant {
             Plant::TwoNode(_) => {
                 // gfsc-lint: allow(panic) documented API contract: the batch halves are only reachable through run_batch, which asserts RC-network lanes up front
                 panic!("batched stepping requires an RC-network plant (multi-socket topology)")
             }
-            Plant::Network(p) => p.prepare_step(&self.socket_powers, &[fan_speed]),
+            Plant::Network(p) => p.prepare_step(powers, fans),
         }
-        self.cpu_energy.accumulate(p_cpu, dt);
-        self.fan_energy.accumulate(self.spec.fan_power.power(fan_speed), dt);
     }
 
     /// The second half of [`Server::step`] for batched lockstep stepping:
     /// clock advance, per-socket sensor chains, aggregation. Returns the
     /// new firmware-visible temperature, exactly as [`Server::step`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-socket (two-node) plant; see
-    /// [`Server::begin_step`].
     pub fn finish_step(&mut self, dt: Seconds) -> Celsius {
-        self.now += dt;
-        match &mut self.plant {
-            Plant::TwoNode(_) => {
-                // gfsc-lint: allow(panic) documented API contract: the batch halves are only reachable through run_batch, which asserts RC-network lanes up front
-                panic!("batched stepping requires an RC-network plant (multi-socket topology)")
-            }
-            Plant::Network(p) => {
-                for (i, pipeline) in self.pipelines.iter_mut().enumerate() {
-                    let _ = pipeline.observe_celsius(self.now, p.junction(i));
-                }
-                self.measured = Self::aggregate(&self.spec, &self.pipelines);
-            }
-        }
-        self.measured
+        self.chassis.finish(dt, |i| self.plant.junction(i));
+        self.measured_temperature()
     }
 
     /// The plant's RC network, if this server runs one (`None` on the
@@ -547,60 +460,11 @@ impl Server {
     /// Used by the Ziegler–Nichols plant adapter to replay tuning probes
     /// from identical initial conditions.
     pub fn equilibrate(&mut self, utilization: Utilization, fan: Rpm) {
-        let fan = self.spec.fan_bounds.clamp(fan);
-        self.fan.snap_to(fan);
-        match &mut self.plant {
-            Plant::TwoNode(m) => {
-                let p_cpu = self.spec.cpu_power.power(utilization);
-                let t_j = m.steady_state_junction(p_cpu, fan);
-                // Settle both nodes: sink at its equilibrium, die on top.
-                let sink_ss = t_j - self.spec.r_jc * p_cpu;
-                m.reset();
-                // Drive to equilibrium exactly by stepping once with a huge dt.
-                m.step(Seconds::new(1e9), p_cpu, fan);
-                debug_assert!((m.heat_sink() - sink_ss).abs() < 1e-6);
-                if let Some(pipeline) = self.pipelines.first_mut() {
-                    *pipeline = Self::build_pipeline(&self.spec, t_j);
-                }
-            }
-            Plant::Network(p) => {
-                Self::fill_socket_powers(&self.spec, utilization, &mut self.socket_powers);
-                p.equilibrate(&self.socket_powers, &[fan]);
-                for i in 0..p.socket_count() {
-                    self.pipelines[i] = Self::build_pipeline(&self.spec, p.junction(i));
-                }
-            }
-        }
-        self.measured = Self::aggregate(&self.spec, &self.pipelines);
-        self.cpu_energy.reset();
-        self.fan_energy.reset();
-        self.now = Seconds::new(0.0);
-        self.executed = utilization;
+        self.load(utilization);
+        let (powers, fans) = self.chassis.settle(&self.spec, &[fan]);
+        self.plant.equilibrate(powers, fans[ZONE]);
+        self.chassis.restart(&self.spec, |i| self.plant.junction(i));
     }
-}
-
-/// The non-ideal measurement chain a spec implies, initialized to report
-/// `initial` from the first instant: the configured sampling interval and
-/// transport lag, plus (when `quantization_step > 0`) the ADC.
-///
-/// Shared by [`Server`] (one chain per socket) and the rack simulator
-/// (one chain per socket of every server).
-#[must_use]
-pub fn build_measurement_pipeline(spec: &ServerSpec, initial: Celsius) -> MeasurementPipeline {
-    let mut builder = MeasurementPipeline::builder()
-        .sample_interval(spec.sensor_interval)
-        .delay(spec.sensor_lag)
-        .initial(initial.value());
-    if spec.quantization_step > 0.0 {
-        // The full-scale range is fixed (0–255 °C, the 8-bit/1 °C
-        // convention); a finer requested step means a deeper converter,
-        // not a narrower range — otherwise fine steps would saturate
-        // below the operating temperatures.
-        let levels_needed = (255.0 / spec.quantization_step) + 1.0;
-        let bits = (levels_needed.log2().ceil() as u8).clamp(2, 24);
-        builder = builder.adc(AdcQuantizer::new(bits, 0.0, 255.0, Rounding::Floor));
-    }
-    builder.build()
 }
 
 #[cfg(test)]
