@@ -1109,6 +1109,181 @@ mod tests {
         assert_eq!(rack.ambient(), Celsius::new(40.0));
     }
 
+    /// A small deterministic generator (xorshift64*) for the inversion's
+    /// randomized checks, so a failing state reproduces from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Self(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+
+        /// Log-uniform on `[lo, hi)`.
+        fn log_range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo * (hi / lo).powf(self.unit())
+        }
+
+        fn sign(&mut self) -> f64 {
+            if self.next() & 1 == 0 {
+                1.0
+            } else {
+                -1.0
+            }
+        }
+    }
+
+    /// Every rack shape the inversion is checked on: each preset, the
+    /// one-slot dual, quad, blade and finned(2,8) boards, and `plenum-1`,
+    /// whose right wall stands over empty bays (a slotless zone).
+    fn inversion_rack(pick: usize, rng: &mut Rng) -> RackPlant {
+        let topology = match pick % 10 {
+            0 => RackTopology::rack_1u_x8(),
+            1 => RackTopology::rack_2u_x4(),
+            2 => RackTopology::shared_plenum(2 + rng.below(5)),
+            3 => RackTopology::front_rear(2 + rng.below(5)),
+            4 => RackTopology::choked_rear_x4(),
+            5 => RackTopology::single_server(Topology::dual_socket()),
+            6 => RackTopology::single_server(Topology::quad_socket()),
+            7 => RackTopology::single_server(Topology::blade_chassis()),
+            8 => RackTopology::single_server(Topology::finned(2, 8)),
+            _ => RackTopology::shared_plenum(1),
+        };
+        RackPlant::new(&cal(), &topology).unwrap()
+    }
+
+    /// A random inversion input for zone `z`: per-socket powers (now and
+    /// then an all-idle zone), held fans, and a sizing limit — mostly
+    /// interior, sometimes within 1e-9…1e-3 K of the 100 rpm or the
+    /// 1e6 rpm envelope.
+    fn inversion_case(
+        rack: &RackPlant,
+        z: usize,
+        rng: &mut Rng,
+    ) -> (Vec<Watts>, Vec<Rpm>, Celsius) {
+        let mut powers: Vec<Watts> =
+            (0..rack.socket_count()).map(|_| Watts::new(rng.range(0.0, 200.0))).collect();
+        if rng.below(8) == 0 {
+            for &i in rack.zone_sockets(z) {
+                powers[i] = Watts::new(0.0);
+            }
+        }
+        let mut fans: Vec<Rpm> =
+            (0..rack.zone_count()).map(|_| Rpm::new(rng.log_range(300.0, 12_000.0))).collect();
+        let mut envelope = |v: f64| {
+            fans[z] = Rpm::new(v);
+            rack.steady_state_hottest_in_zone(z, &powers, &fans)
+        };
+        let limit = match rng.below(4) {
+            0 => envelope(100.0) + rng.sign() * rng.log_range(1e-9, 1e-3),
+            1 => envelope(1e6) + rng.sign() * rng.log_range(1e-9, 1e-3),
+            _ => rack.ambient() + rng.range(2.0, 90.0),
+        };
+        (powers, fans, limit)
+    }
+
+    /// Warm starts around the oracle's answer: at it, near it, far from
+    /// it, 0 rpm, and above the 1e6 rpm bracket.
+    fn warm_starts(answer: Option<Rpm>, rng: &mut Rng) -> [Rpm; 5] {
+        let at = answer.map_or(1e6, Rpm::value);
+        [
+            Rpm::new(at),
+            Rpm::new(at * (1.0 + rng.sign() * rng.log_range(1e-9, 1e-2))),
+            Rpm::new(rng.log_range(100.0, 1e6)),
+            Rpm::new(0.0),
+            Rpm::new(rng.range(1.0e6, 3.0e6)),
+        ]
+    }
+
+    fn bits(v: Option<Rpm>) -> Option<u64> {
+        v.map(|v| v.value().to_bits())
+    }
+
+    /// The oracle for [`RackPlant::min_safe_zone_fan`]: the 40-halving
+    /// bisection over the whole-rack probe.
+    fn oracle_zone_fan(
+        rack: &RackPlant,
+        z: usize,
+        powers: &[Watts],
+        fans: &[Rpm],
+        limit: Celsius,
+    ) -> Option<Rpm> {
+        if rack.zone_sockets(z).is_empty() {
+            return Some(Rpm::new(0.0));
+        }
+        let mut at = fans.to_vec();
+        bisect_min_safe(limit, |v| {
+            at[z] = v;
+            rack.steady_state_hottest_in_zone(z, powers, &at)
+        })
+    }
+
+    proptest::proptest! {
+        /// Both min-safe entry points — the whole-rack inversion and the
+        /// zone view's — return exactly the 40-halving oracle's answer,
+        /// whatever warm start the swept zone's held fan supplies.
+        #[test]
+        fn min_safe_matches_the_bisection_oracle_bit_for_bit(
+            pick in 0usize..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Rng::new(seed);
+            let mut rack = inversion_rack(pick, &mut rng);
+            for z in 0..rack.zone_count() {
+                let (powers, mut fans, limit) = inversion_case(&rack, z, &mut rng);
+                let expected = oracle_zone_fan(&rack, z, &powers, &fans, limit);
+                let zone_powers: Vec<Watts> =
+                    rack.zone_sockets(z).iter().map(|&i| powers[i]).collect();
+                rack.prepare_step(&powers, &fans);
+                let view_expected = {
+                    let view = rack.zone_plant(z);
+                    if view.socket_count() == 0 {
+                        Some(Rpm::new(0.0))
+                    } else {
+                        bisect_min_safe(limit, |v| view.steady_state_junction(&zone_powers, v))
+                    }
+                };
+                for warm in warm_starts(expected, &mut rng) {
+                    fans[z] = warm;
+                    let got = rack.min_safe_zone_fan(z, &powers, &fans, limit);
+                    proptest::prop_assert_eq!(
+                        bits(got),
+                        bits(expected),
+                        "{} zone {} limit {:?} warm {:?}: {:?} vs oracle {:?}",
+                        rack.zone_count(), z, limit, warm, got, expected
+                    );
+                    // The zone view sweeps from the live fan.
+                    rack.prepare_step(&powers, &fans);
+                    let got = rack.zone_plant(z).min_safe_fan_speed(&zone_powers, limit);
+                    proptest::prop_assert_eq!(
+                        bits(got),
+                        bits(view_expected),
+                        "zone view {} limit {:?} warm {:?}: {:?} vs oracle {:?}",
+                        z, limit, warm, got, view_expected
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn zone_plant_view_honours_the_contract() {
         let mut rack = rack_1u8();
