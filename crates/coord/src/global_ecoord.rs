@@ -14,34 +14,35 @@
 //!
 //! [`RackEnergyDescent`] removes the inconsistency: at each fan epoch it
 //! runs a Gauss–Seidel coordinate descent over *all* walls at once —
-//! repeatedly re-bisecting each zone's minimum safe speed given the
-//! *current iterate* of every other wall ([`RackPlant::min_safe_zone_fan`])
-//! until the vector stops moving. Because raising any wall's airflow only
-//! ever relaxes the others' constraints (the feasible set is upward
-//! closed), the sweeps converge to the **least feasible fan vector** — the
-//! component-wise minimum, which minimizes any monotone cost including
-//! total fan power. One zone's boost is traded against a plenum-coupled
-//! neighbour's release inside the solver, not through the plant a fan
-//! period later.
+//! repeatedly re-inverting each zone's minimum safe speed given the
+//! *current iterate* of every other wall ([`RackPlant::min_safe_zone_fan`],
+//! warm-started from the zone's own iterate, so a sweep that barely moves
+//! costs a handful of probes) until the vector stops moving. Because
+//! raising any wall's airflow only ever relaxes the others' constraints
+//! (the feasible set is upward closed), the sweeps converge to the
+//! **least feasible fan vector** — the component-wise minimum, which
+//! minimizes any monotone cost including total fan power. One zone's
+//! boost is traded against a plenum-coupled neighbour's release inside
+//! the solver, not through the plant a fan period later.
 //!
 //! The cap side is untouched: the same per-zone energy-first policy
 //! (`EnergyAwareCoordinator::next_cap` on the zone measurement) as the
 //! per-zone descent, so a GlobalECoord-vs-CoordinatedECoord comparison
 //! isolates the fan-sizing question. On a single-zone rack the joint
-//! descent degenerates to exactly the per-zone bisection (one coordinate,
+//! descent degenerates to exactly the per-zone inversion (one coordinate,
 //! nothing to iterate against), which pins the mode into the degenerate
 //! parity contract (`crates/coord/tests/rack_degenerate.rs`).
 //!
 //! All scratch (the target vector, the freeze marks) is sized once at
-//! [`RackEnergyDescent::bind`]; the probe path reuses the plant's
-//! scratch-buffered `steady_state_with_into` machinery, so the rack epoch
-//! loop stays allocation-free in this mode too
+//! [`RackEnergyDescent::bind`]; the inversion reuses the plant's per-thread
+//! probe scratch, so the rack epoch loop stays allocation-free in this
+//! mode too
 //! (`tests/alloc_free_rack.rs`).
 
 use crate::{EnergyAwareCoordinator, ZoneEnergyCoordinator};
 use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::RackPlant;
-use gfsc_units::{Bounds, Celsius, Rpm, Utilization, Watts};
+use gfsc_units::{total_max, Bounds, Celsius, Rpm, Utilization, Watts};
 
 /// The rack-global fan-sizing descent plus the per-zone energy-first cap
 /// policy — the whole-rack counterpart of [`ZoneEnergyCoordinator`].
@@ -177,7 +178,7 @@ impl RackEnergyDescent {
     }
 
     /// Runs the joint descent: Gauss–Seidel sweeps of the per-zone
-    /// min-safe bisection against the full rack at the current iterate,
+    /// min-safe inversion against the full rack at the current iterate,
     /// until no wall moves by more than the tolerance (or the sweep budget
     /// runs out). Unreachable zones (even unbounded airflow cannot hold the
     /// sizing limit — e.g. recirculated heat from a frozen, starved
@@ -213,7 +214,7 @@ impl RackEnergyDescent {
                 let safe = plant.min_safe_zone_fan(z, powers, &self.targets, limit);
                 self.pinned[z] = safe.is_none();
                 let speed = safe.map_or(bounds.hi(), |v| bounds.clamp(v));
-                moved = moved.max((speed - self.targets[z]).abs());
+                moved = total_max(moved, (speed - self.targets[z]).abs());
                 self.targets[z] = speed;
             }
             sweeps += 1;

@@ -6,10 +6,10 @@
 //! runs the same policy per fan zone: each zone's measurement drives the
 //! zone's cap (applied to every socket the zone serves), and each zone's
 //! fan wall is sized by model inversion **through the zone's own
-//! [`PlantModel`] view** (`RackPlant::zone_plant` — `steady_state_with`
-//! probes plus the `min_safe_zone_fan` bisection, the rest of the rack
-//! frozen at its current operating point). The decision logic is the
-//! single-server coordinator's own methods ([`EnergyAwareCoordinator::
+//! [`PlantModel`] view** (`RackPlant::zone_plant` — steady-state probes
+//! plus the min-safe inversion, the rest of the rack frozen at its
+//! current operating point). The decision logic is the single-server
+//! coordinator's own methods ([`EnergyAwareCoordinator::
 //! next_cap`], `is_emergency`, `fan_sizing_limit`), not a copy — a
 //! single-zone, no-plenum rack therefore replays the single-server
 //! E-coord trace bit for bit (`crates/coord/tests/rack_degenerate.rs`).
@@ -94,7 +94,7 @@ impl ZoneEnergyCoordinator {
     /// fan only moves (to maximum) once the zone cap is pinned at its
     /// floor; otherwise, at fan epochs, the wall runs the cheapest speed
     /// whose steady state keeps the zone's hottest junction at the sizing
-    /// limit — the `min_safe` bisection through the zone view, at the
+    /// limit — the min-safe inversion through the zone view, at the
     /// powers the zone's sockets are *currently executing*. A slotless
     /// zone idles its wall at the lower bound (nothing to cool).
     ///

@@ -127,9 +127,8 @@ impl Plant {
                 if powers.iter().all(|p| p.value() <= 0.0) {
                     return Some(Rpm::new(0.0));
                 }
-                // One zone: the inversion sweeps its fan, so the held-fan
-                // entry is never read.
-                p.min_safe_zone_fan(0, powers, &[Rpm::new(0.0)], limit)
+                // One zone: its live fan is the sweep's warm start.
+                p.min_safe_zone_fan(0, powers, &[p.fan_speed(0)], limit)
             }
         }
     }

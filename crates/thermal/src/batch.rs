@@ -33,8 +33,8 @@
 //! touches a new one). A fin-array plant with hundreds of static
 //! fin-to-fin links signs its matrix by its handful of fan-driven links.
 //!
-//! Steady-state probes ([`RcNetwork::steady_state_with`],
-//! `min_safe_fan_speed` bisections) never touch the step cache, so a lane
+//! Steady-state probes ([`RcNetwork::steady_state_with`], the
+//! `min_safe_fan_speed` inversions) never touch the step cache, so a lane
 //! being batch-stepped can still be probed freely between steps.
 //!
 //! # Examples

@@ -58,8 +58,18 @@ impl HeatSinkLaw {
     /// diverges as `V → 0` while a real heat sink still conducts passively.
     #[must_use]
     pub fn resistance(&self, v: Rpm) -> KelvinPerWatt {
-        let v = v.value().max(self.min_speed);
-        KelvinPerWatt::new(self.base + self.coeff / v.powf(self.exponent))
+        self.resistance_at_power(self.airflow_power(v))
+    }
+
+    /// `max(v, 100 rpm)^exponent`: the airflow term the coefficient is
+    /// divided by. Laws sharing an exponent share it at any one speed.
+    fn airflow_power(&self, v: Rpm) -> f64 {
+        v.value().max(self.min_speed).powf(self.exponent)
+    }
+
+    /// The resistance at a speed whose [`Self::airflow_power`] is `power`.
+    fn resistance_at_power(&self, power: f64) -> KelvinPerWatt {
+        KelvinPerWatt::new(self.base + self.coeff / power)
     }
 
     /// Inverts the law: the fan speed at which the resistance equals `r`.
@@ -108,6 +118,39 @@ impl HeatSinkLaw {
     pub fn with_airflow_derate(&self, derate: f64) -> Self {
         assert!(derate > 0.0, "airflow derate must be positive");
         Self::new(self.base, self.coeff * derate, self.exponent)
+    }
+}
+
+/// [`HeatSinkLaw::resistance`] of many laws at one fan speed, evaluating
+/// the airflow power `v^exponent` once per run of laws that share an
+/// exponent — bit for bit what calling `resistance` on each law returns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResistanceAt {
+    fan: Rpm,
+    /// The previous law's `(min_speed, exponent)` and airflow power.
+    last: Option<(f64, f64, f64)>,
+}
+
+impl ResistanceAt {
+    pub(crate) fn new(fan: Rpm) -> Self {
+        Self { fan, last: None }
+    }
+
+    /// `law.resistance(fan)`.
+    pub(crate) fn of(&mut self, law: &HeatSinkLaw) -> KelvinPerWatt {
+        let power = match self.last {
+            Some((min_speed, exponent, power))
+                if min_speed == law.min_speed && exponent == law.exponent =>
+            {
+                power
+            }
+            _ => {
+                let power = law.airflow_power(self.fan);
+                self.last = Some((law.min_speed, law.exponent, power));
+                power
+            }
+        };
+        law.resistance_at_power(power)
     }
 }
 
@@ -199,6 +242,30 @@ impl HeatSinkNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resistance_at_shares_the_airflow_power_bit_for_bit() {
+        // Runs of laws sharing an exponent, broken by another exponent, at
+        // speeds on both sides of the 100 rpm floor.
+        let base = HeatSinkLaw::date14();
+        let laws = [
+            base,
+            base.with_airflow_derate(1.06),
+            base.with_airflow_derate(2.0),
+            HeatSinkLaw::new(0.2, 90.0, 0.8),
+            base.with_airflow_derate(1.2),
+        ];
+        for v in [0.0, 57.0, 100.0, 1234.5, 8500.0, 2.5e6] {
+            let mut at = ResistanceAt::new(Rpm::new(v));
+            for law in &laws {
+                assert_eq!(
+                    at.of(law).value().to_bits(),
+                    law.resistance(Rpm::new(v)).value().to_bits(),
+                    "{law:?} at {v} rpm"
+                );
+            }
+        }
+    }
 
     #[test]
     fn date14_law_matches_published_points() {

@@ -60,7 +60,9 @@ mod zone;
 pub use batch::BatchRcNetwork;
 pub use die::DieNode;
 pub use heatsink::{HeatSinkLaw, HeatSinkNode};
-pub use network::{BoundaryId, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder};
+pub use network::{
+    BoundaryId, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder, SteadyStateScratch,
+};
 pub use plant::{PlantCalibration, PlantModel, RackPlant, ZonePlant};
 pub use server_model::ServerThermalModel;
 pub use topology::{

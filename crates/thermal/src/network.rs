@@ -590,9 +590,10 @@ impl RcNetwork {
     /// all left untouched.
     ///
     /// This is the probe behind model inversions that ask "what would the
-    /// equilibrium be at fan speed `v` / power `p`?" (e.g. the multi-socket
-    /// `min_safe_fan_speed` bisection) while the transient simulation keeps
-    /// running undisturbed.
+    /// equilibrium be at fan speed `v` / power `p`?" (e.g. the min-safe
+    /// fan speed of a [`crate::RackPlant`] zone) while the transient
+    /// simulation keeps running undisturbed. The first override of a link
+    /// wins; later overrides of the same power win.
     ///
     /// # Panics
     ///
@@ -603,45 +604,56 @@ impl RcNetwork {
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
     ) -> Vec<Celsius> {
-        let mut matrix = Vec::new();
-        let mut temps = Vec::new();
-        self.steady_state_with_into(link_overrides, power_overrides, &mut matrix, &mut temps);
-        temps.into_iter().map(Celsius::new).collect()
+        let mut scratch = SteadyStateScratch::new();
+        self.steady_state_with_into(link_overrides, power_overrides, &mut scratch)
+            .iter()
+            .map(|&t| Celsius::new(t))
+            .collect()
     }
 
-    /// [`RcNetwork::steady_state_with`] writing into caller-provided
-    /// buffers: `matrix` holds the assembled `n × n` system, `out` the
-    /// solved temperatures (indexed by [`NodeId::index`]). With warm
-    /// buffers the probe performs **zero** heap allocations — the variant
-    /// model-inversion bisections (40+ probes per decision) run on.
+    /// [`RcNetwork::steady_state_with`] in caller-provided buffers,
+    /// returning the solved temperatures (indexed by [`NodeId::index`]).
+    /// Overrides resolve through the scratch's per-link conductance table,
+    /// so a probe costs one pass over the overrides, not a search per link.
+    /// With warm buffers the probe performs **zero** heap allocations.
     ///
     /// # Panics
     ///
     /// Panics if an override handle does not belong to this network.
-    pub fn steady_state_with_into(
+    pub fn steady_state_with_into<'s>(
         &self,
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
-        matrix: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
+        scratch: &'s mut SteadyStateScratch,
+    ) -> &'s [f64] {
+        scratch.load(self);
+        for &(link, resistance) in link_overrides {
+            scratch.override_link(link, resistance);
+        }
+        for &(node, power) in power_overrides {
+            scratch.set_power(node, power);
+        }
+        self.solve_steady_state(scratch)
+    }
+
+    /// Solves the steady state at the scratch's conductance and power
+    /// tables (loaded from this network by [`SteadyStateScratch::load`]),
+    /// leaving the tables as they are — a sweep re-solves after rewriting
+    /// only the links it moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables do not match this network's link count.
+    pub(crate) fn solve_steady_state<'s>(&self, scratch: &'s mut SteadyStateScratch) -> &'s [f64] {
         let n = self.node_names.len();
-        let conductance = |idx: usize| -> f64 {
-            link_overrides
-                .iter()
-                .find(|(id, _)| id.0 == idx)
-                .map_or(self.links[idx].conductance, |(_, r)| 1.0 / r.value())
-        };
+        let SteadyStateScratch { conductances, powers, matrix, temps, .. } = scratch;
+        assert_eq!(conductances.len(), self.links.len(), "probe tables from another network");
         matrix.clear();
         matrix.resize(n * n, 0.0);
-        out.clear();
-        out.extend_from_slice(&self.powers);
-        let (a, b) = (matrix, out);
-        for (id, p) in power_overrides {
-            b[id.0] = p.value();
-        }
-        for (idx, link) in self.links.iter().enumerate() {
-            let g = conductance(idx);
+        temps.clear();
+        temps.extend_from_slice(powers);
+        let (a, b) = (&mut matrix[..], &mut temps[..]);
+        for (link, &g) in self.links.iter().zip(conductances.iter()) {
             match (link.a, link.b) {
                 (Endpoint::Node(i), Endpoint::Node(j)) => {
                     a[i * n + i] += g;
@@ -660,6 +672,7 @@ impl RcNetwork {
             }
         }
         solve_dense(a, b, n);
+        temps
     }
 
     // ---- crate-internal raw views for the batched stepper ----------------
@@ -727,6 +740,69 @@ impl RcNetwork {
             && self.boundary_names == other.boundary_names
             && self.links.len() == other.links.len()
             && self.links.iter().zip(&other.links).all(|(a, b)| a.a == b.a && a.b == b.b)
+    }
+}
+
+/// The buffers of one non-mutating steady-state probe: a per-link
+/// conductance table and a per-node power table, loaded from the live
+/// network and then overridden, plus the dense system and its solution.
+/// Warm buffers make a probe allocation-free, and because solving leaves
+/// the tables intact, a sweep that moves a few links between probes
+/// rewrites only those.
+#[derive(Debug, Clone, Default)]
+pub struct SteadyStateScratch {
+    conductances: Vec<f64>,
+    /// Links an override has already set (the first override wins).
+    claimed: Vec<bool>,
+    powers: Vec<f64>,
+    matrix: Vec<f64>,
+    temps: Vec<f64>,
+}
+
+impl SteadyStateScratch {
+    /// Empty buffers; the first probe sizes them.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            conductances: Vec::new(),
+            claimed: Vec::new(),
+            powers: Vec::new(),
+            matrix: Vec::new(),
+            temps: Vec::new(),
+        }
+    }
+
+    /// Loads `net`'s live conductances and powers, no link claimed.
+    pub(crate) fn load(&mut self, net: &RcNetwork) {
+        self.conductances.clear();
+        self.conductances.extend(net.links.iter().map(|link| link.conductance));
+        self.claimed.clear();
+        self.claimed.resize(net.links.len(), false);
+        self.powers.clear();
+        self.powers.extend_from_slice(&net.powers);
+    }
+
+    /// Claims `link` for an override: `false` if an earlier override
+    /// already claimed it.
+    pub(crate) fn claim(&mut self, link: LinkId) -> bool {
+        !core::mem::replace(&mut self.claimed[link.0], true)
+    }
+
+    /// Sets `link`'s probe resistance, claimed or not.
+    pub(crate) fn set_link(&mut self, link: LinkId, resistance: KelvinPerWatt) {
+        self.conductances[link.0] = 1.0 / resistance.value();
+    }
+
+    /// Overrides `link`'s resistance unless an earlier override claimed it.
+    pub(crate) fn override_link(&mut self, link: LinkId, resistance: KelvinPerWatt) {
+        if self.claim(link) {
+            self.set_link(link, resistance);
+        }
+    }
+
+    /// Overrides `node`'s injected power.
+    pub(crate) fn set_power(&mut self, node: NodeId, power: Watts) {
+        self.powers[node.0] = power.value();
     }
 }
 
@@ -1105,6 +1181,85 @@ mod tests {
         assert!(!net.matrix_dirty, "identical conductance must not dirty the cache");
         net.set_link_resistance_by_id(link, KelvinPerWatt::new(0.3));
         assert!(net.matrix_dirty);
+    }
+
+    /// The pre-table probe: each link's conductance from a linear search
+    /// for its first override — the reference the indexed tables must
+    /// reproduce bit for bit.
+    fn first_match_steady_state(
+        net: &RcNetwork,
+        link_overrides: &[(LinkId, KelvinPerWatt)],
+        power_overrides: &[(NodeId, Watts)],
+    ) -> Vec<f64> {
+        let n = net.node_names.len();
+        let mut a = vec![0.0; n * n];
+        let mut b = net.powers.clone();
+        for (id, p) in power_overrides {
+            b[id.0] = p.value();
+        }
+        for (idx, link) in net.links.iter().enumerate() {
+            let g = link_overrides
+                .iter()
+                .find(|(id, _)| id.0 == idx)
+                .map_or(link.conductance, |(_, r)| 1.0 / r.value());
+            match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Node(j)) => {
+                    a[i * n + i] += g;
+                    a[j * n + j] += g;
+                    a[i * n + j] -= g;
+                    a[j * n + i] -= g;
+                }
+                (Endpoint::Node(i), Endpoint::Boundary(k))
+                | (Endpoint::Boundary(k), Endpoint::Node(i)) => {
+                    a[i * n + i] += g;
+                    b[i] += g * net.boundary_temps[k];
+                }
+                (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
+            }
+        }
+        solve_dense(&mut a, &mut b, n);
+        b
+    }
+
+    #[test]
+    fn probe_tables_resolve_overrides_like_a_first_match_search() {
+        let mut net = RcNetworkBuilder::new()
+            .node("die", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .node("sink", JoulesPerKelvin::new(300.0), Celsius::new(30.0))
+            .node("air", JoulesPerKelvin::new(50.0), Celsius::new(30.0))
+            .boundary("ambient", Celsius::new(25.0))
+            .link("die", "sink", KelvinPerWatt::new(0.1))
+            .link("sink", "ambient", KelvinPerWatt::new(0.25))
+            .link("sink", "air", KelvinPerWatt::new(0.4))
+            .link("air", "ambient", KelvinPerWatt::new(0.6))
+            .build()
+            .unwrap();
+        let die = net.node_id("die").unwrap();
+        let air = net.node_id("air").unwrap();
+        net.set_power(die, Watts::new(90.0));
+        let exhaust = net.link_id("sink", "ambient").unwrap();
+        let vent = net.link_id("air", "ambient").unwrap();
+        let mut scratch = SteadyStateScratch::new();
+        let mut check = |links: &[(LinkId, KelvinPerWatt)], powers: &[(NodeId, Watts)]| {
+            let reference = first_match_steady_state(&net, links, powers);
+            let probed = net.steady_state_with_into(links, powers, &mut scratch);
+            let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(probed), bits(&reference), "overrides {links:?} / {powers:?}");
+        };
+        check(&[], &[]);
+        check(&[(exhaust, KelvinPerWatt::new(0.9))], &[(air, Watts::new(5.0))]);
+        // Repeated overrides: the first of a link wins, the last of a power.
+        check(
+            &[
+                (vent, KelvinPerWatt::new(0.3)),
+                (exhaust, KelvinPerWatt::new(0.7)),
+                (vent, KelvinPerWatt::new(2.0)),
+            ],
+            &[(die, Watts::new(10.0)), (die, Watts::new(140.0))],
+        );
+        // No overrides again on the same, warm scratch: nothing of the
+        // previous probe's claims may leak.
+        check(&[], &[]);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! The per-step cost is one forward/backward substitution on the LU
 //! cache, so an 8-server rack steps at nearly the same cost as a board.
 
+use crate::heatsink::ResistanceAt;
 use crate::{
     BoundaryId, FanZoneMap, HeatSinkLaw, LinkId, NetworkError, NodeId, PlenumDef, RackTopology,
-    RcNetwork, RcNetworkBuilder, ServerSlot, ZoneId,
+    RcNetwork, RcNetworkBuilder, ServerSlot, SteadyStateScratch, ZoneId,
 };
 use gfsc_units::{total_max, Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 
@@ -84,15 +85,16 @@ struct SocketHandles {
     server: usize,
 }
 
-/// Reusable buffers behind the non-mutating steady-state probes, so the
-/// model-inversion bisections (40+ probes per decision) run without per-
-/// probe heap allocation — the rack epoch loop's allocation-free contract
-/// extends to the model-based controllers (`tests/alloc_free_rack.rs`).
+/// Reusable buffers behind the non-mutating steady-state probes, so a
+/// min-safe inversion (a handful of probes per decision) runs without
+/// per-probe heap allocation — the rack
+/// epoch loop's allocation-free contract extends to the model-based
+/// controllers (`tests/alloc_free_rack.rs`).
 struct ProbeScratch {
-    links: Vec<(LinkId, KelvinPerWatt)>,
-    powers: Vec<(NodeId, Watts)>,
-    matrix: Vec<f64>,
-    temps: Vec<f64>,
+    tables: SteadyStateScratch,
+    /// During an inversion, the swept zone's links with their laws: the
+    /// only table entries its probes rewrite.
+    swept: Vec<(LinkId, HeatSinkLaw)>,
 }
 
 std::thread_local! {
@@ -103,10 +105,8 @@ std::thread_local! {
     /// parallel gain tuner shares a server across worker threads).
     static SCRATCH: core::cell::RefCell<ProbeScratch> = const {
         core::cell::RefCell::new(ProbeScratch {
-            links: Vec::new(),
-            powers: Vec::new(),
-            matrix: Vec::new(),
-            temps: Vec::new(),
+            tables: SteadyStateScratch::new(),
+            swept: Vec::new(),
         })
     };
 }
@@ -617,7 +617,7 @@ impl RackPlant {
     /// Non-mutating whole-rack probe at `(powers, fans)`: fills `out` with
     /// every zone's hottest steady-state junction (the ambient for a
     /// slotless zone) from **one** solve, at a fraction of the cost of
-    /// probing the zones one by one. The descent itself bisects through
+    /// probing the zones one by one. The descent itself inverts through
     /// [`RackPlant::min_safe_zone_fan`]; this is the audit view of a
     /// joint fan vector — how the descent's output is *verified* to be
     /// feasible and tight (`gfsc_coord`'s descent tests, the dominance
@@ -675,34 +675,66 @@ impl RackPlant {
         reduce: impl FnOnce(&Self, &[f64]) -> R,
     ) -> R {
         self.probe(
-            |links, power_overrides| {
+            |tables| {
                 for (z, &zone) in self.zone_ids.iter().enumerate() {
-                    self.zones.extend_overrides(zone, fan(z), links);
+                    self.zones.override_probe(zone, fan(z), tables);
                 }
-                power_overrides.extend(self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)));
+                self.override_powers(tables, powers);
             },
             reduce,
         )
     }
 
+    /// Overrides every socket's power in a probe's tables.
+    fn override_powers(&self, tables: &mut SteadyStateScratch, powers: &[Watts]) {
+        for (socket, &power) in self.sockets.iter().zip(powers) {
+            tables.set_power(socket.die, power);
+        }
+    }
+
     /// One non-mutating steady-state solve in the thread's scratch:
-    /// `overrides` fills the (cleared) link and power override lists,
-    /// everything else stays at the live network's values, and `reduce`
-    /// reads the solved node temperatures. Allocation-free once the
-    /// buffers are warm.
+    /// `overrides` edits the probe tables (loaded with the live network's
+    /// conductances and powers), and `reduce` reads the solved node
+    /// temperatures. Allocation-free once the buffers are warm.
     fn probe<R>(
         &self,
-        overrides: impl FnOnce(&mut Vec<(LinkId, KelvinPerWatt)>, &mut Vec<(NodeId, Watts)>),
+        overrides: impl FnOnce(&mut SteadyStateScratch),
         reduce: impl FnOnce(&Self, &[f64]) -> R,
     ) -> R {
         SCRATCH.with(|scratch| {
+            let tables = &mut scratch.borrow_mut().tables;
+            tables.load(&self.net);
+            overrides(tables);
+            reduce(self, self.net.solve_steady_state(tables))
+        })
+    }
+
+    /// The min-safe inversion of zone `z`'s fan ([`min_safe`]) in the
+    /// thread's scratch. `hold` edits the probe tables (loaded with the
+    /// live network) once for the whole sweep: it applies every held
+    /// override and claims the swept zone's links into the swept list, in
+    /// override order. Each probe then rewrites only those links.
+    fn sweep_min_safe(
+        &self,
+        z: usize,
+        warm: Rpm,
+        limit: Celsius,
+        hold: impl FnOnce(&mut SteadyStateScratch, &mut Vec<(LinkId, HeatSinkLaw)>),
+    ) -> Option<Rpm> {
+        SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let ProbeScratch { links, powers, matrix, temps } = &mut *scratch;
-            links.clear();
-            powers.clear();
-            overrides(links, powers);
-            self.net.steady_state_with_into(links, powers, matrix, temps);
-            reduce(self, temps)
+            let ProbeScratch { tables, swept } = &mut *scratch;
+            tables.load(&self.net);
+            swept.clear();
+            hold(tables, swept);
+            let exponent = swept.first().map_or(1.0, |(_, law)| law.airflow_exponent());
+            min_safe(limit, warm, exponent, |v| {
+                let mut at = ResistanceAt::new(v);
+                for (link, law) in swept.iter() {
+                    tables.set_link(*link, at.of(law));
+                }
+                self.zone_hottest(z, self.net.solve_steady_state(tables))
+            })
         })
     }
 
@@ -713,8 +745,10 @@ impl RackPlant {
     /// A slotless zone has nothing to guard: any speed is safe, so the
     /// answer is 0 rpm.
     ///
-    /// Deterministic bisection over the monotone zone-hottest curve.
-    /// Allocation-free once the probe scratch is warm.
+    /// The answer is the deterministic bisection's over the monotone
+    /// zone-hottest curve; `fans[z]` is only the warm start that makes it
+    /// cheap ([`min_safe`]). Allocation-free once the probe scratch is
+    /// warm.
     ///
     /// # Panics
     ///
@@ -732,9 +766,15 @@ impl RackPlant {
         if self.zone_sockets[z].is_empty() {
             return Some(Rpm::new(0.0));
         }
-        bisect_min_safe(limit, |v| {
-            let fan = |zone| if zone == z { v } else { fans[zone] };
-            self.probe_with(powers, fan, |plant, temps| plant.zone_hottest(z, temps))
+        self.sweep_min_safe(z, fans[z], limit, |tables, swept| {
+            for (zi, &zone) in self.zone_ids.iter().enumerate() {
+                if zi == z {
+                    self.zones.claim_for_sweep(zone, tables, swept);
+                } else {
+                    self.zones.override_probe(zone, fans[zi], tables);
+                }
+            }
+            self.override_powers(tables, powers);
         })
     }
 
@@ -764,36 +804,242 @@ impl RackPlant {
     }
 }
 
+/// The bracket every min-safe inversion bisects. The law saturates below
+/// 100 rpm, so 100 rpm is the stopped-fan envelope; 1e6 rpm is
+/// numerically indistinguishable from the infinite-airflow asymptote.
+const BRACKET: (f64, f64) = (100.0, 1e6);
+
+/// Halvings of [`BRACKET`]: 40 take it to ~1e-6 rpm, far past any fan
+/// actuator's resolution.
+const HALVINGS: usize = 40;
+
+/// Rounding noise of a steady-state probe, K. A probe whose residual
+/// `hottest − limit` clears it decides every speed on its side of the
+/// monotone curve; one inside it decides only its own speed. Rounding
+/// breaks monotonicity between close probes by under 1e-14 K.
+const RESIDUAL_FLOOR: f64 = 1e-12;
+
+/// Probes the warm-start secant may spend before the bisection replay.
+const WARM_START_PROBES: usize = 12;
+
+/// A secant step this small (rpm) ends the warm start. The secant
+/// converges superlinearly, so the estimate after such a step typically
+/// sits within the bisection's final ~1e-6 rpm cell of the root.
+const SETTLED: f64 = 1e-2;
+
+/// What the probes so far decide of the bisection's `hottest > limit`
+/// test — and nothing more.
+struct Decided {
+    limit: Celsius,
+    /// Fastest speed certified too hot: its residual cleared the noise
+    /// floor, so every speed at or below it is too hot.
+    hot: f64,
+    /// Slowest speed certified safe: every speed at or above it is safe.
+    safe: f64,
+    /// Every warm-start probe with its own outcome (too hot?), exact for
+    /// that one speed whatever its residual.
+    probes: [(f64, bool); WARM_START_PROBES],
+    len: usize,
+}
+
+impl Decided {
+    fn new(limit: Celsius) -> Self {
+        Self {
+            limit,
+            hot: f64::NEG_INFINITY,
+            safe: f64::INFINITY,
+            probes: [(0.0, false); WARM_START_PROBES],
+            len: 0,
+        }
+    }
+
+    /// Whether another warm-start probe fits the budget.
+    fn has_room(&self) -> bool {
+        self.len < WARM_START_PROBES
+    }
+
+    /// Records a warm-start probe of `hottest` at `v`; returns its
+    /// residual.
+    fn record(&mut self, v: f64, hottest: Celsius) -> f64 {
+        let residual = hottest - self.limit;
+        if residual > RESIDUAL_FLOOR && v > self.hot {
+            self.hot = v;
+        }
+        if residual < -RESIDUAL_FLOOR && v < self.safe {
+            self.safe = v;
+        }
+        if let Some(slot) = self.probes.get_mut(self.len) {
+            *slot = (v, hottest > self.limit);
+            self.len += 1;
+        }
+        residual
+    }
+
+    /// The bisection's decision at `v`, if the probes so far fix it.
+    /// Crossed certificates would mean a curve that is not monotone past
+    /// the noise floor; then only exact repeats decide.
+    fn decide(&self, v: f64) -> Option<bool> {
+        if self.hot < self.safe {
+            if v <= self.hot {
+                return Some(true);
+            }
+            if v >= self.safe {
+                return Some(false);
+            }
+        }
+        self.probes.iter().take(self.len).find(|&&(at, _)| at == v).map(|&(_, too_hot)| too_hot)
+    }
+}
+
 /// The min-safe inversion every plant view shares: the lowest fan speed
 /// at which `hottest_at` (a steady-state probe, monotone decreasing in
 /// airflow) stays at or below `limit`, or `None` if even unbounded
 /// airflow cannot hold it. An N-socket plant with chassis or plenum
-/// coupling has no closed form, so this bisects — deterministically:
-/// fixed bracket, fixed iteration count.
-fn bisect_min_safe(limit: Celsius, mut hottest_at: impl FnMut(Rpm) -> Celsius) -> Option<Rpm> {
-    // The law saturates below 100 rpm, so v = 100 is the stopped-fan
-    // envelope; 1e6 rpm is numerically indistinguishable from the
-    // infinite-airflow asymptote.
-    let (lo, hi) = (100.0, 1e6);
-    if hottest_at(Rpm::new(lo)) <= limit {
+/// coupling has no closed form, so the answer is defined by a
+/// deterministic bisection: 40 halvings of [`BRACKET`] on the test
+/// `hottest > limit`, `Some(0 rpm)` exactly when 100 rpm is safe and
+/// `None` exactly when 1e6 rpm is too hot.
+///
+/// Most of that bisection's probes are foregone conclusions, so it is
+/// replayed, not rerun. A short secant from `warm` (the swept fan's
+/// current speed, in `s = v^-exponent` where the curve is nearly linear)
+/// first closes in on the root and probes the two speeds the bisection
+/// would finish between ([`warm_start`]). The bisection then takes every
+/// one of its steps, probing only the speeds those probes leave
+/// undecided. The answer is bit-identical to the plain bisection's
+/// whatever `warm` is; `warm` only sets the cost: typically under ten
+/// probes, never more than `WARM_START_PROBES + 2 + HALVINGS`.
+fn min_safe(
+    limit: Celsius,
+    warm: Rpm,
+    exponent: f64,
+    mut hottest_at: impl FnMut(Rpm) -> Celsius,
+) -> Option<Rpm> {
+    let mut decided = Decided::new(limit);
+    warm_start(warm.value(), exponent, &mut hottest_at, &mut decided);
+    let mut too_hot = |v: f64| decided.decide(v).unwrap_or_else(|| hottest_at(Rpm::new(v)) > limit);
+    let (mut lo, mut hi) = BRACKET;
+    if !too_hot(lo) {
         return Some(Rpm::new(0.0));
     }
-    if hottest_at(Rpm::new(hi)) > limit {
+    if too_hot(hi) {
         return None;
     }
-    // 40 halvings take the 1e6-wide bracket to ~1e-6 rpm — far past any
-    // fan actuator's resolution; more iterations cannot change the
-    // commanded speed and each costs a dense steady-state solve.
-    let (mut lo, mut hi) = (lo, hi);
-    for _ in 0..40 {
+    for _ in 0..HALVINGS {
         let mid = 0.5 * (lo + hi);
-        if hottest_at(Rpm::new(mid)) > limit {
+        if too_hot(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     Some(Rpm::new(hi))
+}
+
+/// The warm start of [`min_safe`]: a secant on the residual over
+/// `s = v^-exponent` from `warm`, kept inside the certified bracket
+/// (falling back to halving it in `s`), clamped to [`BRACKET`] so that an
+/// endpoint is probed only when the estimate leaves it. Once the estimate
+/// settles, [`probe_final_cell`] probes either side of it. Spends at most
+/// [`WARM_START_PROBES`]; every probe lands in `decided`.
+fn warm_start(
+    warm: f64,
+    exponent: f64,
+    hottest_at: &mut impl FnMut(Rpm) -> Celsius,
+    decided: &mut Decided,
+) {
+    let (lo, hi) = BRACKET;
+    let to_s = |v: f64| v.powf(-exponent);
+    let to_v = |s: f64| s.powf(-1.0 / exponent);
+    let mut v = if warm >= hi {
+        hi
+    } else if warm > lo {
+        warm
+    } else {
+        lo
+    };
+    // The previous probe's speed and residual, and the residual's slope
+    // per rpm between the last two probes.
+    let mut previous: Option<(f64, f64)> = None;
+    let mut slope = f64::NAN;
+    // Keep two probes for the final cell.
+    while decided.len + 2 < WARM_START_PROBES {
+        let residual = decided.record(v, hottest_at(Rpm::new(v)));
+        let exit_settled = (v == lo && decided.decide(lo) == Some(false))
+            || (v == hi && decided.decide(hi) == Some(true));
+        if exit_settled || decided.hot >= decided.safe {
+            return;
+        }
+        let s = to_s(v);
+        let estimate = match previous {
+            Some((v0, r0)) if residual != r0 => {
+                slope = (residual - r0) / (v - v0);
+                let s0 = to_s(v0);
+                s - residual * (s - s0) / (residual - r0)
+            }
+            // Too hot wants more airflow, a smaller `s`.
+            _ => s * if residual > 0.0 { 0.995 } else { 1.005 },
+        };
+        let mut next = to_v(estimate);
+        if !(next > decided.hot && next < decided.safe) {
+            next = match (decided.hot >= lo, decided.safe <= hi) {
+                (true, true) => to_v(0.5 * (to_s(decided.hot) + to_s(decided.safe))),
+                (true, false) => 4.0 * decided.hot,
+                (false, true) => 0.25 * decided.safe,
+                (false, false) => v,
+            };
+        }
+        next = if next > hi {
+            hi
+        } else if next < lo {
+            lo
+        } else {
+            next
+        };
+        let step = (next - v).abs();
+        previous = Some((v, residual));
+        v = next;
+        if step <= SETTLED {
+            break;
+        }
+    }
+    probe_final_cell(v, RESIDUAL_FLOOR / slope.abs(), hottest_at, decided);
+}
+
+/// Probes the ends of a cell on the path the bisection would take if the
+/// root sat at `estimate` — speeds it visits — so that when the estimate
+/// is right the replay finds every step above that cell decided. The cell
+/// is the final one unless the curve is so flat that speeds within
+/// `noise` rpm of the root cannot clear the residual floor; then it is
+/// the smallest cell at least eight times `noise` wide, whose ends can.
+/// A probe that contradicts the estimate redraws the path; the probes stop
+/// once the cell's ends are decided or the budget is spent.
+fn probe_final_cell(
+    estimate: f64,
+    noise: f64,
+    hottest_at: &mut impl FnMut(Rpm) -> Celsius,
+    decided: &mut Decided,
+) {
+    // An unknown slope (NaN) leaves the whole bracket.
+    let narrowest = if noise.is_nan() { f64::INFINITY } else { 8.0 * noise };
+    while decided.has_room() {
+        let (mut lo, mut hi) = BRACKET;
+        for _ in 0..HALVINGS {
+            if 0.5 * (hi - lo) < narrowest {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if decided.decide(mid).unwrap_or(mid < estimate) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let Some(v) = [lo, hi].into_iter().find(|&v| decided.decide(v).is_none()) else {
+            return;
+        };
+        decided.record(v, hottest_at(Rpm::new(v)));
+    }
 }
 
 /// One fan zone of a [`RackPlant`], viewed through the single-fan
@@ -825,14 +1071,19 @@ impl ZonePlant<'_> {
             return rack.ambient;
         }
         rack.probe(
-            |links, power_overrides| {
-                rack.zones.extend_overrides(rack.zone_ids[self.zone], fan, links);
-                power_overrides.extend(
-                    powers.iter().enumerate().map(|(i, &p)| (rack.sockets[self.flat(i)].die, p)),
-                );
+            |tables| {
+                rack.zones.override_probe(rack.zone_ids[self.zone], fan, tables);
+                self.override_powers(tables, powers);
             },
             |rack, temps| rack.zone_hottest(self.zone, temps),
         )
+    }
+
+    /// Overrides this zone's socket powers in a probe's tables.
+    fn override_powers(&self, tables: &mut SteadyStateScratch, powers: &[Watts]) {
+        for (i, &power) in powers.iter().enumerate() {
+            tables.set_power(self.rack.sockets[self.flat(i)].die, power);
+        }
     }
 }
 
@@ -868,8 +1119,50 @@ impl PlantModel for ZonePlant<'_> {
         if self.socket_count() == 0 {
             return Some(Rpm::new(0.0));
         }
-        bisect_min_safe(limit, |v| self.zone_steady_state(powers, v))
+        assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
+        let rack = &*self.rack;
+        // Only this zone is overridden; the rest of the rack stays live.
+        rack.sweep_min_safe(self.zone, rack.fan_speed(self.zone), limit, |tables, swept| {
+            rack.zones.claim_for_sweep(rack.zone_ids[self.zone], tables, swept);
+            self.override_powers(tables, powers);
+        })
     }
+}
+
+/// The min-safe inversion every plant view shares: the lowest fan speed
+/// at which `hottest_at` (a steady-state probe, monotone decreasing in
+/// airflow) stays at or below `limit`, or `None` if even unbounded
+/// airflow cannot hold it. An N-socket plant with chassis or plenum
+/// coupling has no closed form, so this bisects — deterministically:
+/// fixed bracket, fixed iteration count.
+///
+/// The reference [`min_safe`] is tested against, verbatim: the runtime
+/// inversion must return exactly what this returns.
+#[cfg(test)]
+fn bisect_min_safe(limit: Celsius, mut hottest_at: impl FnMut(Rpm) -> Celsius) -> Option<Rpm> {
+    // The law saturates below 100 rpm, so v = 100 is the stopped-fan
+    // envelope; 1e6 rpm is numerically indistinguishable from the
+    // infinite-airflow asymptote.
+    let (lo, hi) = (100.0, 1e6);
+    if hottest_at(Rpm::new(lo)) <= limit {
+        return Some(Rpm::new(0.0));
+    }
+    if hottest_at(Rpm::new(hi)) > limit {
+        return None;
+    }
+    // 40 halvings take the 1e6-wide bracket to ~1e-6 rpm — far past any
+    // fan actuator's resolution; more iterations cannot change the
+    // commanded speed and each costs a dense steady-state solve.
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..40 {
+        let mid = 0.5 * (lo + hi);
+        if hottest_at(Rpm::new(mid)) > limit {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(Rpm::new(hi))
 }
 
 #[cfg(test)]
@@ -1282,6 +1575,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The probe cost of the inversion, counted by wrapping the probe: no
+    /// call exceeds the warm start's budget plus a full bisection, and
+    /// reachable states clear of both envelopes average a handful. Counts
+    /// are deterministic, so this guards the gain without a timing gate.
+    #[test]
+    fn min_safe_probe_count_is_bounded_and_small() {
+        let exponent = HeatSinkLaw::date14().airflow_exponent();
+        let most = WARM_START_PROBES + 2 + HALVINGS;
+        // (calls, probes) per outcome: reachable clear of both envelopes,
+        // reachable near one, unreachable, all-idle zone.
+        let mut tally = [(0usize, 0usize); 4];
+        let mut rng = Rng::new(14);
+        for pick in 0..1000 {
+            let rack = inversion_rack(pick, &mut rng);
+            for z in 0..rack.zone_count() {
+                if rack.zone_sockets(z).is_empty() {
+                    continue;
+                }
+                let (powers, mut fans, limit) = inversion_case(&rack, z, &mut rng);
+                let expected = oracle_zone_fan(&rack, z, &powers, &fans, limit);
+                let mut envelope = |v: f64| {
+                    fans[z] = Rpm::new(v);
+                    (rack.steady_state_hottest_in_zone(z, &powers, &fans) - limit).abs()
+                };
+                let clear = envelope(100.0) >= 0.01 && envelope(1e6) >= 0.01;
+                let outcome = if rack.zone_sockets(z).iter().all(|&i| powers[i].value() == 0.0) {
+                    3
+                } else if expected.is_none() {
+                    2
+                } else if clear {
+                    0
+                } else {
+                    1
+                };
+                for warm in warm_starts(expected, &mut rng) {
+                    let mut probes = 0;
+                    let got = min_safe(limit, warm, exponent, |v| {
+                        probes += 1;
+                        fans[z] = v;
+                        rack.steady_state_hottest_in_zone(z, &powers, &fans)
+                    });
+                    assert_eq!(bits(got), bits(expected), "warm {warm:?}");
+                    assert!(probes <= most, "{probes} probes from warm {warm:?}");
+                    tally[outcome].0 += 1;
+                    tally[outcome].1 += probes;
+                }
+            }
+        }
+        let mean = |(calls, probes): (usize, usize)| probes as f64 / calls.max(1) as f64;
+        for (name, &t) in ["reachable", "reachable near an envelope", "unreachable", "all-idle"]
+            .iter()
+            .zip(&tally)
+        {
+            println!("{name}: {} calls, {:.2} probes per call", t.0, mean(t));
+        }
+        assert!(tally[0].0 >= 1000, "too few reachable states: {}", tally[0].0);
+        assert!(mean(tally[0]) <= 10.0, "reachable states average {:.2} probes", mean(tally[0]));
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! # Ok::<(), gfsc_thermal::NetworkError>(())
 //! ```
 
-use crate::{HeatSinkLaw, LinkId, RcNetwork};
+use crate::heatsink::ResistanceAt;
+use crate::{HeatSinkLaw, LinkId, RcNetwork, SteadyStateScratch};
 use gfsc_units::{KelvinPerWatt, Rpm};
 
 /// Identifier of a fan zone inside a [`FanZoneMap`].
@@ -173,8 +174,41 @@ impl FanZoneMap {
     ///
     /// Panics if `zone` does not belong to this map.
     pub fn extend_overrides(&self, zone: ZoneId, fan: Rpm, out: &mut Vec<(LinkId, KelvinPerWatt)>) {
+        // Every link of a zone breathes the same fan, and laws derated
+        // from one base share its exponent: one `powf` serves the run.
+        let mut at = ResistanceAt::new(fan);
         for (link, law) in &self.zones[zone.0].links {
-            out.push((*link, law.resistance(fan)));
+            out.push((*link, at.of(law)));
+        }
+    }
+
+    /// Applies the zone's links at `fan` to a probe's conductance table,
+    /// each unless an earlier override claimed it — what
+    /// [`Self::extend_overrides`] followed by
+    /// [`RcNetwork::steady_state_with_into`] would resolve, without the
+    /// list.
+    pub(crate) fn override_probe(&self, zone: ZoneId, fan: Rpm, probe: &mut SteadyStateScratch) {
+        let mut at = ResistanceAt::new(fan);
+        for (link, law) in &self.zones[zone.0].links {
+            if probe.claim(*link) {
+                probe.set_link(*link, at.of(law));
+            }
+        }
+    }
+
+    /// Claims the zone's links in a probe's conductance table for a fan
+    /// sweep, appending to `swept` each link (with its law) this zone's
+    /// override would win — the links every probe of the sweep rewrites.
+    pub(crate) fn claim_for_sweep(
+        &self,
+        zone: ZoneId,
+        probe: &mut SteadyStateScratch,
+        swept: &mut Vec<(LinkId, HeatSinkLaw)>,
+    ) {
+        for &(link, law) in &self.zones[zone.0].links {
+            if probe.claim(link) {
+                swept.push((link, law));
+            }
         }
     }
 }
