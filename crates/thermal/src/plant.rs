@@ -87,9 +87,9 @@ struct SocketHandles {
 
 /// Reusable buffers behind the non-mutating steady-state probes, so a
 /// min-safe inversion (a handful of probes per decision) runs without
-/// per-probe heap allocation — the rack
-/// epoch loop's allocation-free contract extends to the model-based
-/// controllers (`tests/alloc_free_rack.rs`).
+/// per-probe heap allocation — the rack epoch loop's allocation-free
+/// contract extends to the model-based controllers
+/// (`tests/alloc_free_rack.rs`).
 struct ProbeScratch {
     tables: SteadyStateScratch,
     /// During an inversion, the swept zone's links with their laws: the
@@ -745,10 +745,11 @@ impl RackPlant {
     /// A slotless zone has nothing to guard: any speed is safe, so the
     /// answer is 0 rpm.
     ///
-    /// The answer is the deterministic bisection's over the monotone
-    /// zone-hottest curve; `fans[z]` is only the warm start that makes it
-    /// cheap ([`min_safe`]). Allocation-free once the probe scratch is
-    /// warm.
+    /// The answer is exactly that of a 40-halving bisection of the
+    /// monotone zone-hottest curve over [100, 1e6] rpm; `fans[z]` is only
+    /// the warm start that lets most of its probes be skipped, so the
+    /// call typically costs a handful of steady-state solves.
+    /// Allocation-free once the probe scratch is warm.
     ///
     /// # Panics
     ///
@@ -816,7 +817,8 @@ const HALVINGS: usize = 40;
 /// Rounding noise of a steady-state probe, K. A probe whose residual
 /// `hottest − limit` clears it decides every speed on its side of the
 /// monotone curve; one inside it decides only its own speed. Rounding
-/// breaks monotonicity between close probes by under 1e-14 K.
+/// breaks monotonicity between close probes by a few ulps: 1.4e-14 K at
+/// worst over 190 k pairs 1e-6…1e-3 rpm apart on every rack preset.
 const RESIDUAL_FLOOR: f64 = 1e-12;
 
 /// Probes the warm-start secant may spend before the bisection replay.
