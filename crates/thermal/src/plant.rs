@@ -953,13 +953,7 @@ fn warm_start(
     let (lo, hi) = BRACKET;
     let to_s = |v: f64| v.powf(-exponent);
     let to_v = |s: f64| s.powf(-1.0 / exponent);
-    let mut v = if warm >= hi {
-        hi
-    } else if warm > lo {
-        warm
-    } else {
-        lo
-    };
+    let mut v = warm.clamp(lo, hi);
     // The previous probe's speed and residual, and the residual's slope
     // per rpm between the last two probes.
     let mut previous: Option<(f64, f64)> = None;
@@ -983,6 +977,8 @@ fn warm_start(
             _ => s * if residual > 0.0 { 0.995 } else { 1.005 },
         };
         let mut next = to_v(estimate);
+        // Outside the certified bracket, or NaN: fall back to a finite
+        // speed on the root's side.
         if !(next > decided.hot && next < decided.safe) {
             next = match (decided.hot >= lo, decided.safe <= hi) {
                 (true, true) => to_v(0.5 * (to_s(decided.hot) + to_s(decided.safe))),
@@ -991,13 +987,7 @@ fn warm_start(
                 (false, false) => v,
             };
         }
-        next = if next > hi {
-            hi
-        } else if next < lo {
-            lo
-        } else {
-            next
-        };
+        next = next.clamp(lo, hi);
         let step = (next - v).abs();
         previous = Some((v, residual));
         v = next;
