@@ -552,7 +552,7 @@ impl RcNetwork {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        solve_dense(&mut a, &mut b, n);
+        let _ = solve_dense(&mut a, &mut b, n);
         self.temperatures.copy_from_slice(&b);
     }
 
@@ -671,7 +671,7 @@ impl RcNetwork {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        solve_dense(a, b, n);
+        let _ = solve_dense(a, b, n);
         temps
     }
 
@@ -905,10 +905,11 @@ fn lu_solve(a: &[f64], piv: &[usize], b: &mut [f64], n: usize) {
 }
 
 /// Solves `A·x = b` (row-major `a`, length `n²`) by Gaussian elimination
-/// with partial pivoting, overwriting `b` with `x` — allocation-free. The
-/// assembled thermal matrices are strictly diagonally dominant, hence
-/// non-singular.
-fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
+/// with partial pivoting, overwriting `b` with `x` — allocation-free — and
+/// returns how many row exchanges the pivoting made. The assembled
+/// thermal matrices are strictly diagonally dominant, hence non-singular.
+fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> usize {
+    let mut exchanges = 0;
     for col in 0..n {
         // Partial pivot.
         let mut pivot = col;
@@ -922,6 +923,7 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
                 a.swap(col * n + k, pivot * n + k);
             }
             b.swap(col, pivot);
+            exchanges += 1;
         }
         let diag = a[col * n + col];
         assert!(diag.abs() > 1e-30, "singular thermal matrix");
@@ -946,6 +948,7 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
         }
         b[row] = sum / a[row * n + row];
     }
+    exchanges
 }
 
 #[cfg(test)]
@@ -1125,8 +1128,53 @@ mod tests {
         assert!(e.to_string().contains("sink2"));
     }
 
+    fn cal() -> crate::PlantCalibration {
+        crate::PlantCalibration {
+            ambient: Celsius::new(30.0),
+            law: crate::HeatSinkLaw::date14(),
+            sink_tau: Seconds::new(60.0),
+            tau_speed: gfsc_units::Rpm::new(8500.0),
+            r_jc: KelvinPerWatt::new(0.10),
+            die_tau: Seconds::new(0.1),
+        }
+    }
+
     #[test]
     fn cached_step_matches_uncached_reference_bitwise() {
+        use crate::{RackPlant, RackTopology, Topology};
+        use gfsc_units::Rpm;
+        // The plants' networks: fan moves re-parameterize every zone's
+        // airflow links, so the cache refactorizes whenever a fan moves.
+        for topology in [
+            RackTopology::rack_1u_x8(),
+            RackTopology::shared_plenum(4),
+            RackTopology::single_server(Topology::finned(2, 8)),
+        ] {
+            let mut cached = RackPlant::new(&cal(), &topology).unwrap();
+            let mut naive = RackPlant::new(&cal(), &topology).unwrap();
+            let powers: Vec<Watts> =
+                (0..cached.socket_count()).map(|i| Watts::new(60.0 + 13.0 * i as f64)).collect();
+            for k in 0..500 {
+                let fans: Vec<Rpm> = (0..cached.zone_count())
+                    .map(|z| Rpm::new(1500.0 + 700.0 * f64::from((k / 50 + z as u32) % 9)))
+                    .collect();
+                let dt = Seconds::new(if (k / 200) % 2 == 0 { 0.5 } else { 2.0 });
+                cached.prepare_step(&powers, &fans);
+                naive.prepare_step(&powers, &fans);
+                cached.network_mut().step(dt);
+                naive.network_mut().step_uncached(dt);
+                let bits = |net: &RcNetwork| {
+                    net.temperatures.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(cached.network()),
+                    bits(naive.network()),
+                    "{} diverged at step {k}",
+                    topology.label()
+                );
+            }
+        }
+
         let mut cached = simple_two_node();
         let mut naive = simple_two_node();
         let die = cached.node_id("die").unwrap();
@@ -1186,11 +1234,13 @@ mod tests {
     /// The pre-table probe: each link's conductance from a linear search
     /// for its first override — the reference the indexed tables must
     /// reproduce bit for bit.
+    ///
+    /// Also returns how many row exchanges the dense solve made.
     fn first_match_steady_state(
         net: &RcNetwork,
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
-    ) -> Vec<f64> {
+    ) -> (Vec<f64>, usize) {
         let n = net.node_names.len();
         let mut a = vec![0.0; n * n];
         let mut b = net.powers.clone();
@@ -1217,8 +1267,8 @@ mod tests {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        solve_dense(&mut a, &mut b, n);
-        b
+        let exchanges = solve_dense(&mut a, &mut b, n);
+        (b, exchanges)
     }
 
     #[test]
@@ -1241,7 +1291,7 @@ mod tests {
         let vent = net.link_id("air", "ambient").unwrap();
         let mut scratch = SteadyStateScratch::new();
         let mut check = |links: &[(LinkId, KelvinPerWatt)], powers: &[(NodeId, Watts)]| {
-            let reference = first_match_steady_state(&net, links, powers);
+            let (reference, _) = first_match_steady_state(&net, links, powers);
             let probed = net.steady_state_with_into(links, powers, &mut scratch);
             let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(probed), bits(&reference), "overrides {links:?} / {powers:?}");
@@ -1260,6 +1310,120 @@ mod tests {
         // No overrides again on the same, warm scratch: nothing of the
         // previous probe's claims may leak.
         check(&[], &[]);
+    }
+
+    /// A random chain `n0 – n1 – … – ambient` with cross links and a
+    /// second boundary: the steady-state matrices of such chains make
+    /// partial pivoting exchange rows.
+    fn random_chain(rng: &mut proptest::test_runner::TestRng) -> RcNetwork {
+        let n = 2 + (rng.next_u64() % 7) as usize;
+        let ohms = |rng: &mut proptest::test_runner::TestRng| {
+            KelvinPerWatt::new(0.05 * 40f64.powf(rng.unit_f64()))
+        };
+        let mut builder = RcNetworkBuilder::new()
+            .boundary("ambient", Celsius::new(20.0 + 20.0 * rng.unit_f64()))
+            .boundary("inlet", Celsius::new(20.0 + 20.0 * rng.unit_f64()));
+        for i in 0..n {
+            builder = builder.node(format!("n{i}"), JoulesPerKelvin::new(1.0), Celsius::new(30.0));
+        }
+        for i in 0..n {
+            let to = if i + 1 == n { "ambient".to_owned() } else { format!("n{}", i + 1) };
+            builder = builder.link(format!("n{i}"), to, ohms(rng));
+        }
+        for _ in 0..rng.next_u64() % 4 {
+            let a = (rng.next_u64() % n as u64) as usize;
+            let b = (rng.next_u64() % n as u64) as usize;
+            if a != b {
+                builder = builder.link(format!("n{a}"), format!("n{b}"), ohms(rng));
+            }
+        }
+        if rng.next_u64().is_multiple_of(2) {
+            let a = rng.next_u64() % n as u64;
+            builder = builder.link(format!("n{a}"), "inlet", ohms(rng));
+        }
+        let mut net = builder.build().unwrap();
+        for i in 0..n {
+            net.set_power(NodeId(i), Watts::new(200.0 * rng.unit_f64()));
+        }
+        net
+    }
+
+    /// The network of a stock rack or one-slot board, with random live
+    /// powers.
+    fn random_plant_network(pick: u64, rng: &mut proptest::test_runner::TestRng) -> RcNetwork {
+        use crate::{RackPlant, RackTopology, Topology};
+        let size = 2 + (rng.next_u64() % 5) as usize;
+        let topology = match pick % 10 {
+            0 => RackTopology::rack_1u_x8(),
+            1 => RackTopology::rack_2u_x4(),
+            2 => RackTopology::shared_plenum(size),
+            3 => RackTopology::front_rear(size),
+            4 => RackTopology::choked_rear_x4(),
+            5 => RackTopology::shared_plenum(1),
+            6 => RackTopology::single_server(Topology::dual_socket()),
+            7 => RackTopology::single_server(Topology::quad_socket()),
+            8 => RackTopology::single_server(Topology::blade_chassis()),
+            _ => RackTopology::single_server(Topology::finned(2, 8)),
+        };
+        let mut net = RackPlant::new(&cal(), &topology).unwrap().network().clone();
+        for i in 0..net.node_count() {
+            if rng.next_u64().is_multiple_of(3) {
+                net.set_power(NodeId(i), Watts::new(200.0 * rng.unit_f64()));
+            }
+        }
+        net
+    }
+
+    /// `steady_state_with_into` answers exactly what a dense Gaussian
+    /// elimination of the assembled system answers, bit for bit: on random
+    /// chains with cross links, on every rack preset and on the one-slot
+    /// dual, quad, blade and finned(2,8) boards, under random link and
+    /// power overrides, with one warm scratch shared by every network
+    /// size. The chains make partial pivoting exchange rows, and the
+    /// generated cases must include such exchanges.
+    #[test]
+    fn steady_state_probe_matches_a_dense_solve_bitwise() {
+        let cases = proptest::test_runner::case_count();
+        let mut rng = proptest::test_runner::TestRng::from_name(
+            "steady_state_probe_matches_a_dense_solve_bitwise",
+        );
+        let mut scratch = SteadyStateScratch::new();
+        let (mut exchanged, mut chains) = (0, 0);
+        for case in 0..cases {
+            let net = if case % 2 == 0 {
+                chains += 1;
+                random_chain(&mut rng)
+            } else {
+                random_plant_network(u64::from(case / 2), &mut rng)
+            };
+            let links = net.links.len() as u64;
+            let nodes = net.node_count() as u64;
+            let link_overrides: Vec<(LinkId, KelvinPerWatt)> = (0..rng.next_u64() % 6)
+                .map(|_| {
+                    let link = LinkId((rng.next_u64() % links) as usize);
+                    (link, KelvinPerWatt::new(0.01 * 1000f64.powf(rng.unit_f64())))
+                })
+                .collect();
+            let power_overrides: Vec<(NodeId, Watts)> = (0..rng.next_u64() % 4)
+                .map(|_| {
+                    let node = NodeId((rng.next_u64() % nodes) as usize);
+                    (node, Watts::new(250.0 * rng.unit_f64()))
+                })
+                .collect();
+            let (reference, exchanges) =
+                first_match_steady_state(&net, &link_overrides, &power_overrides);
+            exchanged += usize::from(exchanges > 0);
+            let probed =
+                net.steady_state_with_into(&link_overrides, &power_overrides, &mut scratch);
+            let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(probed),
+                bits(&reference),
+                "case {case}: {} nodes, overrides {link_overrides:?} / {power_overrides:?}",
+                net.node_count()
+            );
+        }
+        assert!(exchanged > 0, "none of {chains} chains made the dense solve exchange rows");
     }
 
     #[test]

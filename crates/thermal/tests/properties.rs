@@ -214,7 +214,7 @@ proptest! {
     }
 
     /// The cached-factorization `step` matches the naive assemble-and-solve
-    /// reference to 1e-9 on random networks — random node counts,
+    /// reference bit for bit on random networks — random node counts,
     /// capacitances, resistances, powers and step sizes — including a
     /// mid-run conductance change and a mid-run `dt` change, the two events
     /// that invalidate the cache.
@@ -264,7 +264,7 @@ proptest! {
                 let id = cached.node_id(&format!("n{i}")).unwrap();
                 let a = cached.temperature(id).value();
                 let b = naive.temperature(id).value();
-                prop_assert!((a - b).abs() < 1e-9, "node {i} diverged at step {k}: {a} vs {b}");
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "node {} diverged at step {}: {} vs {}", i, k, a, b);
             }
         }
     }
