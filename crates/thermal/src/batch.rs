@@ -13,11 +13,13 @@
 //! State is column-major structure-of-arrays, `[node][slot]`, with lanes
 //! packed in factor-group order each step: every group's columns are
 //! contiguous, so the multi-lane substitution reads each factor entry once
-//! per *group* and streams dense slot runs underneath it. The per-lane
+//! per *group* and streams dense slot runs underneath it. A memoized
+//! factor holds only its entries on the network's elimination pattern
+//! (see [`RcNetwork`]), never a dense `n × n` matrix. The per-lane
 //! arithmetic replays [`RcNetwork::step`]'s exact operation order — same
-//! assembly, same factorization, same substitution guards — so a batched
-//! trajectory is **bitwise identical** to stepping each lane's network
-//! alone. That contract is what lets the sweep engine swap the batched
+//! assembly, same factorization on the pattern, same substitution guards —
+//! so a batched trajectory is **bitwise identical** to stepping each
+//! lane's network alone. That contract is what lets the sweep engine swap the batched
 //! path in underneath the repo's parallel==serial determinism guarantee.
 //!
 //! Factor resolution is two-tier. Each lane's network carries a memo of the
@@ -61,13 +63,14 @@
 //! # Ok::<(), gfsc_thermal::NetworkError>(())
 //! ```
 
-use crate::network::{assemble_matrix, lu_factorize, Endpoint, NetworkError, RcNetwork};
+use crate::network::{assemble_matrix, factorize, Endpoint, LuFactor, NetworkError, RcNetwork};
 use gfsc_units::Seconds;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bound on memoized factorizations. Factors are small (n² + n words), but
-/// an adversarial sweep could mint a fresh matrix every step; past the cap
+/// Bound on memoized factorizations. Factors are small (their nonzero
+/// entries, about twice the elimination pattern's fill), but an
+/// adversarial sweep could mint a fresh matrix every step; past the cap
 /// the arena is dropped wholesale and the batch generation bumped (which
 /// invalidates every lane memo) — deterministic, and the next step simply
 /// refactorizes (performance changes, results never do).
@@ -86,8 +89,7 @@ static GENERATION: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone)]
 struct CachedFactor {
     sig: Vec<u64>,
-    factor: Vec<f64>,
-    pivots: Vec<usize>,
+    factor: LuFactor,
 }
 
 /// Steps B same-structure [`RcNetwork`]s in lockstep through shared,
@@ -148,6 +150,8 @@ pub struct BatchRcNetwork {
     members: Vec<usize>,
     group_bounds: Vec<(usize, usize)>,
     group_sizes: Vec<usize>,
+    /// Counting-sort write positions, one per group.
+    cursor: Vec<usize>,
     /// Factor arena, shared across lanes *and* steps.
     factors: Vec<CachedFactor>,
     /// Signature hash → arena indices (collision candidates confirmed by
@@ -235,6 +239,7 @@ impl BatchRcNetwork {
             members: vec![0; lanes],
             group_bounds: Vec::with_capacity(lanes),
             group_sizes: Vec::with_capacity(lanes),
+            cursor: Vec::with_capacity(lanes),
             factors: Vec::new(),
             index: HashMap::new(),
         })
@@ -311,13 +316,10 @@ impl BatchRcNetwork {
                 }
             }
         }
-        let n = self.nodes;
-        let mut cached =
-            CachedFactor { sig: self.sig.clone(), factor: vec![0.0; n * n], pivots: vec![0; n] };
-        assemble_matrix(caps, links, dt, &mut cached.factor);
-        lu_factorize(&mut cached.factor, &mut cached.pivots, n);
+        let mut factor = LuFactor::new();
+        factorize(net.pattern(), &mut factor, |a| assemble_matrix(caps, links, dt, a));
         let idx = self.factors.len();
-        self.factors.push(cached);
+        self.factors.push(CachedFactor { sig: self.sig.clone(), factor });
         self.index.entry(hash).or_default().push(idx);
         idx
     }
@@ -418,11 +420,12 @@ impl BatchRcNetwork {
             self.group_bounds.push((start, start + size));
             start += size;
         }
-        let mut cursor: Vec<usize> = self.group_bounds.iter().map(|&(s, _)| s).collect();
+        self.cursor.clear();
+        self.cursor.extend(self.group_bounds.iter().map(|&(s, _)| s));
         for lane in 0..b {
             let g = self.group_of[lane];
-            self.members[cursor[g]] = lane;
-            cursor[g] += 1;
+            self.members[self.cursor[g]] = lane;
+            self.cursor[g] += 1;
         }
 
         // 3. Assemble every lane's right-hand side into the SoA columns in
@@ -449,17 +452,13 @@ impl BatchRcNetwork {
 
         // 4. Substitute each group's columns through its shared factors.
         for g in 0..groups {
-            let cached = &self.factors[self.group_factor[g]];
             let (lo, hi) = self.group_bounds[g];
             solve_columns(
-                &cached.factor,
-                &cached.pivots,
+                &self.factors[self.group_factor[g]].factor,
                 &mut self.state,
                 &mut self.sums,
                 &mut self.colbuf,
-                lo,
-                hi,
-                n,
+                lo..hi,
                 b,
             );
         }
@@ -474,75 +473,74 @@ impl BatchRcNetwork {
 }
 
 /// Multi-column forward/back substitution: solves `L·U·x = P·b` for every
-/// column in the contiguous slot range `[lo, hi)`, replaying the scalar
-/// `lu_solve` arithmetic per column — same operation order (columns
+/// column in the contiguous slot range `slots` over the factor's entries,
+/// replaying [`LuFactor::substitute`] (with the zero-`b[col]`
+/// skip the scalar step uses) per column — same operation order (columns
 /// ascending in the forward pass, `k` ascending in each back-substitution
-/// row) and the same zero guards, which matter bitwise (`x -= 0.0 * y` can
-/// flip a signed zero). Contiguity is the point: every factor entry is
-/// read once per *group* while the inner loops stream dense slot runs.
-#[allow(clippy::too_many_arguments)]
+/// row) and the same zero guards, which matter bitwise (`x -= 0.0 * y`
+/// can flip a signed zero). Contiguity is the point: every factor entry
+/// is read once per *group* while the inner loops stream dense slot runs.
 fn solve_columns(
-    a: &[f64],
-    piv: &[usize],
+    factor: &LuFactor,
     state: &mut [f64],
     sums: &mut [f64],
     colbuf: &mut [f64],
-    lo: usize,
-    hi: usize,
-    n: usize,
+    slots: core::ops::Range<usize>,
     b: usize,
 ) {
-    for (col, &pivot) in piv.iter().enumerate() {
-        if pivot != col {
-            for s in lo..hi {
-                state.swap(col * b + s, pivot * b + s);
-            }
+    let (lo, hi) = (slots.start, slots.end);
+    for &(col, row) in factor.swaps() {
+        let (col, row) = (col as usize, row as usize);
+        for s in lo..hi {
+            state.swap(col * b + s, row * b + s);
         }
     }
     // Forward substitution. Scalar order per column: for each (col, row)
     // pair in lexicographic order apply `b[row] -= factor · b[col]`,
-    // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never
-    // written by the rows below it, so snapshotting it once per `col` is
-    // the same value the scalar path re-reads. The snapshot also decides
-    // the `b[col] == 0` guard for the whole column: a zero-free snapshot
-    // (the overwhelmingly common case — these are temperatures) runs the
+    // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never written by the rows
+    // below it, so snapshotting it once per `col` is the same value the
+    // scalar path re-reads. The snapshot also decides the `b[col] == 0`
+    // guard for the whole column: a zero-free snapshot (the
+    // overwhelmingly common case — these are temperatures) runs the
     // guard-free kernel, which performs the identical operation sequence
     // because no element would have been skipped.
-    for col in 0..n {
-        let w = hi - lo;
+    let w = hi - lo;
+    for col in 0..factor.order() {
         colbuf[..w].copy_from_slice(&state[col * b + lo..col * b + hi]);
         let any_zero = colbuf[..w].contains(&0.0);
-        for row in (col + 1)..n {
-            let factor = a[row * n + col];
-            if factor == 0.0 {
+        let (rows, multipliers) = factor.lower(col);
+        for (&row, &m) in rows.iter().zip(multipliers) {
+            if m == 0.0 {
                 continue;
             }
+            let row = row as usize;
             let dst = &mut state[row * b + lo..row * b + hi];
             if any_zero {
                 for (d, &bc) in dst.iter_mut().zip(&colbuf[..w]) {
                     if bc != 0.0 {
-                        *d -= factor * bc;
+                        *d -= m * bc;
                     }
                 }
             } else {
                 for (d, &bc) in dst.iter_mut().zip(&colbuf[..w]) {
-                    *d -= factor * bc;
+                    *d -= m * bc;
                 }
             }
         }
     }
-    // Back-substitution, `k` ascending per row exactly as the scalar path
-    // (which applies every term unguarded, so no zero-skip here either).
-    for row in (0..n).rev() {
+    // Back-substitution over U's entries, `k` ascending per row exactly
+    // as the scalar path (which applies every entry, zero or not).
+    for row in (0..factor.order()).rev() {
         sums[lo..hi].copy_from_slice(&state[row * b + lo..row * b + hi]);
-        for k in (row + 1)..n {
-            let a_rk = a[row * n + k];
+        let (cols, entries) = factor.upper(row);
+        for (&k, &u) in cols.iter().zip(entries) {
+            let k = k as usize;
             let sk = &state[k * b + lo..k * b + hi];
             for (s, &x) in sums[lo..hi].iter_mut().zip(sk) {
-                *s -= a_rk * x;
+                *s -= u * x;
             }
         }
-        let diag = a[row * n + row];
+        let diag = factor.pivot(row);
         for s in lo..hi {
             state[row * b + s] = sums[s] / diag;
         }

@@ -8,8 +8,10 @@
 //! so stiff networks (0.1 s die next to a 60 s sink) can be stepped at the
 //! controller rate without blowing up.
 
+use core::cell::RefCell;
 use core::fmt;
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
+use std::collections::HashMap;
 
 /// Identifier of a capacitive node inside an [`RcNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,31 +175,26 @@ impl RcNetworkBuilder {
         if self.node_names.is_empty() {
             return Err(NetworkError::Empty);
         }
-        // Name uniqueness across nodes *and* boundaries.
-        let mut all: Vec<&str> = self
-            .node_names
-            .iter()
-            .map(String::as_str)
-            .chain(self.boundary_names.iter().map(String::as_str))
-            .collect();
-        all.sort_unstable();
-        for pair in all.windows(2) {
-            let [first, second] = pair else { continue };
-            if first == second {
-                return Err(NetworkError::DuplicateName((*first).to_owned()));
+        // Name uniqueness across nodes *and* boundaries; of several
+        // duplicated names the lexicographically first is reported.
+        let mut names: HashMap<&str, Endpoint> =
+            HashMap::with_capacity(self.node_names.len() + self.boundary_names.len());
+        let mut duplicate: Option<&str> = None;
+        let endpoints = (self.node_names.iter().enumerate().map(|(i, n)| (n, Endpoint::Node(i))))
+            .chain(self.boundary_names.iter().enumerate().map(|(i, n)| (n, Endpoint::Boundary(i))));
+        for (name, endpoint) in endpoints {
+            if names.insert(name, endpoint).is_some() && duplicate.is_none_or(|d| name.as_str() < d)
+            {
+                duplicate = Some(name);
             }
+        }
+        if let Some(name) = duplicate {
+            return Err(NetworkError::DuplicateName(name.to_owned()));
         }
 
         let resolve = |name: &str| -> Result<Endpoint, NetworkError> {
-            if let Some(i) = self.node_names.iter().position(|n| n == name) {
-                Ok(Endpoint::Node(i))
-            } else if let Some(i) = self.boundary_names.iter().position(|n| n == name) {
-                Ok(Endpoint::Boundary(i))
-            } else {
-                Err(NetworkError::UnknownName(name.to_owned()))
-            }
+            names.get(name).copied().ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
         };
-
         let mut links = Vec::with_capacity(self.links.len());
         for (a, b, g) in &self.links {
             let ea = resolve(a)?;
@@ -210,36 +207,25 @@ impl RcNetworkBuilder {
 
         // Every node must reach a boundary (flood fill from boundaries).
         let n = self.node_names.len();
+        let adjacency = Adjacency::new(n, &links);
         let mut reached = vec![false; n];
         let mut frontier: Vec<usize> = Vec::new();
         for link in &links {
-            match (link.a, link.b) {
-                (Endpoint::Node(i), Endpoint::Boundary(_))
-                | (Endpoint::Boundary(_), Endpoint::Node(i))
-                    if !reached[i] =>
-                {
+            if let (Endpoint::Node(i), Endpoint::Boundary(_))
+            | (Endpoint::Boundary(_), Endpoint::Node(i)) = (link.a, link.b)
+            {
+                if !reached[i] {
                     reached[i] = true;
                     frontier.push(i);
                 }
-                _ => {}
             }
         }
         while let Some(i) = frontier.pop() {
-            for link in &links {
-                if let (Endpoint::Node(p), Endpoint::Node(q)) = (link.a, link.b) {
-                    let other = if p == i {
-                        Some(q)
-                    } else if q == i {
-                        Some(p)
-                    } else {
-                        None
-                    };
-                    if let Some(o) = other {
-                        if !reached[o] {
-                            reached[o] = true;
-                            frontier.push(o);
-                        }
-                    }
+            for &o in adjacency.neighbours(i) {
+                let o = o as usize;
+                if !reached[o] {
+                    reached[o] = true;
+                    frontier.push(o);
                 }
             }
         }
@@ -247,6 +233,7 @@ impl RcNetworkBuilder {
             return Err(NetworkError::FloatingNode(self.node_names[i].clone()));
         }
 
+        let pattern = Pattern::new(&adjacency);
         Ok(RcNetwork {
             node_names: self.node_names,
             capacitances: self.capacitances,
@@ -255,8 +242,8 @@ impl RcNetworkBuilder {
             boundary_names: self.boundary_names,
             boundary_temps: self.boundary_temps,
             links,
-            factor: vec![0.0; n * n],
-            pivots: vec![0; n],
+            factor: LuFactor::for_pattern(&pattern),
+            pattern,
             factored_dt: f64::NAN,
             matrix_dirty: true,
             params_version: 0,
@@ -267,6 +254,50 @@ impl RcNetworkBuilder {
     }
 }
 
+/// Node-to-node adjacency lists in flat form: node `i`'s neighbours are
+/// `neighbours[starts[i]..starts[i + 1]]`, one entry per link end (so a
+/// doubled link lists its neighbour twice).
+struct Adjacency {
+    starts: Vec<u32>,
+    neighbours: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(n: usize, links: &[Link]) -> Self {
+        let node_pairs = || {
+            links.iter().filter_map(|link| match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Node(j)) => Some((i, j)),
+                _ => None,
+            })
+        };
+        let mut starts = vec![0u32; n + 1];
+        for (i, j) in node_pairs() {
+            starts[i + 1] += 1;
+            starts[j + 1] += 1;
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut neighbours = vec![0u32; starts[n] as usize];
+        for (i, j) in node_pairs() {
+            neighbours[fill[i] as usize] = j as u32;
+            fill[i] += 1;
+            neighbours[fill[j] as usize] = i as u32;
+            fill[j] += 1;
+        }
+        Self { starts, neighbours }
+    }
+
+    fn nodes(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn neighbours(&self, i: usize) -> &[u32] {
+        &self.neighbours[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
 /// An N-node RC thermal network integrated with backward Euler.
 ///
 /// The backward-Euler system matrix `C/dt + G` depends only on `dt`, the
@@ -274,9 +305,16 @@ impl RcNetworkBuilder {
 /// boundary values — so [`RcNetwork::step`] caches its LU factorization
 /// and re-factorizes only when `dt` changes or a conductance is
 /// re-parameterized (the common case in the fan loop: only the
-/// sink→ambient link moves with fan speed). All per-step work runs in
-/// pre-allocated scratch buffers; steady-state stepping performs **zero**
-/// heap allocations.
+/// sink→ambient link moves with fan speed).
+///
+/// The matrix is sparse: a node couples only to the nodes it is linked
+/// to. [`RcNetworkBuilder::build`] works out once where Gaussian
+/// elimination (in node order, without row exchanges) can make an entry
+/// nonzero — the *elimination pattern* — and every factorization, every
+/// steady-state probe and the batched stepper then touch only those
+/// entries, so a step costs time proportional to the pattern's fill
+/// rather than `n²`. All per-step work runs in storage sized at build;
+/// steady-state stepping performs **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     node_names: Vec<String>,
@@ -286,11 +324,10 @@ pub struct RcNetwork {
     boundary_names: Vec<String>,
     boundary_temps: Vec<f64>,
     links: Vec<Link>,
-    /// LU factors of `C/dt + G` (unit-lower multipliers below the
-    /// diagonal, upper triangle above), row-major `n × n`.
-    factor: Vec<f64>,
-    /// Partial-pivoting row swaps recorded during factorization.
-    pivots: Vec<usize>,
+    /// Where elimination can produce nonzeros (see the type docs).
+    pattern: Pattern,
+    /// LU factors of `C/dt + G`.
+    factor: LuFactor,
     /// The `dt` the cached factorization was assembled for (NaN = none).
     factored_dt: f64,
     /// Set by conductance mutators; forces re-factorization on next step.
@@ -487,10 +524,14 @@ impl RcNetwork {
     ///
     /// The system matrix is factorized lazily and reused across steps (see
     /// the type-level docs); with an unchanged `dt` and conductances each
-    /// step is one forward/backward substitution in pre-allocated scratch —
-    /// no assembly, no elimination, no heap allocation. Results are
-    /// identical to [`RcNetwork::step_uncached`]: the cached path replays
-    /// the exact same elimination arithmetic from the stored factors.
+    /// step is one forward/backward substitution over the factor's
+    /// entries in pre-allocated storage — no assembly, no elimination, no
+    /// heap allocation. Results are bit-identical to
+    /// [`RcNetwork::step_uncached`]: the cached path replays the dense
+    /// elimination's arithmetic, in the same order, leaving out only the
+    /// terms on structural zeros (entries the elimination pattern proves
+    /// zero), which could show only through a signed zero or a non-finite
+    /// operand.
     ///
     /// # Panics
     ///
@@ -512,7 +553,7 @@ impl RcNetwork {
                 self.rhs[i] += link.conductance * self.boundary_temps[k];
             }
         }
-        lu_solve(&self.factor, &self.pivots, &mut self.rhs, n);
+        self.factor.substitute(&mut self.rhs, true);
         self.temperatures.copy_from_slice(&self.rhs);
     }
 
@@ -556,12 +597,11 @@ impl RcNetwork {
         self.temperatures.copy_from_slice(&b);
     }
 
-    /// Assembles `C/dt + G` into the factor buffer and LU-factorizes it in
-    /// place with partial pivoting.
+    /// Assembles `C/dt + G` and LU-factorizes it on the pattern.
     fn refactorize(&mut self, dt: f64) {
-        let n = self.node_names.len();
-        assemble_matrix(&self.capacitances, &self.links, dt, &mut self.factor);
-        lu_factorize(&mut self.factor, &mut self.pivots, n);
+        factorize(&self.pattern, &mut self.factor, |a| {
+            assemble_matrix(&self.capacitances, &self.links, dt, a);
+        });
         self.factored_dt = dt;
         self.matrix_dirty = false;
     }
@@ -646,32 +686,33 @@ impl RcNetwork {
     /// Panics if the tables do not match this network's link count.
     pub(crate) fn solve_steady_state<'s>(&self, scratch: &'s mut SteadyStateScratch) -> &'s [f64] {
         let n = self.node_names.len();
-        let SteadyStateScratch { conductances, powers, matrix, temps, .. } = scratch;
+        let SteadyStateScratch { conductances, powers, factor, temps, .. } = scratch;
         assert_eq!(conductances.len(), self.links.len(), "probe tables from another network");
-        matrix.clear();
-        matrix.resize(n * n, 0.0);
         temps.clear();
         temps.extend_from_slice(powers);
-        let (a, b) = (&mut matrix[..], &mut temps[..]);
-        for (link, &g) in self.links.iter().zip(conductances.iter()) {
-            match (link.a, link.b) {
-                (Endpoint::Node(i), Endpoint::Node(j)) => {
-                    a[i * n + i] += g;
-                    a[j * n + j] += g;
-                    a[i * n + j] -= g;
-                    a[j * n + i] -= g;
+        factorize(&self.pattern, factor, |a| {
+            for (link, &g) in self.links.iter().zip(conductances.iter()) {
+                match (link.a, link.b) {
+                    (Endpoint::Node(i), Endpoint::Node(j)) => {
+                        a[i * n + i] += g;
+                        a[j * n + j] += g;
+                        a[i * n + j] -= g;
+                        a[j * n + i] -= g;
+                    }
+                    (Endpoint::Node(i), Endpoint::Boundary(k))
+                    | (Endpoint::Boundary(k), Endpoint::Node(i)) => {
+                        a[i * n + i] += g;
+                        temps[i] += g * self.boundary_temps[k];
+                    }
+                    // Rejected at build (BoundaryToBoundary); such a link
+                    // couples no node, so skipping it is the faithful no-op.
+                    (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
                 }
-                (Endpoint::Node(i), Endpoint::Boundary(k))
-                | (Endpoint::Boundary(k), Endpoint::Node(i)) => {
-                    a[i * n + i] += g;
-                    b[i] += g * self.boundary_temps[k];
-                }
-                // Rejected at build (BoundaryToBoundary); such a link
-                // couples no node, so skipping it is the faithful no-op.
-                (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
-        }
-        let _ = solve_dense(a, b, n);
+        });
+        // The dense solve eliminates the right-hand side alongside the
+        // matrix and skips only zero multipliers, never a zero `b[col]`.
+        factor.substitute(temps, false);
         temps
     }
 
@@ -730,6 +771,12 @@ impl RcNetwork {
         &self.changed_links
     }
 
+    /// The elimination pattern (shared by every network of the same
+    /// structure).
+    pub(crate) fn pattern(&self) -> &Pattern {
+        &self.pattern
+    }
+
     /// Whether two networks share the same *structure*: node and boundary
     /// names in the same order and links joining the same endpoints in the
     /// same order. Capacitances, conductances, powers, temperatures and
@@ -745,17 +792,16 @@ impl RcNetwork {
 
 /// The buffers of one non-mutating steady-state probe: a per-link
 /// conductance table and a per-node power table, loaded from the live
-/// network and then overridden, plus the dense system and its solution.
-/// Warm buffers make a probe allocation-free, and because solving leaves
-/// the tables intact, a sweep that moves a few links between probes
-/// rewrites only those.
+/// network and then overridden, plus the factor and the solution. Warm buffers make a probe allocation-free,
+/// and because solving leaves the tables intact, a sweep that moves a few
+/// links between probes rewrites only those.
 #[derive(Debug, Clone, Default)]
 pub struct SteadyStateScratch {
     conductances: Vec<f64>,
     /// Links an override has already set (the first override wins).
     claimed: Vec<bool>,
     powers: Vec<f64>,
-    matrix: Vec<f64>,
+    factor: LuFactor,
     temps: Vec<f64>,
 }
 
@@ -767,7 +813,7 @@ impl SteadyStateScratch {
             conductances: Vec::new(),
             claimed: Vec::new(),
             powers: Vec::new(),
-            matrix: Vec::new(),
+            factor: LuFactor::new(),
             temps: Vec::new(),
         }
     }
@@ -806,16 +852,15 @@ impl SteadyStateScratch {
     }
 }
 
-/// Assembles the backward-Euler system matrix `C/dt + G` (row-major, the
-/// length of `a` must be `n²` for `n = capacitances.len()`). Shared by the
-/// scalar [`RcNetwork::step`] cache and the batched stepper
-/// ([`crate::BatchRcNetwork`]): both must produce bitwise-identical
-/// matrices from identical capacitances/conductances, so there is exactly
-/// one assembly routine.
+/// Assembles the backward-Euler system matrix `C/dt + G` into `a`
+/// (row-major `n × n` for `n = capacitances.len()`, all zero on entry, as
+/// [`factorize`] hands it over). Shared by the scalar [`RcNetwork::step`]
+/// cache and the batched stepper ([`crate::BatchRcNetwork`]): both must
+/// produce bitwise-identical matrices from identical
+/// capacitances/conductances, so there is exactly one assembly routine.
 pub(crate) fn assemble_matrix(capacitances: &[f64], links: &[Link], dt: f64, a: &mut [f64]) {
     let n = capacitances.len();
     let inv_dt = 1.0 / dt;
-    a.fill(0.0);
     for (i, c) in capacitances.iter().enumerate() {
         a[i * n + i] = c * inv_dt;
     }
@@ -838,21 +883,362 @@ pub(crate) fn assemble_matrix(capacitances: &[f64], links: &[Link], dt: f64, a: 
     }
 }
 
-/// LU-factorizes row-major `a` (length `n²`) in place with partial
-/// pivoting: unit-lower multipliers land below the diagonal, the upper
-/// triangle above; `piv[col]` records the row swapped into `col`. The
-/// assembled thermal matrices are strictly diagonally dominant, hence
-/// non-singular.
-pub(crate) fn lu_factorize(a: &mut [f64], piv: &mut [usize], n: usize) {
+/// Where Gaussian elimination of a network's matrix, run in node order
+/// without row exchanges, can leave a nonzero below the diagonal: column
+/// `j`'s rows are `rows[starts[j]..starts[j + 1]]`, ascending. The matrix
+/// is symmetric, so the same indices are row `j`'s entries right of the
+/// diagonal. Entries outside the pattern are zero in the assembled matrix
+/// and stay zero through every elimination step.
+#[derive(Debug, Clone)]
+pub(crate) struct Pattern {
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Pattern {
+    /// The symbolic elimination: column `j` holds `j`'s neighbours above
+    /// it plus, from every column whose first entry is `j` (its children
+    /// in the elimination tree), that column's other rows. Each column is
+    /// merged into exactly one later column, so this runs in time
+    /// proportional to the fill.
+    fn new(adjacency: &Adjacency) -> Self {
+        const NONE: u32 = u32::MAX;
+        let n = adjacency.nodes();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0u32);
+        let mut rows: Vec<u32> = Vec::new();
+        // `seen[k] == j` once row `k` is in column `j`.
+        let mut seen = vec![NONE; n];
+        // Children of each column in the elimination tree, as linked lists.
+        let mut first_child = vec![NONE; n];
+        let mut next_sibling = vec![NONE; n];
+        for j in 0..n {
+            let col = j as u32;
+            let start = rows.len();
+            for &k in adjacency.neighbours(j) {
+                if k > col && seen[k as usize] != col {
+                    seen[k as usize] = col;
+                    rows.push(k);
+                }
+            }
+            let mut child = first_child[j];
+            while child != NONE {
+                let c = child as usize;
+                for at in starts[c] as usize..starts[c + 1] as usize {
+                    let k = rows[at];
+                    if k > col && seen[k as usize] != col {
+                        seen[k as usize] = col;
+                        rows.push(k);
+                    }
+                }
+                child = next_sibling[c];
+            }
+            rows[start..].sort_unstable();
+            starts.push(rows.len() as u32);
+            if let Some(&parent) = rows.get(start) {
+                next_sibling[j] = first_child[parent as usize];
+                first_child[parent as usize] = col;
+            }
+        }
+        rows.shrink_to_fit();
+        Self { starts, rows }
+    }
+
+    /// Column `j`'s rows below the diagonal (row `j`'s columns right of it).
+    fn column(&self, j: usize) -> &[u32] {
+        &self.rows[self.starts[j] as usize..self.starts[j + 1] as usize]
+    }
+
+    /// Number of nodes.
+    fn order(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Number of below-diagonal entries.
+    fn fill(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// An LU factorization with partial pivoting, in compact form: the row
+/// exchanges, the pivots and the entries elimination can have made
+/// nonzero — the pattern's, or every entry once a row exchange sent the
+/// elimination dense. Substitution walks exactly these, so it serves a
+/// factor whichever elimination produced it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LuFactor {
+    /// `(col, row)` for each column whose pivot search exchanged rows, in
+    /// column order — usually none.
+    swaps: Vec<(u32, u32)>,
+    /// U's diagonal.
+    diag: Vec<f64>,
+    /// Offsets into `index`/`value`: L's column `c` (row, multiplier) is
+    /// `starts[c]..starts[c + 1]`, U's row `r` (column, entry) right of
+    /// the diagonal is `starts[n + r]..starts[n + r + 1]`.
+    starts: Vec<u32>,
+    index: Vec<u32>,
+    value: Vec<f64>,
+}
+
+impl LuFactor {
+    /// Empty storage; the first factorization sizes it.
+    pub(crate) const fn new() -> Self {
+        Self {
+            swaps: Vec::new(),
+            diag: Vec::new(),
+            starts: Vec::new(),
+            index: Vec::new(),
+            value: Vec::new(),
+        }
+    }
+
+    /// Storage for any factor elimination produces on `pattern` without a
+    /// row exchange.
+    pub(crate) fn for_pattern(pattern: &Pattern) -> Self {
+        let mut factor = Self::new();
+        factor.reserve(pattern.order(), pattern.fill());
+        factor
+    }
+
+    /// Room for every factor of order `n` whose elimination stays on a
+    /// pattern with `fill` entries below the diagonal.
+    fn reserve(&mut self, n: usize, fill: usize) {
+        self.diag.reserve_exact(n);
+        self.starts.reserve_exact(2 * n + 1);
+        self.index.reserve_exact(2 * fill);
+        self.value.reserve_exact(2 * fill);
+    }
+
+    fn clear(&mut self) {
+        self.swaps.clear();
+        self.diag.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.index.clear();
+        self.value.clear();
+    }
+
+    /// Appends the next L column or U row: its entries at `index`, with
+    /// values read by `value`.
+    fn push_span(&mut self, index: impl Iterator<Item = usize>, value: impl Fn(usize) -> f64) {
+        for i in index {
+            self.index.push(i as u32);
+            self.value.push(value(i));
+        }
+        self.starts.push(self.index.len() as u32);
+    }
+
+    /// Number of unknowns.
+    pub(crate) fn order(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// The row exchanges, `(col, row)` in column order.
+    pub(crate) fn swaps(&self) -> &[(u32, u32)] {
+        &self.swaps
+    }
+
+    /// U's diagonal entry of row `r`.
+    pub(crate) fn pivot(&self, r: usize) -> f64 {
+        self.diag[r]
+    }
+
+    /// L's column `c`: the rows below the diagonal and their multipliers.
+    pub(crate) fn lower(&self, c: usize) -> (&[u32], &[f64]) {
+        self.span(c)
+    }
+
+    /// U's row `r`: the columns right of the diagonal and their entries.
+    pub(crate) fn upper(&self, r: usize) -> (&[u32], &[f64]) {
+        self.span(self.order() + r)
+    }
+
+    fn span(&self, at: usize) -> (&[u32], &[f64]) {
+        let range = self.starts[at] as usize..self.starts[at + 1] as usize;
+        (&self.index[range.clone()], &self.value[range])
+    }
+
+    /// Solves `L·U·x = P·b` in place. Forward substitution runs column by
+    /// column, skipping zero multipliers, and back-substitution `k`
+    /// ascending in each row: the dense solve's operations in its order,
+    /// minus those on the structural zeros outside the factor's entries.
+    /// With `skip_zero_rhs`, a column whose `b[col]` is zero applies none
+    /// of its multipliers (the cached step has always done so).
+    ///
+    /// Forward substitution skips zero multipliers anyway, so leaving out
+    /// structural zeros is exact there. Back-substitution of a dense solve
+    /// applies every term, and leaving out a term whose coefficient is a
+    /// structural `+0.0` changes the sum only through a signed zero
+    /// (`-0.0 - 0.0·x`) or a non-finite `x` (`0.0·∞`).
+    pub(crate) fn substitute(&self, b: &mut [f64], skip_zero_rhs: bool) {
+        for &(col, row) in &self.swaps {
+            b.swap(col as usize, row as usize);
+        }
+        for col in 0..self.order() {
+            let bc = b[col];
+            if skip_zero_rhs && bc == 0.0 {
+                continue;
+            }
+            let (rows, multipliers) = self.lower(col);
+            for (&row, &m) in rows.iter().zip(multipliers) {
+                if m != 0.0 {
+                    b[row as usize] -= m * bc;
+                }
+            }
+        }
+        for row in (0..self.order()).rev() {
+            let (cols, entries) = self.upper(row);
+            let mut sum = b[row];
+            for (&k, &u) in cols.iter().zip(entries) {
+                sum -= u * b[k as usize];
+            }
+            b[row] = sum / self.diag[row];
+        }
+    }
+}
+
+/// The dense row-major matrix a thread's eliminations run in, sized by
+/// the largest network the thread has factorized. Between factorizations
+/// every entry is zero, so assembly only adds into the entries the links
+/// touch and cleaning up only re-zeroes the pattern — neither pays for the
+/// `n²` zeros in between.
+struct Workspace {
+    a: Vec<f64>,
+    /// Set while a factorization is under way, so a matrix abandoned by a
+    /// panic is wiped rather than reused.
+    dirty: bool,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> =
+        const { RefCell::new(Workspace { a: Vec::new(), dirty: false }) };
+}
+
+/// LU-factorizes, on `pattern`, the matrix `assemble` adds into a zero
+/// row-major `n × n` buffer, writing the factor to `out` — the one
+/// elimination behind the step cache, the steady-state probe and the
+/// batch engine's factor arena. Allocation-free once the thread's
+/// workspace and `out` have seen a network this size.
+///
+/// Elimination walks `pattern` and performs the dense partial-pivoting
+/// elimination's operations in its order, minus those on structural
+/// zeros — the entries outside the pattern. The dense loop skips a zero
+/// multiplier, so the rows outside a column's pattern cost nothing there
+/// either; what it does apply are updates `x -= m·0.0` whose pivot-row
+/// entry is a structural `+0.0`, and leaving those out changes a result
+/// only through a signed zero (`-0.0` becoming `+0.0`) or a non-finite
+/// multiplier (`∞·0.0`). The pivot search keeps the dense strict `>`
+/// over the column's pattern rows (the rows outside it hold zeros, which
+/// never win). Should it pick another row, the rest of the elimination
+/// runs densely from that column, exactly as the dense solve does, and
+/// the factor keeps every entry.
+///
+/// # Panics
+///
+/// Panics if a pivot is (numerically) zero — the assembled thermal
+/// matrices are diagonally dominant, so that signals a broken network.
+pub(crate) fn factorize(pattern: &Pattern, out: &mut LuFactor, assemble: impl FnOnce(&mut [f64])) {
+    let n = pattern.order();
+    out.clear();
+    out.reserve(n, pattern.fill());
+    WORKSPACE.with(|work| {
+        let work = &mut *work.borrow_mut();
+        if work.dirty {
+            work.a.fill(0.0);
+        }
+        if work.a.len() < n * n {
+            work.a.resize(n * n, 0.0);
+        }
+        work.dirty = true;
+        let a = &mut work.a[..n * n];
+        assemble(a);
+        if eliminate(a, n, pattern, out) {
+            a.fill(0.0);
+        } else {
+            for j in 0..n {
+                a[j * n + j] = 0.0;
+                for &k in pattern.column(j) {
+                    a[k as usize * n + j] = 0.0;
+                    a[j * n + k as usize] = 0.0;
+                }
+            }
+        }
+        work.dirty = false;
+    });
+}
+
+/// [`factorize`]'s elimination of the assembled `a` into `out`; returns
+/// whether it exchanged rows (and so left entries outside the pattern
+/// nonzero).
+fn eliminate(a: &mut [f64], n: usize, pattern: &Pattern, out: &mut LuFactor) -> bool {
     for col in 0..n {
+        let rows = pattern.column(col);
+        let mut pivot = col;
+        for &row in rows {
+            let row = row as usize;
+            if a[row * n + col].abs() > a[pivot * n + col].abs() {
+                pivot = row;
+            }
+        }
+        if pivot != col {
+            eliminate_dense(a, n, col, out);
+            return true;
+        }
+        let diag = a[col * n + col];
+        assert!(diag.abs() > 1e-30, "singular thermal matrix");
+        // A column whose rows form one run (a fin array's dense block)
+        // updates each row with one slice operation.
+        let run = match (rows.first(), rows.last()) {
+            (Some(&lo), Some(&hi)) if (hi - lo) as usize + 1 == rows.len() => {
+                Some(lo as usize..hi as usize + 1)
+            }
+            _ => None,
+        };
+        for &row in rows {
+            let row = row as usize;
+            let factor = a[row * n + col] / diag;
+            a[row * n + col] = factor;
+            if factor == 0.0 {
+                continue;
+            }
+            if let Some(run) = run.clone() {
+                let (above, from_row) = a.split_at_mut(row * n);
+                let pivot_row = &above[col * n + run.start..col * n + run.end];
+                for (x, &p) in from_row[run].iter_mut().zip(pivot_row) {
+                    *x -= factor * p;
+                }
+            } else {
+                for &k in rows {
+                    let k = k as usize;
+                    a[row * n + k] -= factor * a[col * n + k];
+                }
+            }
+        }
+    }
+    for col in 0..n {
+        out.push_span(pattern.column(col).iter().map(|&r| r as usize), |row| a[row * n + col]);
+    }
+    for row in 0..n {
+        out.push_span(pattern.column(row).iter().map(|&k| k as usize), |k| a[row * n + k]);
+    }
+    out.diag.extend((0..n).map(|j| a[j * n + j]));
+    false
+}
+
+/// The dense partial-pivoting elimination of row-major `a` from column
+/// `from` on (columns before it already eliminated without a row
+/// exchange), gathered into `out`: each row exchange swaps whole rows,
+/// multipliers included, as the dense solve's does.
+fn eliminate_dense(a: &mut [f64], n: usize, from: usize, out: &mut LuFactor) {
+    for col in from..n {
         let mut pivot = col;
         for row in (col + 1)..n {
             if a[row * n + col].abs() > a[pivot * n + col].abs() {
                 pivot = row;
             }
         }
-        piv[col] = pivot;
         if pivot != col {
+            out.swaps.push((col as u32, pivot as u32));
             for k in 0..n {
                 a.swap(col * n + k, pivot * n + k);
             }
@@ -870,38 +1256,13 @@ pub(crate) fn lu_factorize(a: &mut [f64], piv: &mut [usize], n: usize) {
             }
         }
     }
-}
-
-/// Solves `L·U·x = P·b` from [`lu_factorize`]'s output, overwriting `b`
-/// with `x`. Allocation-free; the substitution applies the same arithmetic,
-/// in the same order, as eliminating `b` alongside the matrix would.
-fn lu_solve(a: &[f64], piv: &[usize], b: &mut [f64], n: usize) {
-    for (col, &pivot) in piv.iter().enumerate() {
-        if pivot != col {
-            b.swap(col, pivot);
-        }
-    }
-    // Forward substitution through the unit-lower multipliers, column-major
-    // to mirror the elimination order of `solve_dense` exactly.
     for col in 0..n {
-        let bc = b[col];
-        if bc == 0.0 {
-            continue;
-        }
-        for row in (col + 1)..n {
-            let factor = a[row * n + col];
-            if factor != 0.0 {
-                b[row] -= factor * bc;
-            }
-        }
+        out.push_span(col + 1..n, |row| a[row * n + col]);
     }
-    for row in (0..n).rev() {
-        let mut sum = b[row];
-        for k in (row + 1)..n {
-            sum -= a[row * n + k] * b[k];
-        }
-        b[row] = sum / a[row * n + row];
+    for row in 0..n {
+        out.push_span(row + 1..n, |k| a[row * n + k]);
     }
+    out.diag.extend((0..n).map(|j| a[j * n + j]));
 }
 
 /// Solves `A·x = b` (row-major `a`, length `n²`) by Gaussian elimination

@@ -14,8 +14,11 @@
 //! of its own and optionally recirculates into the adjacent zone — that is
 //! the inlet-temperature coupling a single-server model cannot express.
 //!
-//! The per-step cost is one forward/backward substitution on the LU
-//! cache, so an 8-server rack steps at nearly the same cost as a board.
+//! The per-step cost is one forward/backward substitution over the cached
+//! LU factor's entries, which follow the network's elimination pattern
+//! (see [`RcNetwork`]): a rack's servers couple only through their
+//! plenum, so an 8-server rack steps in time proportional to its links,
+//! not to the square of its node count.
 
 use crate::heatsink::ResistanceAt;
 use crate::{
