@@ -4,6 +4,7 @@
 #     ./scripts/ci.sh          # full gate: fmt, clippy, lint, build, tests twice
 #                              # (GFSC_SWEEP_THREADS=1 and =4 — determinism
 #                              # under both executors), release tests,
+#                              # thermal bitwise oracles at 2000 cases,
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # large-grid smoke, bench smoke, bench check,
 #                              # perfbench build + one short run per workload
@@ -133,6 +134,14 @@ else
     run_stage "test-threads-1" env GFSC_SWEEP_THREADS=1 cargo test -q --locked --offline
     run_stage "test-threads-4" env GFSC_SWEEP_THREADS=4 cargo test -q --locked --offline
     run_stage "test-release" cargo test -q --release --locked --offline
+    # The RC-network solves' bitwise oracles at a case count the default
+    # suite can't afford: the cached step against the dense uncached
+    # step, the steady-state probe against a dense solve, batch lanes
+    # against scalar steps and the min-safe inversion against its
+    # bisection. The shim seeds each property from its name, so the
+    # stage is deterministic.
+    run_stage "thermal-oracles" env PROPTEST_CASES=2000 cargo test -q --release --locked \
+        --offline -p gfsc-thermal -- cached_step bitwise bit_for_bit
     run_hil_stage
     run_paced_stage
     run_explain_stage
