@@ -113,10 +113,6 @@ pub struct BatchRcNetwork {
     /// Link endpoint structure captured at construction; every `step`
     /// asserts the borrowed lanes still match it.
     links: Vec<(Endpoint, Endpoint)>,
-    /// `(node, boundary, link index)` for every node↔boundary link, in link
-    /// order — the right-hand-side boundary injection without re-matching
-    /// endpoints per lane per step.
-    boundary_links: Vec<(usize, usize, usize)>,
     boundaries: usize,
     /// Capacitance indices that differ across lanes (rare — capacitances
     /// are fixed at build, so this only captures lanes from differently
@@ -181,15 +177,6 @@ impl BatchRcNetwork {
         let nodes = template.node_count();
         let lanes = nets.len();
         let links = template.links_raw().iter().map(|l| (l.a, l.b)).collect::<Vec<_>>();
-        let boundary_links = links
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &(a, b))| match (a, b) {
-                (Endpoint::Node(i), Endpoint::Boundary(k))
-                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, idx)),
-                _ => None,
-            })
-            .collect();
 
         // Varying-parameter census: a capacitance or conductance belongs in
         // the signature iff it differs across lanes now (different
@@ -224,7 +211,6 @@ impl BatchRcNetwork {
             nodes,
             lanes,
             links,
-            boundary_links,
             boundaries: template.boundary_temps_raw().len(),
             sig_caps,
             sig_links,
@@ -445,7 +431,7 @@ impl BatchRcNetwork {
             }
             let bt = net.boundary_temps_raw();
             let links = net.links_raw();
-            for &(i, k, l) in &self.boundary_links {
+            for &(i, k, l) in net.boundary_links() {
                 self.state[i * b + slot] += links[l].conductance * bt[k];
             }
         }

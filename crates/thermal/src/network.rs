@@ -234,6 +234,15 @@ impl RcNetworkBuilder {
         }
 
         let pattern = Pattern::new(&adjacency);
+        let boundary_links = links
+            .iter()
+            .enumerate()
+            .filter_map(|(l, link)| match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Boundary(k))
+                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, l)),
+                _ => None,
+            })
+            .collect();
         Ok(RcNetwork {
             node_names: self.node_names,
             capacitances: self.capacitances,
@@ -242,6 +251,7 @@ impl RcNetworkBuilder {
             boundary_names: self.boundary_names,
             boundary_temps: self.boundary_temps,
             links,
+            boundary_links,
             factor: LuFactor::for_pattern(&pattern),
             pattern,
             factored_dt: f64::NAN,
@@ -324,6 +334,10 @@ pub struct RcNetwork {
     boundary_names: Vec<String>,
     boundary_temps: Vec<f64>,
     links: Vec<Link>,
+    /// `(node, boundary, link)` for every node↔boundary link, in link
+    /// order: the right-hand side's boundary terms without matching
+    /// endpoints every step.
+    boundary_links: Vec<(usize, usize, usize)>,
     /// Where elimination can produce nonzeros (see the type docs).
     pattern: Pattern,
     /// LU factors of `C/dt + G`.
@@ -546,12 +560,8 @@ impl RcNetwork {
         for i in 0..n {
             self.rhs[i] = self.capacitances[i] * inv_dt * self.temperatures[i] + self.powers[i];
         }
-        for link in &self.links {
-            if let (Endpoint::Node(i), Endpoint::Boundary(k))
-            | (Endpoint::Boundary(k), Endpoint::Node(i)) = (link.a, link.b)
-            {
-                self.rhs[i] += link.conductance * self.boundary_temps[k];
-            }
+        for &(i, k, l) in &self.boundary_links {
+            self.rhs[i] += self.links[l].conductance * self.boundary_temps[k];
         }
         self.factor.substitute(&mut self.rhs, true);
         self.temperatures.copy_from_slice(&self.rhs);
@@ -757,6 +767,12 @@ impl RcNetwork {
     /// The link table (endpoints + current conductances) in insertion order.
     pub(crate) fn links_raw(&self) -> &[Link] {
         &self.links
+    }
+
+    /// `(node, boundary, link index)` for every node↔boundary link, in
+    /// link order.
+    pub(crate) fn boundary_links(&self) -> &[(usize, usize, usize)] {
+        &self.boundary_links
     }
 
     /// Matrix-parameter mutation counter (see the field docs) — the batched
@@ -1020,11 +1036,12 @@ impl LuFactor {
 
     /// Appends the next L column or U row: its entries at `index`, with
     /// values read by `value`.
-    fn push_span(&mut self, index: impl Iterator<Item = usize>, value: impl Fn(usize) -> f64) {
-        for i in index {
-            self.index.push(i as u32);
-            self.value.push(value(i));
-        }
+    fn push_span<I>(&mut self, index: I, value: impl Fn(usize) -> f64)
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        self.index.extend(index.clone().map(|i| i as u32));
+        self.value.extend(index.map(value));
         self.starts.push(self.index.len() as u32);
     }
 
