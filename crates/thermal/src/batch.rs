@@ -17,9 +17,9 @@
 //! factor holds only its entries on the network's elimination pattern
 //! (see [`RcNetwork`]), never a dense `n × n` matrix. The per-lane
 //! arithmetic replays [`RcNetwork::step`]'s exact operation order — same
-//! assembly, same factorization on the pattern, same substitution guards —
-//! so a batched trajectory is **bitwise identical** to stepping each
-//! lane's network alone. That contract is what lets the sweep engine swap the batched
+//! assembly, same factorization, same substitution guards — so a batched
+//! trajectory is **bitwise identical** to stepping each lane's network
+//! alone. That contract is what lets the sweep engine swap the batched
 //! path in underneath the repo's parallel==serial determinism guarantee.
 //!
 //! Factor resolution is two-tier. Each lane's network carries a memo of the
@@ -68,9 +68,9 @@ use gfsc_units::Seconds;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bound on memoized factorizations. Factors are small (their nonzero
-/// entries, about twice the elimination pattern's fill), but an
-/// adversarial sweep could mint a fresh matrix every step; past the cap
+/// Bound on memoized factorizations. Factors are small (their entries on
+/// the elimination pattern, about twice its fill), but an adversarial
+/// sweep could mint a fresh matrix every step; past the cap
 /// the arena is dropped wholesale and the batch generation bumped (which
 /// invalidates every lane memo) — deterministic, and the next step simply
 /// refactorizes (performance changes, results never do).
@@ -460,12 +460,12 @@ impl BatchRcNetwork {
 
 /// Multi-column forward/back substitution: solves `L·U·x = P·b` for every
 /// column in the contiguous slot range `slots` over the factor's entries,
-/// replaying [`LuFactor::substitute`] (with the zero-`b[col]`
-/// skip the scalar step uses) per column — same operation order (columns
-/// ascending in the forward pass, `k` ascending in each back-substitution
-/// row) and the same zero guards, which matter bitwise (`x -= 0.0 * y`
-/// can flip a signed zero). Contiguity is the point: every factor entry
-/// is read once per *group* while the inner loops stream dense slot runs.
+/// replaying the scalar step's [`LuFactor::substitute`] per column — same
+/// operation order (columns ascending in the forward pass, `k` ascending
+/// in each back-substitution row) and the same zero guards, which matter
+/// bitwise (`x -= 0.0 * y` can flip a signed zero). Contiguity is the
+/// point: every factor entry is read once per *group* while the inner
+/// loops stream dense slot runs.
 fn solve_columns(
     factor: &LuFactor,
     state: &mut [f64],
@@ -483,11 +483,11 @@ fn solve_columns(
     }
     // Forward substitution. Scalar order per column: for each (col, row)
     // pair in lexicographic order apply `b[row] -= factor · b[col]`,
-    // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never written by the rows
-    // below it, so snapshotting it once per `col` is the same value the
-    // scalar path re-reads. The snapshot also decides the `b[col] == 0`
-    // guard for the whole column: a zero-free snapshot (the
-    // overwhelmingly common case — these are temperatures) runs the
+    // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never
+    // written by the rows below it, so snapshotting it once per `col` is
+    // the same value the scalar path re-reads. The snapshot also decides
+    // the `b[col] == 0` guard for the whole column: a zero-free snapshot
+    // (the overwhelmingly common case — these are temperatures) runs the
     // guard-free kernel, which performs the identical operation sequence
     // because no element would have been skipped.
     let w = hi - lo;

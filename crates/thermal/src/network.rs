@@ -11,7 +11,6 @@
 use core::cell::RefCell;
 use core::fmt;
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
-use std::collections::HashMap;
 
 /// Identifier of a capacitive node inside an [`RcNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,25 +174,20 @@ impl RcNetworkBuilder {
         if self.node_names.is_empty() {
             return Err(NetworkError::Empty);
         }
-        // Name uniqueness across nodes *and* boundaries; of several
-        // duplicated names the lexicographically first is reported.
-        let mut names: HashMap<&str, Endpoint> =
-            HashMap::with_capacity(self.node_names.len() + self.boundary_names.len());
-        let mut duplicate: Option<&str> = None;
-        let endpoints = (self.node_names.iter().enumerate().map(|(i, n)| (n, Endpoint::Node(i))))
-            .chain(self.boundary_names.iter().enumerate().map(|(i, n)| (n, Endpoint::Boundary(i))));
-        for (name, endpoint) in endpoints {
-            if names.insert(name, endpoint).is_some() && duplicate.is_none_or(|d| name.as_str() < d)
-            {
-                duplicate = Some(name);
+        // Every name sorted once: duplicates across nodes *and* boundaries
+        // sit side by side, and each name resolves by binary search.
+        let name_order = NameOrder::new(&self.node_names, &self.boundary_names);
+        let name = |i: u32| NameOrder::name_in(&self.node_names, &self.boundary_names, i);
+        for pair in name_order.0.windows(2) {
+            let [first, second] = pair else { continue };
+            if name(*first) == name(*second) {
+                return Err(NetworkError::DuplicateName(name(*first).to_owned()));
             }
         }
-        if let Some(name) = duplicate {
-            return Err(NetworkError::DuplicateName(name.to_owned()));
-        }
-
         let resolve = |name: &str| -> Result<Endpoint, NetworkError> {
-            names.get(name).copied().ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
+            name_order
+                .find(&self.node_names, &self.boundary_names, name)
+                .ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
         };
         let mut links = Vec::with_capacity(self.links.len());
         for (a, b, g) in &self.links {
@@ -209,15 +203,17 @@ impl RcNetworkBuilder {
         let n = self.node_names.len();
         let adjacency = Adjacency::new(n, &links);
         let mut reached = vec![false; n];
-        let mut frontier: Vec<usize> = Vec::new();
+        let mut frontier: Vec<usize> = Vec::with_capacity(n);
         for link in &links {
-            if let (Endpoint::Node(i), Endpoint::Boundary(_))
-            | (Endpoint::Boundary(_), Endpoint::Node(i)) = (link.a, link.b)
-            {
-                if !reached[i] {
+            match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Boundary(_))
+                | (Endpoint::Boundary(_), Endpoint::Node(i))
+                    if !reached[i] =>
+                {
                     reached[i] = true;
                     frontier.push(i);
                 }
+                _ => {}
             }
         }
         while let Some(i) = frontier.pop() {
@@ -234,16 +230,17 @@ impl RcNetworkBuilder {
         }
 
         let pattern = Pattern::new(&adjacency);
-        let boundary_links = links
-            .iter()
-            .enumerate()
-            .filter_map(|(l, link)| match (link.a, link.b) {
+        // Every link not between two nodes joins a node to a boundary.
+        let mut boundary_links = Vec::with_capacity(links.len() - adjacency.neighbours.len() / 2);
+        boundary_links.extend(links.iter().enumerate().filter_map(|(l, link)| {
+            match (link.a, link.b) {
                 (Endpoint::Node(i), Endpoint::Boundary(k))
                 | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, l)),
                 _ => None,
-            })
-            .collect();
+            }
+        }));
         Ok(RcNetwork {
+            name_order,
             node_names: self.node_names,
             capacitances: self.capacitances,
             temperatures: self.initials,
@@ -280,21 +277,25 @@ impl Adjacency {
                 _ => None,
             })
         };
+        // Count each node's link ends, turn the counts into end offsets,
+        // then place every end by decrementing its node's offset, which
+        // leaves each offset at its list's start.
         let mut starts = vec![0u32; n + 1];
         for (i, j) in node_pairs() {
-            starts[i + 1] += 1;
-            starts[j + 1] += 1;
+            starts[i] += 1;
+            starts[j] += 1;
         }
-        for i in 0..n {
-            starts[i + 1] += starts[i];
+        let mut end = 0;
+        for start in &mut starts {
+            end += *start;
+            *start = end;
         }
-        let mut fill = starts.clone();
-        let mut neighbours = vec![0u32; starts[n] as usize];
+        let mut neighbours = vec![0u32; end as usize];
         for (i, j) in node_pairs() {
-            neighbours[fill[i] as usize] = j as u32;
-            fill[i] += 1;
-            neighbours[fill[j] as usize] = i as u32;
-            fill[j] += 1;
+            starts[i] -= 1;
+            neighbours[starts[i] as usize] = j as u32;
+            starts[j] -= 1;
+            neighbours[starts[j] as usize] = i as u32;
         }
         Self { starts, neighbours }
     }
@@ -305,6 +306,40 @@ impl Adjacency {
 
     fn neighbours(&self, i: usize) -> &[u32] {
         &self.neighbours[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+/// Every node and boundary of a network as indices sorted by name: index
+/// `i` below the node count is node `i`, index `n + k` is boundary `k`.
+#[derive(Debug, Clone)]
+struct NameOrder(Vec<u32>);
+
+impl NameOrder {
+    fn new(nodes: &[String], boundaries: &[String]) -> Self {
+        let mut order: Vec<u32> = (0..(nodes.len() + boundaries.len()) as u32).collect();
+        let name = |i: u32| Self::name_in(nodes, boundaries, i);
+        order.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
+        Self(order)
+    }
+
+    /// The name of index `i`.
+    fn name_in<'a>(nodes: &'a [String], boundaries: &'a [String], i: u32) -> &'a str {
+        let i = i as usize;
+        match nodes.get(i) {
+            Some(name) => name,
+            None => &boundaries[i - nodes.len()],
+        }
+    }
+
+    /// The endpoint called `name`, by binary search.
+    fn find(&self, nodes: &[String], boundaries: &[String], name: &str) -> Option<Endpoint> {
+        let at =
+            self.0.binary_search_by(|&i| Self::name_in(nodes, boundaries, i).cmp(name)).ok()?;
+        let i = self.0[at] as usize;
+        Some(match i.checked_sub(nodes.len()) {
+            None => Endpoint::Node(i),
+            Some(k) => Endpoint::Boundary(k),
+        })
     }
 }
 
@@ -327,6 +362,8 @@ impl Adjacency {
 /// steady-state stepping performs **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
+    /// Node and boundary names in sorted order, for lookups by name.
+    name_order: NameOrder,
     node_names: Vec<String>,
     capacitances: Vec<f64>,
     temperatures: Vec<f64>,
@@ -373,7 +410,10 @@ impl RcNetwork {
     /// Looks up a capacitive node by name.
     #[must_use]
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
-        self.node_names.iter().position(|n| n == name).map(NodeId)
+        match self.lookup(name) {
+            Some(Endpoint::Node(i)) => Some(NodeId(i)),
+            _ => None,
+        }
     }
 
     /// The capacitive node names, in insertion order.
@@ -417,12 +457,12 @@ impl RcNetwork {
     ///
     /// Returns [`NetworkError::UnknownName`] for unknown boundaries.
     pub fn set_boundary(&mut self, name: &str, temperature: Celsius) -> Result<(), NetworkError> {
-        match self.boundary_names.iter().position(|n| n == name) {
-            Some(i) => {
+        match self.lookup(name) {
+            Some(Endpoint::Boundary(i)) => {
                 self.boundary_temps[i] = temperature.value();
                 Ok(())
             }
-            None => Err(NetworkError::UnknownName(name.to_owned())),
+            _ => Err(NetworkError::UnknownName(name.to_owned())),
         }
     }
 
@@ -430,7 +470,10 @@ impl RcNetwork {
     /// [`RcNetwork::set_boundary_by_id`] calls without the name scan.
     #[must_use]
     pub fn boundary_id(&self, name: &str) -> Option<BoundaryId> {
-        self.boundary_names.iter().position(|n| n == name).map(BoundaryId)
+        match self.lookup(name) {
+            Some(Endpoint::Boundary(i)) => Some(BoundaryId(i)),
+            _ => None,
+        }
     }
 
     /// Sets a boundary temperature by pre-resolved handle.
@@ -519,13 +562,11 @@ impl RcNetwork {
     }
 
     fn resolve(&self, name: &str) -> Result<Endpoint, NetworkError> {
-        if let Some(i) = self.node_names.iter().position(|n| n == name) {
-            Ok(Endpoint::Node(i))
-        } else if let Some(i) = self.boundary_names.iter().position(|n| n == name) {
-            Ok(Endpoint::Boundary(i))
-        } else {
-            Err(NetworkError::UnknownName(name.to_owned()))
-        }
+        self.lookup(name).ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
+    }
+
+    fn lookup(&self, name: &str) -> Option<Endpoint> {
+        self.name_order.find(&self.node_names, &self.boundary_names, name)
     }
 
     /// Solves the backward-Euler system for one step of `dt`, updating all
@@ -922,12 +963,13 @@ impl Pattern {
         let n = adjacency.nodes();
         let mut starts = Vec::with_capacity(n + 1);
         starts.push(0u32);
-        let mut rows: Vec<u32> = Vec::new();
-        // `seen[k] == j` once row `k` is in column `j`.
-        let mut seen = vec![NONE; n];
-        // Children of each column in the elimination tree, as linked lists.
-        let mut first_child = vec![NONE; n];
-        let mut next_sibling = vec![NONE; n];
+        // Each link fills one entry unless elimination adds fill-in.
+        let mut rows: Vec<u32> = Vec::with_capacity(adjacency.neighbours.len() / 2);
+        let mut marks = vec![NONE; 3 * n];
+        // `seen[k] == j` once row `k` is in column `j`; the children of
+        // each column in the elimination tree, as linked lists.
+        let (seen, children) = marks.split_at_mut(n);
+        let (first_child, next_sibling) = children.split_at_mut(n);
         for j in 0..n {
             let col = j as u32;
             let start = rows.len();
