@@ -828,7 +828,7 @@ impl RcNetwork {
         &self.changed_links
     }
 
-    /// The elimination pattern (shared by every network of the same
+    /// The elimination pattern (the same for every network of the same
     /// structure).
     pub(crate) fn pattern(&self) -> &Pattern {
         &self.pattern
@@ -849,9 +849,10 @@ impl RcNetwork {
 
 /// The buffers of one non-mutating steady-state probe: a per-link
 /// conductance table and a per-node power table, loaded from the live
-/// network and then overridden, plus the factor and the solution. Warm buffers make a probe allocation-free,
-/// and because solving leaves the tables intact, a sweep that moves a few
-/// links between probes rewrites only those.
+/// network and then overridden, plus the factor and the solution. Warm
+/// buffers make a probe allocation-free, and because solving leaves the
+/// tables intact, a sweep that moves a few links between probes rewrites
+/// only those.
 #[derive(Debug, Clone, Default)]
 pub struct SteadyStateScratch {
     conductances: Vec<f64>,
@@ -1052,7 +1053,7 @@ impl LuFactor {
 
     /// Storage for any factor elimination produces on `pattern` without a
     /// row exchange.
-    pub(crate) fn for_pattern(pattern: &Pattern) -> Self {
+    fn for_pattern(pattern: &Pattern) -> Self {
         let mut factor = Self::new();
         factor.reserve(pattern.order(), pattern.fill());
         factor
