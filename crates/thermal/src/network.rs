@@ -1275,11 +1275,21 @@ fn eliminate(a: &mut [f64], n: usize, pattern: &Pattern, out: &mut LuFactor) -> 
             }
         }
     }
+    // Without an exchange, L's columns and U's rows are the pattern's.
+    let fill = pattern.fill() as u32;
+    out.starts.extend_from_slice(&pattern.starts[1..]);
+    out.starts.extend(pattern.starts[1..].iter().map(|&s| fill + s));
+    out.index.extend_from_slice(&pattern.rows);
+    out.index.extend_from_slice(&pattern.rows);
     for col in 0..n {
-        out.push_span(pattern.column(col).iter().map(|&r| r as usize), |row| a[row * n + col]);
+        for &row in pattern.column(col) {
+            out.value.push(a[row as usize * n + col]);
+        }
     }
     for row in 0..n {
-        out.push_span(pattern.column(row).iter().map(|&k| k as usize), |k| a[row * n + k]);
+        for &k in pattern.column(row) {
+            out.value.push(a[row * n + k as usize]);
+        }
     }
     out.diag.extend((0..n).map(|j| a[j * n + j]));
     false
