@@ -1857,6 +1857,40 @@ mod tests {
         assert!(exchanged > 0, "none of {chains} chains made the dense solve exchange rows");
     }
 
+    /// Capacitances far below one ulp of the conductances make a transient
+    /// matrix exactly its steady state, so chains exchange rows in the
+    /// step too: the cached step and the batch engine must still replay
+    /// the dense uncached step bit for bit.
+    #[test]
+    fn row_exchanging_steps_match_the_dense_step_bitwise() {
+        let mut rng = proptest::test_runner::TestRng::from_name(
+            "row_exchanging_steps_match_the_dense_step_bitwise",
+        );
+        let dt = Seconds::new(1e20);
+        let mut exchanged = 0;
+        for case in 0..64 {
+            let mut cached = random_chain(&mut rng);
+            let mut naive = cached.clone();
+            let mut lanes = [cached.clone(), cached.clone()];
+            let mut batch = crate::BatchRcNetwork::new(&[&lanes[0], &lanes[1]]).unwrap();
+            for _ in 0..3 {
+                cached.step(dt);
+                naive.step_uncached(dt);
+                let [first, second] = &mut lanes;
+                batch.step(&mut [first, second], dt);
+                let bits = |net: &RcNetwork| {
+                    net.temperatures.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&cached), bits(&naive), "case {case}: cached vs dense");
+                for lane in &lanes {
+                    assert_eq!(bits(lane), bits(&cached), "case {case}: batch vs cached");
+                }
+            }
+            exchanged += usize::from(!cached.factor.swaps.is_empty());
+        }
+        assert!(exchanged > 0, "no chain made the step exchange rows");
+    }
+
     #[test]
     fn link_id_reports_unknown_and_missing_links() {
         let net = simple_two_node();
