@@ -11,6 +11,7 @@
 use core::cell::RefCell;
 use core::fmt;
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
+use std::collections::HashMap;
 
 /// Identifier of a capacitive node inside an [`RcNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,20 +175,28 @@ impl RcNetworkBuilder {
         if self.node_names.is_empty() {
             return Err(NetworkError::Empty);
         }
-        // Every name sorted once: duplicates across nodes *and* boundaries
-        // sit side by side, and each name resolves by binary search.
-        let name_order = NameOrder::new(&self.node_names, &self.boundary_names);
-        let name = |i: u32| NameOrder::name_in(&self.node_names, &self.boundary_names, i);
-        for pair in name_order.0.windows(2) {
-            let [first, second] = pair else { continue };
-            if name(*first) == name(*second) {
-                return Err(NetworkError::DuplicateName(name(*first).to_owned()));
+        // Name uniqueness across nodes *and* boundaries; of several
+        // duplicated names the lexicographically first is reported.
+        let mut names: HashMap<&str, Endpoint> =
+            HashMap::with_capacity(self.node_names.len() + self.boundary_names.len());
+        let mut duplicate: Option<&str> = None;
+        let nodes =
+            self.node_names.iter().enumerate().map(|(i, n)| (n.as_str(), Endpoint::Node(i)));
+        let boundaries = self
+            .boundary_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.as_str(), Endpoint::Boundary(i)));
+        for (name, endpoint) in nodes.chain(boundaries) {
+            if names.insert(name, endpoint).is_some() && duplicate.is_none_or(|d| name < d) {
+                duplicate = Some(name);
             }
         }
+        if let Some(name) = duplicate {
+            return Err(NetworkError::DuplicateName(name.to_owned()));
+        }
         let resolve = |name: &str| -> Result<Endpoint, NetworkError> {
-            name_order
-                .find(&self.node_names, &self.boundary_names, name)
-                .ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
+            names.get(name).copied().ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
         };
         let mut links = Vec::with_capacity(self.links.len());
         for (a, b, g) in &self.links {
@@ -240,7 +249,6 @@ impl RcNetworkBuilder {
             }
         }));
         Ok(RcNetwork {
-            name_order,
             node_names: self.node_names,
             capacitances: self.capacitances,
             temperatures: self.initials,
@@ -309,40 +317,6 @@ impl Adjacency {
     }
 }
 
-/// Every node and boundary of a network as indices sorted by name: index
-/// `i` below the node count is node `i`, index `n + k` is boundary `k`.
-#[derive(Debug, Clone)]
-struct NameOrder(Vec<u32>);
-
-impl NameOrder {
-    fn new(nodes: &[String], boundaries: &[String]) -> Self {
-        let mut order: Vec<u32> = (0..(nodes.len() + boundaries.len()) as u32).collect();
-        let name = |i: u32| Self::name_in(nodes, boundaries, i);
-        order.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
-        Self(order)
-    }
-
-    /// The name of index `i`.
-    fn name_in<'a>(nodes: &'a [String], boundaries: &'a [String], i: u32) -> &'a str {
-        let i = i as usize;
-        match nodes.get(i) {
-            Some(name) => name,
-            None => &boundaries[i - nodes.len()],
-        }
-    }
-
-    /// The endpoint called `name`, by binary search.
-    fn find(&self, nodes: &[String], boundaries: &[String], name: &str) -> Option<Endpoint> {
-        let at =
-            self.0.binary_search_by(|&i| Self::name_in(nodes, boundaries, i).cmp(name)).ok()?;
-        let i = self.0[at] as usize;
-        Some(match i.checked_sub(nodes.len()) {
-            None => Endpoint::Node(i),
-            Some(k) => Endpoint::Boundary(k),
-        })
-    }
-}
-
 /// An N-node RC thermal network integrated with backward Euler.
 ///
 /// The backward-Euler system matrix `C/dt + G` depends only on `dt`, the
@@ -362,8 +336,6 @@ impl NameOrder {
 /// steady-state stepping performs **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
-    /// Node and boundary names in sorted order, for lookups by name.
-    name_order: NameOrder,
     node_names: Vec<String>,
     capacitances: Vec<f64>,
     temperatures: Vec<f64>,
@@ -410,10 +382,7 @@ impl RcNetwork {
     /// Looks up a capacitive node by name.
     #[must_use]
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
-        match self.lookup(name) {
-            Some(Endpoint::Node(i)) => Some(NodeId(i)),
-            _ => None,
-        }
+        self.node_names.iter().position(|n| n == name).map(NodeId)
     }
 
     /// The capacitive node names, in insertion order.
@@ -457,12 +426,12 @@ impl RcNetwork {
     ///
     /// Returns [`NetworkError::UnknownName`] for unknown boundaries.
     pub fn set_boundary(&mut self, name: &str, temperature: Celsius) -> Result<(), NetworkError> {
-        match self.lookup(name) {
-            Some(Endpoint::Boundary(i)) => {
+        match self.boundary_names.iter().position(|n| n == name) {
+            Some(i) => {
                 self.boundary_temps[i] = temperature.value();
                 Ok(())
             }
-            _ => Err(NetworkError::UnknownName(name.to_owned())),
+            None => Err(NetworkError::UnknownName(name.to_owned())),
         }
     }
 
@@ -470,10 +439,7 @@ impl RcNetwork {
     /// [`RcNetwork::set_boundary_by_id`] calls without the name scan.
     #[must_use]
     pub fn boundary_id(&self, name: &str) -> Option<BoundaryId> {
-        match self.lookup(name) {
-            Some(Endpoint::Boundary(i)) => Some(BoundaryId(i)),
-            _ => None,
-        }
+        self.boundary_names.iter().position(|n| n == name).map(BoundaryId)
     }
 
     /// Sets a boundary temperature by pre-resolved handle.
@@ -562,11 +528,13 @@ impl RcNetwork {
     }
 
     fn resolve(&self, name: &str) -> Result<Endpoint, NetworkError> {
-        self.lookup(name).ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
-    }
-
-    fn lookup(&self, name: &str) -> Option<Endpoint> {
-        self.name_order.find(&self.node_names, &self.boundary_names, name)
+        if let Some(i) = self.node_names.iter().position(|n| n == name) {
+            Ok(Endpoint::Node(i))
+        } else if let Some(i) = self.boundary_names.iter().position(|n| n == name) {
+            Ok(Endpoint::Boundary(i))
+        } else {
+            Err(NetworkError::UnknownName(name.to_owned()))
+        }
     }
 
     /// Solves the backward-Euler system for one step of `dt`, updating all
@@ -1501,6 +1469,21 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, NetworkError::DuplicateName("x".into()));
+    }
+
+    #[test]
+    fn builder_reports_the_first_duplicate_in_name_order() {
+        // `zeta` repeats across node and boundary, `alpha` between nodes:
+        // the lexicographically first duplicate is the one reported.
+        let err = RcNetworkBuilder::new()
+            .node("zeta", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .node("alpha", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .node("alpha", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .boundary("zeta", Celsius::new(30.0))
+            .link("zeta", "alpha", KelvinPerWatt::new(1.0))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, NetworkError::DuplicateName("alpha".into()));
     }
 
     #[test]
