@@ -17,7 +17,7 @@
 //! factor holds only its entries on the network's elimination pattern
 //! (see [`RcNetwork`]), never a dense `n × n` matrix. The per-lane
 //! arithmetic replays [`RcNetwork::step`]'s exact operation order — same
-//! assembly, same factorization, same substitution guards — so a batched
+//! assembly, same factorization, same substitution — so a batched
 //! trajectory is **bitwise identical** to stepping each lane's network
 //! alone. That contract is what lets the sweep engine swap the batched
 //! path in underneath the repo's parallel==serial determinism guarantee.
@@ -130,9 +130,6 @@ pub struct BatchRcNetwork {
     state: Vec<f64>,
     /// Back-substitution accumulators, one per slot.
     sums: Vec<f64>,
-    /// Forward-substitution broadcast buffer: the source column row,
-    /// snapshotted once per elimination column.
-    colbuf: Vec<f64>,
     /// Signature scratch: dt bits + varying capacitance bits + varying
     /// link conductance bits.
     sig: Vec<u64>,
@@ -217,7 +214,6 @@ impl BatchRcNetwork {
             in_sig,
             state: vec![0.0; nodes * lanes],
             sums: vec![0.0; lanes],
-            colbuf: vec![0.0; lanes],
             sig: vec![0; sig_len],
             lane_factor: vec![0; lanes],
             group_of: vec![0; lanes],
@@ -443,7 +439,6 @@ impl BatchRcNetwork {
                 &self.factors[self.group_factor[g]].factor,
                 &mut self.state,
                 &mut self.sums,
-                &mut self.colbuf,
                 lo..hi,
                 b,
             );
@@ -462,15 +457,13 @@ impl BatchRcNetwork {
 /// column in the contiguous slot range `slots` over the factor's entries,
 /// replaying the scalar step's [`LuFactor::substitute`] per column — same
 /// operation order (columns ascending in the forward pass, `k` ascending
-/// in each back-substitution row) and the same zero guards, which matter
-/// bitwise (`x -= 0.0 * y` can flip a signed zero). Contiguity is the
-/// point: every factor entry is read once per *group* while the inner
-/// loops stream dense slot runs.
+/// in each back-substitution row) and the same zero-multiplier skip.
+/// Contiguity is the point: every factor entry is read once per *group*
+/// while the inner loops stream dense slot runs.
 fn solve_columns(
     factor: &LuFactor,
     state: &mut [f64],
     sums: &mut [f64],
-    colbuf: &mut [f64],
     slots: core::ops::Range<usize>,
     b: usize,
 ) {
@@ -481,36 +474,19 @@ fn solve_columns(
             state.swap(col * b + s, row * b + s);
         }
     }
-    // Forward substitution. Scalar order per column: for each (col, row)
-    // pair in lexicographic order apply `b[row] -= factor · b[col]`,
-    // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never
-    // written by the rows below it, so snapshotting it once per `col` is
-    // the same value the scalar path re-reads. The snapshot also decides
-    // the `b[col] == 0` guard for the whole column: a zero-free snapshot
-    // (the overwhelmingly common case — these are temperatures) runs the
-    // guard-free kernel, which performs the identical operation sequence
-    // because no element would have been skipped.
-    let w = hi - lo;
+    // Forward substitution: for each (col, row) pair in lexicographic
+    // order apply `b[row] -= factor · b[col]`, skipped when `factor == 0`.
+    // L's rows lie below its column, so `b[col]` sits before `b[row]`.
     for col in 0..factor.order() {
-        colbuf[..w].copy_from_slice(&state[col * b + lo..col * b + hi]);
-        let any_zero = colbuf[..w].contains(&0.0);
         let (rows, multipliers) = factor.lower(col);
         for (&row, &m) in rows.iter().zip(multipliers) {
             if m == 0.0 {
                 continue;
             }
-            let row = row as usize;
-            let dst = &mut state[row * b + lo..row * b + hi];
-            if any_zero {
-                for (d, &bc) in dst.iter_mut().zip(&colbuf[..w]) {
-                    if bc != 0.0 {
-                        *d -= m * bc;
-                    }
-                }
-            } else {
-                for (d, &bc) in dst.iter_mut().zip(&colbuf[..w]) {
-                    *d -= m * bc;
-                }
+            let (above, from_row) = state.split_at_mut(row as usize * b);
+            let src = &above[col * b + lo..col * b + hi];
+            for (d, &bc) in from_row[lo..hi].iter_mut().zip(src) {
+                *d -= m * bc;
             }
         }
     }

@@ -257,7 +257,7 @@ impl RcNetworkBuilder {
             boundary_temps: self.boundary_temps,
             links,
             boundary_links,
-            factor: LuFactor::for_pattern(&pattern),
+            factor: LuFactor::new(),
             pattern,
             factored_dt: f64::NAN,
             matrix_dirty: true,
@@ -332,8 +332,10 @@ impl Adjacency {
 /// nonzero — the *elimination pattern* — and every factorization, every
 /// steady-state probe and the batched stepper then touch only those
 /// entries, so a step costs time proportional to the pattern's fill
-/// rather than `n²`. All per-step work runs in storage sized at build;
-/// steady-state stepping performs **zero** heap allocations.
+/// rather than `n²`. The first step sizes the network's factor storage
+/// (and, on a thread that has not yet factorized a network this large, the
+/// thread's elimination workspace); after that, steady-state stepping
+/// performs **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     node_names: Vec<String>,
@@ -572,7 +574,7 @@ impl RcNetwork {
         for &(i, k, l) in &self.boundary_links {
             self.rhs[i] += self.links[l].conductance * self.boundary_temps[k];
         }
-        self.factor.substitute(&mut self.rhs, true);
+        self.factor.substitute(&mut self.rhs);
         self.temperatures.copy_from_slice(&self.rhs);
     }
 
@@ -612,7 +614,7 @@ impl RcNetwork {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        let _ = solve_dense(&mut a, &mut b, n);
+        solve_dense(&mut a, &mut b, n);
         self.temperatures.copy_from_slice(&b);
     }
 
@@ -729,9 +731,7 @@ impl RcNetwork {
                 }
             }
         });
-        // The dense solve eliminates the right-hand side alongside the
-        // matrix and skips only zero multipliers, never a zero `b[col]`.
-        factor.substitute(temps, false);
+        factor.substitute(temps);
         temps
     }
 
@@ -1019,30 +1019,20 @@ impl LuFactor {
         }
     }
 
-    /// Storage for any factor elimination produces on `pattern` without a
-    /// row exchange.
-    fn for_pattern(pattern: &Pattern) -> Self {
-        let mut factor = Self::new();
-        factor.reserve(pattern.order(), pattern.fill());
-        factor
-    }
-
-    /// Room for every factor of order `n` whose elimination stays on a
-    /// pattern with `fill` entries below the diagonal.
-    fn reserve(&mut self, n: usize, fill: usize) {
-        self.diag.reserve_exact(n);
-        self.starts.reserve_exact(2 * n + 1);
-        self.index.reserve_exact(2 * fill);
-        self.value.reserve_exact(2 * fill);
-    }
-
-    fn clear(&mut self) {
+    /// Empties the factor, keeping room for every factor of order `n` whose
+    /// elimination stays on a pattern with `fill` entries below the
+    /// diagonal, so refactorizing on one pattern reuses its storage.
+    fn reset(&mut self, n: usize, fill: usize) {
         self.swaps.clear();
         self.diag.clear();
+        self.diag.reserve_exact(n);
         self.starts.clear();
+        self.starts.reserve_exact(2 * n + 1);
         self.starts.push(0);
         self.index.clear();
+        self.index.reserve_exact(2 * fill);
         self.value.clear();
+        self.value.reserve_exact(2 * fill);
     }
 
     /// Appends the next L column or U row: its entries at `index`, with
@@ -1090,23 +1080,18 @@ impl LuFactor {
     /// column, skipping zero multipliers, and back-substitution `k`
     /// ascending in each row: the dense solve's operations in its order,
     /// minus those on the structural zeros outside the factor's entries.
-    /// With `skip_zero_rhs`, a column whose `b[col]` is zero applies none
-    /// of its multipliers (the cached step has always done so).
     ///
     /// Forward substitution skips zero multipliers anyway, so leaving out
     /// structural zeros is exact there. Back-substitution of a dense solve
     /// applies every term, and leaving out a term whose coefficient is a
     /// structural `+0.0` changes the sum only through a signed zero
     /// (`-0.0 - 0.0·x`) or a non-finite `x` (`0.0·∞`).
-    pub(crate) fn substitute(&self, b: &mut [f64], skip_zero_rhs: bool) {
+    pub(crate) fn substitute(&self, b: &mut [f64]) {
         for &(col, row) in &self.swaps {
             b.swap(col as usize, row as usize);
         }
         for col in 0..self.order() {
             let bc = b[col];
-            if skip_zero_rhs && bc == 0.0 {
-                continue;
-            }
             let (rows, multipliers) = self.lower(col);
             for (&row, &m) in rows.iter().zip(multipliers) {
                 if m != 0.0 {
@@ -1167,8 +1152,7 @@ thread_local! {
 /// matrices are diagonally dominant, so that signals a broken network.
 pub(crate) fn factorize(pattern: &Pattern, out: &mut LuFactor, assemble: impl FnOnce(&mut [f64])) {
     let n = pattern.order();
-    out.clear();
-    out.reserve(n, pattern.fill());
+    out.reset(n, pattern.fill());
     WORKSPACE.with(|work| {
         let work = &mut *work.borrow_mut();
         if work.dirty {
@@ -1214,14 +1198,6 @@ fn eliminate(a: &mut [f64], n: usize, pattern: &Pattern, out: &mut LuFactor) -> 
         }
         let diag = a[col * n + col];
         assert!(diag.abs() > 1e-30, "singular thermal matrix");
-        // A column whose rows form one run (a fin array's dense block)
-        // updates each row with one slice operation.
-        let run = match (rows.first(), rows.last()) {
-            (Some(&lo), Some(&hi)) if (hi - lo) as usize + 1 == rows.len() => {
-                Some(lo as usize..hi as usize + 1)
-            }
-            _ => None,
-        };
         for &row in rows {
             let row = row as usize;
             let factor = a[row * n + col] / diag;
@@ -1229,17 +1205,9 @@ fn eliminate(a: &mut [f64], n: usize, pattern: &Pattern, out: &mut LuFactor) -> 
             if factor == 0.0 {
                 continue;
             }
-            if let Some(run) = run.clone() {
-                let (above, from_row) = a.split_at_mut(row * n);
-                let pivot_row = &above[col * n + run.start..col * n + run.end];
-                for (x, &p) in from_row[run].iter_mut().zip(pivot_row) {
-                    *x -= factor * p;
-                }
-            } else {
-                for &k in rows {
-                    let k = k as usize;
-                    a[row * n + k] -= factor * a[col * n + k];
-                }
+            for &k in rows {
+                let k = k as usize;
+                a[row * n + k] -= factor * a[col * n + k];
             }
         }
     }
@@ -1304,11 +1272,10 @@ fn eliminate_dense(a: &mut [f64], n: usize, from: usize, out: &mut LuFactor) {
 }
 
 /// Solves `A·x = b` (row-major `a`, length `n²`) by Gaussian elimination
-/// with partial pivoting, overwriting `b` with `x` — allocation-free — and
-/// returns how many row exchanges the pivoting made. The assembled
-/// thermal matrices are strictly diagonally dominant, hence non-singular.
-fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> usize {
-    let mut exchanges = 0;
+/// with partial pivoting, overwriting `b` with `x` — allocation-free. The
+/// assembled thermal matrices are strictly diagonally dominant, hence
+/// non-singular.
+fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
     for col in 0..n {
         // Partial pivot.
         let mut pivot = col;
@@ -1322,7 +1289,6 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> usize {
                 a.swap(col * n + k, pivot * n + k);
             }
             b.swap(col, pivot);
-            exchanges += 1;
         }
         let diag = a[col * n + col];
         assert!(diag.abs() > 1e-30, "singular thermal matrix");
@@ -1347,7 +1313,6 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> usize {
         }
         b[row] = sum / a[row * n + row];
     }
-    exchanges
 }
 
 #[cfg(test)]
@@ -1648,13 +1613,11 @@ mod tests {
     /// The pre-table probe: each link's conductance from a linear search
     /// for its first override — the reference the indexed tables must
     /// reproduce bit for bit.
-    ///
-    /// Also returns how many row exchanges the dense solve made.
     fn first_match_steady_state(
         net: &RcNetwork,
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
-    ) -> (Vec<f64>, usize) {
+    ) -> Vec<f64> {
         let n = net.node_names.len();
         let mut a = vec![0.0; n * n];
         let mut b = net.powers.clone();
@@ -1681,8 +1644,8 @@ mod tests {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        let exchanges = solve_dense(&mut a, &mut b, n);
-        (b, exchanges)
+        solve_dense(&mut a, &mut b, n);
+        b
     }
 
     #[test]
@@ -1705,7 +1668,7 @@ mod tests {
         let vent = net.link_id("air", "ambient").unwrap();
         let mut scratch = SteadyStateScratch::new();
         let mut check = |links: &[(LinkId, KelvinPerWatt)], powers: &[(NodeId, Watts)]| {
-            let (reference, _) = first_match_steady_state(&net, links, powers);
+            let reference = first_match_steady_state(&net, links, powers);
             let probed = net.steady_state_with_into(links, powers, &mut scratch);
             let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(probed), bits(&reference), "overrides {links:?} / {powers:?}");
@@ -1789,23 +1752,50 @@ mod tests {
     }
 
     /// `steady_state_with_into` answers exactly what a dense Gaussian
-    /// elimination of the assembled system answers, bit for bit: on random
-    /// chains with cross links, on every rack preset and on the one-slot
-    /// dual, quad, blade and finned(2,8) boards, under random link and
-    /// power overrides, with one warm scratch shared by every network
-    /// size. The chains make partial pivoting exchange rows, and the
-    /// generated cases must include such exchanges.
+    /// elimination of the assembled system answers, bit for bit: on a
+    /// fixed chain whose pivoting exchanges rows, on random chains with
+    /// cross links, on every rack preset and on the one-slot dual, quad,
+    /// blade and finned(2,8) boards, under random link and power
+    /// overrides, with one warm scratch shared by every network size.
     #[test]
     fn steady_state_probe_matches_a_dense_solve_bitwise() {
-        let cases = proptest::test_runner::case_count();
+        let mut scratch = SteadyStateScratch::new();
+        let mut check = |net: &RcNetwork,
+                         link_overrides: &[(LinkId, KelvinPerWatt)],
+                         power_overrides: &[(NodeId, Watts)],
+                         case: &str| {
+            let reference = first_match_steady_state(net, link_overrides, power_overrides);
+            let probed = net.steady_state_with_into(link_overrides, power_overrides, &mut scratch);
+            let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(probed),
+                bits(&reference),
+                "{case}: {} nodes, overrides {link_overrides:?} / {power_overrides:?}",
+                net.node_count()
+            );
+            !scratch.factor.swaps.is_empty()
+        };
+
+        // Eliminating n0 leaves n1's pivot, (10 + 5/3) - 10, rounded three
+        // ulps below the 5/3 under it, so the pivot search exchanges rows.
+        let mut chain = RcNetworkBuilder::new()
+            .node("n0", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .node("n1", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .node("n2", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+            .boundary("ambient", Celsius::new(25.0))
+            .link("n0", "n1", KelvinPerWatt::new(0.1))
+            .link("n1", "n2", KelvinPerWatt::new(0.6))
+            .link("n2", "ambient", KelvinPerWatt::new(0.25))
+            .build()
+            .unwrap();
+        chain.set_power(NodeId(0), Watts::new(80.0));
+        assert!(check(&chain, &[], &[], "fixed chain"), "the fixed chain did not exchange rows");
+
         let mut rng = proptest::test_runner::TestRng::from_name(
             "steady_state_probe_matches_a_dense_solve_bitwise",
         );
-        let mut scratch = SteadyStateScratch::new();
-        let (mut exchanged, mut chains) = (0, 0);
-        for case in 0..cases {
+        for case in 0..proptest::test_runner::case_count() {
             let net = if case % 2 == 0 {
-                chains += 1;
                 random_chain(&mut rng)
             } else {
                 random_plant_network(u64::from(case / 2), &mut rng)
@@ -1824,20 +1814,8 @@ mod tests {
                     (node, Watts::new(250.0 * rng.unit_f64()))
                 })
                 .collect();
-            let (reference, exchanges) =
-                first_match_steady_state(&net, &link_overrides, &power_overrides);
-            exchanged += usize::from(exchanges > 0);
-            let probed =
-                net.steady_state_with_into(&link_overrides, &power_overrides, &mut scratch);
-            let bits = |t: &[f64]| t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(probed),
-                bits(&reference),
-                "case {case}: {} nodes, overrides {link_overrides:?} / {power_overrides:?}",
-                net.node_count()
-            );
+            check(&net, &link_overrides, &power_overrides, &format!("case {case}"));
         }
-        assert!(exchanged > 0, "none of {chains} chains made the dense solve exchange rows");
     }
 
     /// Capacitances far below one ulp of the conductances make a transient
