@@ -123,6 +123,65 @@ mod tests {
         assert!((2500.0..20_000.0).contains(&hi.kp()), "hi.kp {}", hi.kp());
     }
 
+    /// `(kp, ki, kd)` of every region, as raw bits.
+    fn gain_bits(schedule: &GainSchedule) -> Vec<[u64; 3]> {
+        schedule
+            .regions()
+            .iter()
+            .map(|r| {
+                let g = r.gains();
+                [g.kp().to_bits(), g.ki().to_bits(), g.kd().to_bits()]
+            })
+            .collect()
+    }
+
+    /// Pins the tuned gains bit for bit. Every closed-loop result runs on
+    /// them, so a change to the search that moves one bit shows here
+    /// first. Re-capture only for a deliberate numeric change.
+    #[test]
+    fn tuned_gains_are_pinned_bit_for_bit() {
+        use gfsc_thermal::Topology;
+        use gfsc_units::Seconds;
+
+        const LOW_2000: [u64; 3] =
+            [0x408c_5000_0000_0000, 0x4086_0fca_ce21_3f2b, 0x4072_2acc_cccc_cccd];
+        const HIGH_6000: [u64; 3] =
+            [0x40b5_0000_0000_0000, 0x40af_2dd5_8507_d348, 0x409c_49c9_c9c9_c9ca];
+        assert_eq!(gain_bits(date14_gain_schedule()), [LOW_2000, HIGH_6000]);
+        assert_eq!(
+            gain_bits(fine_gain_schedule()),
+            [
+                LOW_2000,
+                [0x4099_e000_0000_0000, 0x4091_4000_0000_0000, 0x4083_6800_0000_0000],
+                [0x40ab_0000_0000_0000, 0x40a4_4000_0000_0000, 0x4092_0000_0000_0000],
+                [0x40bc_e000_0000_0000, 0x40b7_1999_9999_999a, 0x40a2_0c00_0000_0000],
+            ]
+        );
+        let single = tune_single_region(&crate::experiments::fan_study_spec(), Rpm::new(6000.0));
+        assert_eq!(
+            [single.kp().to_bits(), single.ki().to_bits(), single.kd().to_bits()],
+            HIGH_6000
+        );
+
+        // The sweep benchmark's spec shape (fan-command quantization, 1 s
+        // fan interval), on a finned plant small enough for debug builds.
+        let finned = ServerSpec {
+            fan_cmd_step: 500.0,
+            fan_control_interval: Seconds::new(1.0),
+            ..ServerSpec::with_topology(Topology::finned(2, 8))
+        };
+        let regions = [2000.0, 3500.0, 5000.0, 7000.0].map(Rpm::new);
+        assert_eq!(
+            gain_bits(&tune_gain_schedule(&finned, &regions)),
+            [
+                [0x4090_8000_0000_0000, 0x4046_77d4_6cef_a8da, 0x40b8_3c00_0000_0000],
+                [0x40a0_6800_0000_0000, 0x4058_6b29_aca6_b29b, 0x40c6_0bc0_0000_0000],
+                [0x40a9_8000_0000_0000, 0x4063_6db6_db6d_b6db, 0x40d0_bc00_0000_0000],
+                [0x40b3_e000_0000_0000, 0x406e_4924_9249_2492, 0x40da_1600_0000_0000],
+            ]
+        );
+    }
+
     #[test]
     fn single_region_matches_schedule_region() {
         let spec = ServerSpec::enterprise_default();
