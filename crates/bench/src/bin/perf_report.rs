@@ -30,7 +30,9 @@
 //! - table3: the five-solution sweep, serial vs parallel at several worker
 //!   counts, with a bit-identity check between the two paths,
 //! - ablations: a reduced lag sweep, serial vs parallel,
-//! - tuning: the two-region Ziegler–Nichols schedule, serial vs parallel.
+//! - tuning: the two-region Ziegler–Nichols schedule tuned by one worker
+//!   vs by all workers (the regions run concurrently, each by the serial
+//!   search), with a bit-identity check between the two.
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin perf_report
 //! [--table3-horizon SECS] [--out PATH] [--check BASELINE.json]`
@@ -261,7 +263,7 @@ fn main() {
         "ablation lag sweep (4 pts): serial {ablation_serial_s:.2} s, parallel {ablation_parallel_s:.2} s"
     );
 
-    // --- gain tuning: serial vs parallel ---------------------------------
+    // --- gain tuning: one worker vs all workers over the regions ---------
     let spec = fan_study_spec();
     let regions = [Rpm::new(2000.0), Rpm::new(6000.0)];
     let tuning = |threads: &str| {
@@ -287,7 +289,9 @@ fn main() {
             );
         }
     }
-    println!("tuning 2 regions: serial {tuning_serial_s:.2} s, parallel {tuning_parallel_s:.2} s");
+    println!(
+        "tuning 2 regions: 1 worker {tuning_serial_s:.2} s, {cores} workers {tuning_parallel_s:.2} s"
+    );
 
     // --- snapshot ---------------------------------------------------------
     let json = format!(

@@ -256,34 +256,37 @@ impl ZnTuner {
         }
         let mut lo = c.min_gain;
         let mut hi = c.min_gain;
-        let mut bracketed = false;
+        // The report of the probe that last set `hi`: every probe starts
+        // from `Plant::reset`, so it is the report at `K_u`.
+        let mut at_hi = None;
         while hi < c.max_gain {
             hi = (hi * 2.0).min(c.max_gain);
-            if self.oscillates(&self.probe(plant, hi)) {
-                bracketed = true;
+            let report = self.probe(plant, hi);
+            if self.oscillates(&report) {
+                at_hi = Some(report);
                 break;
             }
             lo = hi;
         }
-        if !bracketed {
+        let Some(mut at_hi) = at_hi else {
             return Err(TuneError::NoOscillationFound { max_gain: c.max_gain });
-        }
+        };
         // Bisection down to the requested resolution.
         while (hi - lo) / hi > c.gain_tolerance {
             let mid = f64::midpoint(lo, hi);
-            if self.oscillates(&self.probe(plant, mid)) {
+            let report = self.probe(plant, mid);
+            if self.oscillates(&report) {
                 hi = mid;
+                at_hi = report;
             } else {
                 lo = mid;
             }
         }
-        let ku = hi;
-        let report = self.probe(plant, ku);
-        let pu = report.period.ok_or(TuneError::PeriodUndetectable)?.value();
+        let pu = at_hi.period.ok_or(TuneError::PeriodUndetectable)?.value();
         if pu <= 0.0 {
             return Err(TuneError::PeriodUndetectable);
         }
-        Ok(UltimateGain { ku, pu })
+        Ok(UltimateGain { ku: hi, pu })
     }
 
     /// Convenience: ultimate-gain search followed by the classic PID rule.
@@ -304,117 +307,6 @@ impl ZnTuner {
     pub fn tune_pid_tyreus_luyben<P: Plant>(&self, plant: &mut P) -> Result<PidGains, TuneError> {
         Ok(ZieglerNichols::tyreus_luyben(self.find_ultimate_gain(plant)?))
     }
-
-    /// Probes many candidate gains concurrently, each against its own clone
-    /// of `plant`, returning reports in candidate order.
-    ///
-    /// Each call spins up scoped worker threads (the offline dependency set
-    /// has no persistent pool); per-batch spawn overhead is tolerable
-    /// because batches bundle many multi-hundred-step probes. Nested under
-    /// an outer sweep (e.g. the ablation lag sweep tuning per plant
-    /// variant) the transient thread count multiplies — bounded by
-    /// `outer workers × batch size`, which stays small for the grids in
-    /// this workspace; cap it globally with `GFSC_SWEEP_THREADS` if a
-    /// future grid makes oversubscription measurable.
-    pub fn probe_batch<P>(&self, plant: &P, gains: &[f64]) -> Vec<OscillationReport>
-    where
-        P: Plant + Clone + Sync,
-    {
-        gfsc_sim::sweep::parallel_map(gains, |&kp| self.probe(&mut plant.clone(), kp))
-    }
-
-    /// How many bisection levels each speculative round resolves (the round
-    /// probes the full decision tree, `2^DEPTH − 1` candidates, at once).
-    const SPECULATIVE_DEPTH: usize = 3;
-
-    /// [`ZnTuner::find_ultimate_gain`] with the candidate evaluation fanned
-    /// out across cores.
-    ///
-    /// The result is **bit-identical** to the serial search: the parallel
-    /// geometric ladder brackets the same `[lo, hi)` (every rung is
-    /// classified exactly as the serial sweep would classify it), and the
-    /// refinement probes the complete decision tree of the next
-    /// [`Self::SPECULATIVE_DEPTH`] bisection steps concurrently, then walks
-    /// the serial decision sequence through the precomputed reports. Probes
-    /// are deterministic per gain, so speculation changes wall-clock only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TuneError`] exactly as the serial search would.
-    pub fn find_ultimate_gain_parallel<P>(&self, plant: &P) -> Result<UltimateGain, TuneError>
-    where
-        P: Plant + Clone + Sync,
-    {
-        let c = &self.config;
-        let mut ladder = vec![c.min_gain];
-        let mut g = c.min_gain;
-        while g < c.max_gain {
-            g = (g * 2.0).min(c.max_gain);
-            ladder.push(g);
-        }
-        let reports = self.probe_batch(plant, &ladder);
-        let Some(first) = reports.iter().position(|r| self.oscillates(r)) else {
-            return Err(TuneError::NoOscillationFound { max_gain: c.max_gain });
-        };
-        if first == 0 {
-            return Err(TuneError::AlwaysOscillating { min_gain: c.min_gain });
-        }
-        let mut lo = ladder[first - 1];
-        let mut hi = ladder[first];
-
-        while (hi - lo) / hi > c.gain_tolerance {
-            let mut candidates = Vec::with_capacity((1 << Self::SPECULATIVE_DEPTH) - 1);
-            collect_bisection_midpoints(lo, hi, Self::SPECULATIVE_DEPTH, &mut candidates);
-            let reports = self.probe_batch(plant, &candidates);
-            for _ in 0..Self::SPECULATIVE_DEPTH {
-                if (hi - lo) / hi <= c.gain_tolerance {
-                    break;
-                }
-                let mid = f64::midpoint(lo, hi);
-                let idx = candidates
-                    .iter()
-                    .position(|&p| p == mid)
-                    .expect("midpoint is in the speculative tree");
-                if self.oscillates(&reports[idx]) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-        }
-        let ku = hi;
-        let report = self.probe(&mut plant.clone(), ku);
-        let pu = report.period.ok_or(TuneError::PeriodUndetectable)?.value();
-        if pu <= 0.0 {
-            return Err(TuneError::PeriodUndetectable);
-        }
-        Ok(UltimateGain { ku, pu })
-    }
-
-    /// Convenience: parallel ultimate-gain search followed by the classic
-    /// PID rule — the batch-engine counterpart of [`ZnTuner::tune_pid`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TuneError`] from the search.
-    pub fn tune_pid_parallel<P>(&self, plant: &P) -> Result<PidGains, TuneError>
-    where
-        P: Plant + Clone + Sync,
-    {
-        Ok(ZieglerNichols::classic_pid(self.find_ultimate_gain_parallel(plant)?))
-    }
-}
-
-/// Enumerates the midpoints of every interval the next `depth` bisection
-/// steps could visit, pre-order, starting from `(lo, hi)`.
-fn collect_bisection_midpoints(lo: f64, hi: f64, depth: usize, out: &mut Vec<f64>) {
-    if depth == 0 {
-        return;
-    }
-    let mid = f64::midpoint(lo, hi);
-    out.push(mid);
-    collect_bisection_midpoints(lo, mid, depth - 1, out);
-    collect_bisection_midpoints(mid, hi, depth - 1, out);
 }
 
 #[cfg(test)]
@@ -525,6 +417,38 @@ mod tests {
         assert!(ug.pu > 2.0 && ug.pu < 50.0, "pu {}", ug.pu);
     }
 
+    /// Records the input sequence of every probe; a probe starts at
+    /// `reset`.
+    struct RecordingPlant {
+        inner: DelayedLagPlant,
+        probes: Vec<Vec<f64>>,
+    }
+
+    impl Plant for RecordingPlant {
+        fn reset(&mut self) {
+            self.inner.reset();
+            self.probes.push(Vec::new());
+        }
+
+        fn step(&mut self, input: f64) -> f64 {
+            self.probes.last_mut().expect("a probe starts at reset").push(input);
+            self.inner.step(input)
+        }
+    }
+
+    #[test]
+    fn each_gain_is_probed_once() {
+        let mut plant = RecordingPlant { inner: test_plant(), probes: Vec::new() };
+        let ug = tuner().find_ultimate_gain(&mut plant).expect("tunable");
+        for (i, probe) in plant.probes.iter().enumerate() {
+            assert!(!plant.probes[..i].contains(probe), "probe {i} replays an earlier probe");
+        }
+        // Ladder rungs 1, 2, 4, …, 256, then the bisection of [128, 256]
+        // down to 0.5 % in seven midpoints; `P_u` comes from the probe
+        // that last set `K_u`.
+        assert_eq!(plant.probes.len(), 9 + 7, "K_u {}", ug.ku);
+    }
+
     #[test]
     fn tuned_pid_is_stable_in_closed_loop() {
         let mut plant = test_plant();
@@ -547,60 +471,6 @@ mod tests {
         let times: Vec<f64> = (0..tail.len()).map(|k| k as f64).collect();
         let rep = stats::detect_oscillation(&times, tail, 0.05);
         assert!(!rep.is_sustained(0.5), "tuned loop oscillates: {rep:?}");
-    }
-
-    #[test]
-    fn parallel_search_matches_serial_bitwise() {
-        let t = tuner();
-        let serial = t.find_ultimate_gain(&mut test_plant()).expect("tunable");
-        let parallel = t.find_ultimate_gain_parallel(&test_plant()).expect("tunable");
-        // Not approximately: the speculative search must walk the exact
-        // serial decision sequence.
-        assert_eq!(serial.ku.to_bits(), parallel.ku.to_bits());
-        assert_eq!(serial.pu.to_bits(), parallel.pu.to_bits());
-        let g_serial = t.tune_pid(&mut test_plant()).expect("tunable");
-        let g_parallel = t.tune_pid_parallel(&test_plant()).expect("tunable");
-        assert_eq!(g_serial.kp().to_bits(), g_parallel.kp().to_bits());
-        assert_eq!(g_serial.ki().to_bits(), g_parallel.ki().to_bits());
-        assert_eq!(g_serial.kd().to_bits(), g_parallel.kd().to_bits());
-    }
-
-    #[test]
-    fn parallel_search_reports_the_same_errors() {
-        #[derive(Clone)]
-        struct NoDelay {
-            y: f64,
-        }
-        impl Plant for NoDelay {
-            fn reset(&mut self) {
-                self.y = 10.0;
-            }
-            fn step(&mut self, input: f64) -> f64 {
-                self.y += 0.01 * ((5.0 - 0.001 * input) - self.y);
-                self.y
-            }
-        }
-        let t = ZnTuner::new(ZnTunerConfig {
-            setpoint: 5.0,
-            max_gain: 10.0,
-            steps_per_trial: 100,
-            ..ZnTunerConfig::default()
-        });
-        match t.find_ultimate_gain_parallel(&NoDelay { y: 10.0 }) {
-            Err(TuneError::NoOscillationFound { max_gain }) => assert_eq!(max_gain, 10.0),
-            other => panic!("expected NoOscillationFound, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn speculative_tree_enumerates_all_midpoints() {
-        let mut out = Vec::new();
-        collect_bisection_midpoints(0.0, 8.0, 3, &mut out);
-        assert_eq!(out.len(), 7);
-        assert_eq!(out[0], 4.0); // root
-        for level in [2.0, 6.0, 1.0, 3.0, 5.0, 7.0] {
-            assert!(out.contains(&level), "missing midpoint {level}");
-        }
     }
 
     #[test]

@@ -23,10 +23,9 @@ use std::sync::OnceLock;
 /// discontinuous error step at the hold-band edge (see
 /// [`gfsc_control::QuantizationHold`]).
 ///
-/// Every region is tuned concurrently on its own plant clone, and within a
-/// region the candidate-gain evaluation itself fans out
-/// ([`ZnTuner::tune_pid_parallel`]); the tuned gains are bit-identical to
-/// the serial recipe, just wall-clock faster.
+/// The regions are tuned concurrently, each on its own plant by the serial
+/// search ([`ZnTuner::tune_pid`]), so the gains do not depend on the
+/// worker count.
 ///
 /// # Panics
 ///
@@ -37,7 +36,7 @@ use std::sync::OnceLock;
 pub fn tune_gain_schedule(spec: &ServerSpec, region_speeds: &[Rpm]) -> GainSchedule {
     let tuning_spec = ServerSpec { quantization_step: 0.0, ..spec.clone() };
     let regions: Vec<Region> = gfsc_sim::sweep::parallel_map(region_speeds, |&speed| {
-        let plant = FanPlant::new(tuning_spec.clone(), Utilization::new(0.7), speed);
+        let mut plant = FanPlant::new(tuning_spec.clone(), Utilization::new(0.7), speed);
         let tuner = ZnTuner::new(ZnTunerConfig {
             setpoint: plant.equilibrium_temperature(),
             offset: speed.value(),
@@ -50,9 +49,8 @@ pub fn tune_gain_schedule(spec: &ServerSpec, region_speeds: &[Rpm]) -> GainSched
             gain_tolerance: 0.01,
             excitation: 1000.0,
         });
-        let gains = tuner
-            .tune_pid_parallel(&plant)
-            .unwrap_or_else(|e| panic!("tuning failed at {speed}: {e}"));
+        let gains =
+            tuner.tune_pid(&mut plant).unwrap_or_else(|e| panic!("tuning failed at {speed}: {e}"));
         Region::new(speed, gains)
     });
     GainSchedule::new(regions).expect("region speeds must be strictly increasing")

@@ -4,7 +4,7 @@
 //!
 //! The paper's whole evaluation is embarrassingly parallel — Table III runs
 //! five independent solutions, the ablations run dozens of independent
-//! plant variants, gain tuning probes independent candidate gains. This
+//! plant variants, gain tuning tunes independent speed regions. This
 //! module is the one place that parallelism lives:
 //!
 //! - [`Scenario`]: one fully-specified run (solution, seed, spec, horizon,
