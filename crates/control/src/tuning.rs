@@ -201,7 +201,10 @@ impl ZnTuner {
     ///
     /// # Panics
     ///
-    /// Panics if the gain range or trial parameters are degenerate.
+    /// Panics if the gain range or trial parameters are degenerate, if
+    /// `hysteresis` is not positive, or if `gain_tolerance` is below
+    /// `f64::EPSILON` (or NaN): the bisection can never resolve a finer
+    /// relative step, so it would stop moving without ever finishing.
     #[must_use]
     pub fn new(config: ZnTunerConfig) -> Self {
         assert!(config.min_gain > 0.0, "min gain must be positive");
@@ -210,6 +213,11 @@ impl ZnTuner {
         assert!(
             config.tail_fraction > 0.0 && config.tail_fraction <= 1.0,
             "tail fraction must lie in (0, 1]"
+        );
+        assert!(config.hysteresis > 0.0, "hysteresis must be positive");
+        assert!(
+            config.gain_tolerance >= f64::EPSILON,
+            "gain tolerance must be at least f64::EPSILON"
         );
         Self { config }
     }
@@ -513,5 +521,31 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn degenerate_gain_range_rejected() {
         let _ = ZnTuner::new(ZnTunerConfig { min_gain: 1.0, max_gain: 1.0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "gain tolerance")]
+    fn zero_gain_tolerance_rejected() {
+        // Would bisect forever once `lo` and `hi` are adjacent floats.
+        let _ = ZnTuner::new(ZnTunerConfig { gain_tolerance: 0.0, ..tuner().config });
+    }
+
+    #[test]
+    #[should_panic(expected = "gain tolerance")]
+    fn gain_tolerance_finer_than_a_float_step_rejected() {
+        let _ = ZnTuner::new(ZnTunerConfig { gain_tolerance: 1e-20, ..tuner().config });
+    }
+
+    #[test]
+    #[should_panic(expected = "gain tolerance")]
+    fn nan_gain_tolerance_rejected() {
+        // Would skip the bisection and report the bracketing rung as K_u.
+        let _ = ZnTuner::new(ZnTunerConfig { gain_tolerance: f64::NAN, ..tuner().config });
+    }
+
+    #[test]
+    #[should_panic(expected = "hysteresis")]
+    fn non_positive_hysteresis_rejected() {
+        let _ = ZnTuner::new(ZnTunerConfig { hysteresis: 0.0, ..tuner().config });
     }
 }
