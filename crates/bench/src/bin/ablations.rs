@@ -2,12 +2,18 @@
 //! telemetry-lag sweep, ADC-step sweep, gain-region sweep, noise sweep.
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin ablations [lag|quant|regions|noise|all]`
+//!
+//! Any other subcommand prints the usage line to stderr and exits 2.
 
 use gfsc::experiments::ablations;
 use gfsc_units::Seconds;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
+    if !["lag", "quant", "regions", "noise", "all"].contains(&which.as_str()) {
+        eprintln!("usage: ablations [lag|quant|regions|noise|all]");
+        std::process::exit(2);
+    }
 
     if which == "lag" || which == "all" {
         println!("== Telemetry-lag sweep (square workload, fan-only, re-tuned per lag)");
