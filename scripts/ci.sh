@@ -7,7 +7,9 @@
 #                              # thermal bitwise oracles at 2000 cases,
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # large-grid smoke, bench smoke, bench check,
-#                              # perfbench build + one short run per workload
+#                              # perfbench build + one short run per workload,
+#                              # paper artifacts byte-identical under
+#                              # GFSC_SWEEP_THREADS=1 and =4
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
 #                              # build; skip the release tests & bench runs
@@ -121,6 +123,26 @@ run_perfbench_stage() {
     run_stage "perfbench-smoke" perfbench_smoke
 }
 
+# Every paper artifact (tables, figures, ablations) runs from the release
+# build under a serial and a 4-worker sweep executor; stdout lands in
+# target/paper-artifacts/<name>.threads-<n>.txt. A non-zero exit or any
+# byte difference between the two runs fails the stage. Every closed-loop
+# artifact runs on tuned gain schedules, so this also pins the tuning
+# against the worker count end to end.
+paper_artifacts() {
+    local dir=target/paper-artifacts run name threads
+    mkdir -p "$dir"
+    for run in table1 table2 table3 fig1 fig3 fig4 fig5 "ablations all"; do
+        name=${run%% *}
+        for threads in 1 4; do
+            # $run is word-split on purpose: "ablations all" is bin + argument.
+            # shellcheck disable=SC2086
+            GFSC_SWEEP_THREADS=$threads ./target/release/$run >"$dir/$name.threads-$threads.txt"
+        done
+        diff "$dir/$name.threads-1.txt" "$dir/$name.threads-4.txt"
+    done
+}
+
 if [ "${1:-}" = "quick" ]; then
     run_stage "test" cargo test -q --locked --offline
     run_hil_stage
@@ -134,6 +156,7 @@ else
     run_stage "test-threads-1" env GFSC_SWEEP_THREADS=1 cargo test -q --locked --offline
     run_stage "test-threads-4" env GFSC_SWEEP_THREADS=4 cargo test -q --locked --offline
     run_stage "test-release" cargo test -q --release --locked --offline
+    run_stage "paper-artifacts" paper_artifacts
     # The RC-network solves' bitwise oracles at a case count the default
     # suite can't afford: the cached step against the dense uncached
     # step, the steady-state probe against a dense solve, batch lanes
