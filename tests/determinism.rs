@@ -206,21 +206,28 @@ fn batched_sweep_matches_serial_byte_for_byte_across_all_solutions() {
 fn batched_sweep_handles_mixed_compatibility_groups() {
     use gfsc::sweep::ScenarioGrid;
     use gfsc::thermal::Topology;
-    // A grid mixing two batch groups (2S and 4S topologies never share a
-    // network structure) plus an incompatible fan-interval singleton per
-    // topology: the batcher must partition correctly and the scalar
-    // fallback must cover the rest — order and bits intact.
+    // A grid mixing two batch groups with cells the batcher must leave
+    // alone. 2S and 4S topologies never share a network structure, so
+    // they form separate groups; the batch key is (topology, sim_dt,
+    // horizon), so each group takes both fan intervals: 2 × 3 seeds = 6
+    // lanes. Single-socket cells run the two-node plant, which never
+    // batches, so the scalar fallback runs those six. The batcher must
+    // partition correctly and the fallback cover the rest — order and
+    // bits intact.
     let grid = ScenarioGrid::builder()
         .horizon(Seconds::new(120.0))
         .solutions(&[Solution::RCoordFixedTref])
         .seeds(&[1, 2, 3])
         .topology_variant(Topology::dual_socket())
         .topology_variant(Topology::quad_socket())
+        .topology_variant(Topology::single_socket())
         .fan_control_intervals(&[Seconds::new(15.0), Seconds::new(30.0)])
         .build();
+    let batchable = grid.scenarios().iter().filter(|s| s.is_batchable()).count();
+    assert_eq!(batchable, 12);
     let batched = grid.run_batched();
     let serial = grid.run_serial();
-    assert_eq!(batched.len(), 12);
+    assert_eq!(batched.len(), 18);
     for (b, s) in batched.iter().zip(&serial) {
         assert_eq!(b.label, s.label);
         assert_eq!(b.summary, s.summary, "{}", b.label);
