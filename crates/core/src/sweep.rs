@@ -13,8 +13,12 @@
 //!   [`gfsc_coord::RunOutcome`] (traces are dropped by default so a
 //!   10 000-scenario grid stays memory-bounded; opt back in with
 //!   [`ScenarioGridBuilder::keep_traces`]),
-//! - [`ScenarioGrid`]: the declarative cartesian grid plus its executor —
-//!   [`ScenarioGrid::run`] fans out over [`gfsc_sim::sweep::parallel_map`],
+//! - [`ScenarioGrid`]: the declarative cartesian grid plus its executors —
+//!   [`ScenarioGrid::run`] fans the cells out over the
+//!   [`gfsc_sim::sweep`] workers, [`ScenarioGrid::run_batched`] fans out
+//!   lockstep batches of compatible multi-socket cells (each group cut
+//!   into up to one batch per worker) alongside the remaining cells,
+//!   [`ScenarioGrid::run_shard`] runs one [`ShardManifest`]'s slice, and
 //!   [`ScenarioGrid::run_serial`] is the bit-identical reference path.
 //!
 //! # Determinism
@@ -751,19 +755,33 @@ impl ScenarioGrid {
         executor::serial_map(&self.scenarios, |s| self.execute(s))
     }
 
-    /// Runs the grid through the lockstep batch engine: compatible
-    /// multi-socket cells (same topology, step size, and horizon — see
-    /// [`Scenario::is_batchable`]) step together through one
+    /// Runs the grid through the lockstep batch engine across all cores:
+    /// compatible multi-socket cells (same topology, step size, and
+    /// horizon — see [`Scenario::is_batchable`]) step together through a
     /// [`gfsc_thermal::BatchRcNetwork`] whose memoized LU factorizations
     /// are shared across lanes *and* steps; everything else (single-socket
     /// cells, rack cells, singleton groups) falls back to the scalar path.
     ///
+    /// Each group of two or more compatible cells is cut into up to
+    /// `workers` contiguous lockstep batches of at least two lanes each
+    /// (sizes differ by at most one), where `workers` is the executor's
+    /// [`gfsc_sim::sweep::thread_count`]. The batches and the fallback
+    /// cells share those workers as the jobs of one parallel map, so
+    /// `GFSC_SWEEP_THREADS=1` runs one batch per group on the calling
+    /// thread.
+    ///
     /// Results come back in enumeration order, **bitwise identical** to
     /// [`ScenarioGrid::run_serial`] — batching is purely an execution
-    /// strategy, never a numerical one. Asserted by
-    /// `tests/determinism.rs` across every solution mode.
+    /// strategy, never a numerical one, whatever the worker count.
+    /// Asserted by `tests/determinism.rs` across every solution mode.
     #[must_use]
     pub fn run_batched(&self) -> Vec<ScenarioResult> {
+        self.run_batched_with_workers(executor::thread_count())
+    }
+
+    /// [`ScenarioGrid::run_batched`] with an explicit worker count.
+    fn run_batched_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
+        let workers = workers.max(1);
         if self.scenarios.iter().any(|s| s.spec.is_none()) {
             let _ = crate::fine_gain_schedule();
         }
@@ -780,28 +798,49 @@ impl ScenarioGrid {
             }
         }
 
-        let mut results: Vec<Option<ScenarioResult>> = Vec::new();
-        results.resize_with(self.scenarios.len(), || None);
-        for (_, members) in &groups {
-            if members.len() < 2 {
-                continue; // singleton: the scalar path below picks it up
+        // A job is a list of cell indices: two or more step in lockstep,
+        // one runs the scalar path. Batches go first, so the cells left
+        // over (singletons included) fill in behind them.
+        let mut jobs: Vec<Vec<usize>> = Vec::new();
+        let mut in_batch = vec![false; self.scenarios.len()];
+        for (_, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
+            for cut in ShardManifest::split(members.len(), workers.min(members.len() / 2)) {
+                jobs.push(members[cut.start..cut.start + cut.len].to_vec());
             }
-            let mut sims: Vec<gfsc_coord::ClosedLoopSim> = members
-                .iter()
-                .map(|&i| self.scenarios[i].build_simulation().into_closed_loop())
-                .collect();
-            let horizon = self.scenarios[members[0]].horizon;
-            let outcomes = gfsc_coord::run_batch(&mut sims, horizon);
-            for (&i, outcome) in members.iter().zip(outcomes) {
-                results[i] = Some(self.package(&self.scenarios[i], outcome));
+            for &i in members {
+                in_batch[i] = true;
             }
         }
-        for (i, slot) in results.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(self.execute(&self.scenarios[i]));
+        jobs.extend((0..self.scenarios.len()).filter(|&i| !in_batch[i]).map(|i| vec![i]));
+
+        let done = executor::parallel_map_with_workers(&jobs, |cells| self.run_job(cells), workers);
+        let mut results: Vec<Option<ScenarioResult>> = Vec::new();
+        results.resize_with(self.scenarios.len(), || None);
+        for (cells, outcomes) in jobs.iter().zip(done) {
+            for (&i, result) in cells.iter().zip(outcomes) {
+                results[i] = Some(result);
             }
         }
         results.into_iter().map(|r| r.expect("every cell ran")).collect()
+    }
+
+    /// Runs one job of [`ScenarioGrid::run_batched`]: a single cell on the
+    /// scalar path, or two or more compatible cells as one lockstep batch
+    /// (its own `BatchRcNetwork` and factor arena).
+    fn run_job(&self, cells: &[usize]) -> Vec<ScenarioResult> {
+        if let [i] = *cells {
+            return vec![self.execute(&self.scenarios[i])];
+        }
+        let mut sims: Vec<gfsc_coord::ClosedLoopSim> = cells
+            .iter()
+            .map(|&i| self.scenarios[i].build_simulation().into_closed_loop())
+            .collect();
+        let outcomes = gfsc_coord::run_batch(&mut sims, self.scenarios[cells[0]].horizon);
+        cells
+            .iter()
+            .zip(outcomes)
+            .map(|(&i, outcome)| self.package(&self.scenarios[i], outcome))
+            .collect()
     }
 
     /// Splits the grid into `shards` deterministic manifests covering the
@@ -1371,6 +1410,51 @@ mod tests {
         let batched = grid.run_batched();
         for (s, b) in serial.iter().zip(&batched) {
             assert_eq!((s.label.as_str(), &s.summary), (b.label.as_str(), &b.summary));
+        }
+    }
+
+    #[test]
+    fn batched_run_matches_serial_at_every_worker_count() {
+        // Two 10-lane groups (2S and 4S; both fan intervals share a batch
+        // key): 4 workers cut each into 3/3/2/2 lanes, 6 are clamped to 5
+        // batches of 2. The single-socket cells never batch and run as
+        // one-cell jobs alongside the batches.
+        let grid = ScenarioGrid::builder()
+            .horizon(Seconds::new(60.0))
+            .solutions(&[Solution::RCoordAdaptiveTref])
+            .seeds(&[1, 2, 3, 4, 5])
+            .topology_variant(Topology::dual_socket())
+            .topology_variant(Topology::quad_socket())
+            .topology_variant(Topology::single_socket())
+            .fan_control_intervals(&[Seconds::new(15.0), Seconds::new(30.0)])
+            .keep_traces(true)
+            .build();
+        assert_eq!(grid.scenarios().iter().filter(|s| s.is_batchable()).count(), 20);
+        let serial = grid.run_serial();
+        let bits = |traces: &TraceSet| -> Vec<(String, Vec<(u64, u64)>)> {
+            traces
+                .iter()
+                .map(|trace| {
+                    let samples = trace.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect();
+                    (trace.name().to_owned(), samples)
+                })
+                .collect()
+        };
+        for workers in 1..=6 {
+            let batched = grid.run_batched_with_workers(workers);
+            assert_eq!(serial.len(), batched.len());
+            for (s, b) in serial.iter().zip(&batched) {
+                assert_eq!(s.label, b.label, "{workers} workers");
+                assert_eq!(s.summary, b.summary, "{} at {workers} workers", s.label);
+                let (s_traces, b_traces) =
+                    (s.traces.as_ref().expect("traces kept"), b.traces.as_ref().expect("kept"));
+                assert!(!s_traces.is_empty());
+                assert!(
+                    bits(s_traces) == bits(b_traces),
+                    "{} traces at {workers} workers",
+                    s.label
+                );
+            }
         }
     }
 
