@@ -863,7 +863,8 @@ impl ScenarioGrid {
     /// # Panics
     ///
     /// Panics if the manifest's `total` does not match this grid — the
-    /// guard against pairing a manifest with a differently-built grid.
+    /// guard against pairing a manifest with a differently-built grid —
+    /// or if its `start+len` range does not lie inside the grid.
     #[must_use]
     pub fn run_shard(&self, manifest: &ShardManifest) -> Vec<ScenarioResult> {
         assert_eq!(
@@ -872,6 +873,13 @@ impl ScenarioGrid {
             "manifest was cut from a {}-scenario grid, this grid has {}",
             manifest.total,
             self.scenarios.len()
+        );
+        assert!(
+            manifest.range_fits(),
+            "manifest range {}+{} lies outside the {}-scenario grid",
+            manifest.start,
+            manifest.len,
+            manifest.total
         );
         let slice = &self.scenarios[manifest.start..manifest.start + manifest.len];
         if slice.iter().any(|s| s.spec.is_none()) {
@@ -942,7 +950,10 @@ impl ShardManifest {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed field, of trailing
+    /// input, or of a manifest [`ScenarioGrid::run_shard`] could not run:
+    /// a zero shard count, a shard index past the count, or a
+    /// `start+len` range that overflows or ends past `total`.
     pub fn from_text(text: &str) -> Result<ShardManifest, String> {
         let mut words = text.split_whitespace();
         let mut expect = |want: &str| match words.next() {
@@ -965,16 +976,37 @@ impl ShardManifest {
             return Err(format!("expected `of`, found `{of}`"));
         }
         let total = field("total")?;
+        if let Some(extra) = words.next() {
+            return Err(format!("unexpected `{extra}` after the total"));
+        }
         let num = |name: &str, digits: &str| {
             digits.parse::<usize>().map_err(|e| format!("bad {name} `{digits}`: {e}"))
         };
-        Ok(ShardManifest {
+        let manifest = ShardManifest {
             shard: num("shard", shard)?,
             shard_count: num("shard count", shard_count)?,
             start: num("start", start)?,
             len: num("len", len)?,
             total: num("total", total)?,
-        })
+        };
+        if manifest.shard >= manifest.shard_count {
+            return Err(format!(
+                "shard {} is out of range for {} shards",
+                manifest.shard, manifest.shard_count
+            ));
+        }
+        if !manifest.range_fits() {
+            return Err(format!(
+                "range {}+{} lies outside a {}-scenario grid",
+                manifest.start, manifest.len, manifest.total
+            ));
+        }
+        Ok(manifest)
+    }
+
+    /// Whether `start+len` neither overflows nor ends past `total`.
+    fn range_fits(&self) -> bool {
+        self.start.checked_add(self.len).is_some_and(|end| end <= self.total)
     }
 }
 
@@ -1480,6 +1512,34 @@ mod tests {
         assert!(ShardManifest::from_text("not a manifest").is_err());
         assert!(ShardManifest::from_text("gfsc-shard v2 0/1 0+1 of 1").is_err());
         assert!(ShardManifest::from_text("gfsc-shard v1 0of1 0+1 of 1").is_err());
+    }
+
+    #[test]
+    fn shard_manifest_text_rejects_manifests_no_grid_can_run() {
+        for text in [
+            // The range ends past the grid.
+            "gfsc-shard v1 0/1 5+10 of 10",
+            // Zero shards, and a shard index past the count.
+            "gfsc-shard v1 3/0 0+1 of 1",
+            // start + len overflows.
+            "gfsc-shard v1 0/1 18446744073709551615+1 of 10",
+            // Trailing words.
+            "gfsc-shard v1 0/1 0+1 of 1 extra",
+        ] {
+            assert!(ShardManifest::from_text(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "manifest range 1+5 lies outside the 2-scenario grid")]
+    fn run_shard_rejects_ranges_past_the_grid() {
+        let grid = ScenarioGrid::builder()
+            .horizon(Seconds::new(30.0))
+            .solutions(&[Solution::WithoutCoordination])
+            .seeds(&[1, 2])
+            .build();
+        let past = ShardManifest { shard: 0, shard_count: 1, start: 1, len: 5, total: 2 };
+        let _ = grid.run_shard(&past);
     }
 
     #[test]
