@@ -14,6 +14,11 @@
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin gfsc_explain --
 //! (<run.events> | <spill-dir> | --demo) [--out PATH]`
+//!
+//! A malformed command line (an unknown flag, a second input, `--out`
+//! without a path, no input at all) prints the usage line to stderr and
+//! exits 2; an input it cannot read, or an output it cannot write, exits
+//! 1.
 
 use gfsc::experiments::explain::{events_from_traces, run, ExplainConfig};
 use gfsc_obs::explain::render_timeline;
@@ -21,6 +26,11 @@ use gfsc_obs::FlightSnapshot;
 use gfsc_sim::SpilledTraces;
 use std::path::Path;
 use std::process::ExitCode;
+
+fn usage() -> ExitCode {
+    eprintln!("usage: gfsc_explain (<run.events> | <spill-dir> | --demo) [--out PATH]");
+    ExitCode::from(2)
+}
 
 fn main() -> ExitCode {
     let mut input: Option<String> = None;
@@ -30,14 +40,16 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--demo" => demo = true,
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
+            "--out" => match args.next() {
+                Some(path) => out_path = Some(path),
+                None => return usage(),
+            },
             other if input.is_none() && !other.starts_with("--") => {
                 input = Some(other.to_owned());
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: gfsc_explain (<run.events> | <spill-dir> | --demo) [--out PATH]");
-                return ExitCode::FAILURE;
+                return usage();
             }
         }
     }
@@ -56,10 +68,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        (false, None) => {
-            eprintln!("usage: gfsc_explain (<run.events> | <spill-dir> | --demo) [--out PATH]");
-            return ExitCode::FAILURE;
-        }
+        (false, None) => return usage(),
     };
     match out_path {
         Some(path) => {
