@@ -13,7 +13,9 @@
 //!   scalar moving-fan reference, which refactorizes every step), the
 //!   columnar trace-spill write bandwidth, and the tentpole 64-scenario
 //!   same-topology sweep (finned plant, quantized fan commands), serial
-//!   vs batched, with a bit-identity check,
+//!   vs batched at 1, 2, 4, … workers up to the available cores, with a
+//!   bit-identity check at every worker count (`batched_seconds` is the
+//!   one-worker run),
 //! - epoch rate: simulated seconds per wall-clock second of the full
 //!   closed loop, of the coordinated rack loop (capper bank +
 //!   coordinator + per-zone fan loops on the 1U×8 rack), of the
@@ -27,19 +29,20 @@
 //! - recorder: the same rack loop with the decision flight recorder
 //!   armed vs disarmed — `recorder_epoch_overhead_ns` plus the overhead
 //!   fraction, gated hard at 3 % in `--check` mode,
-//! - table3: the five-solution sweep, serial vs parallel at several worker
-//!   counts, with a bit-identity check between the two paths,
 //! - ablations: a reduced lag sweep, serial vs parallel,
 //! - tuning: the two-region Ziegler–Nichols schedule tuned by one worker
 //!   vs by all workers (the regions run concurrently, each by the serial
 //!   search), with a bit-identity check between the two.
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin perf_report
-//! [--table3-horizon SECS] [--out PATH] [--check BASELINE.json]`
+//! [--out PATH] [--check BASELINE.json]`. An unknown argument or a flag
+//! without its value prints the usage line to stderr and exits 2, and so
+//! does a `--check` baseline that cannot be read.
 //!
 //! `--check` switches to regression-gate mode: instead of writing a new
 //! snapshot, it re-measures the cached-step, rack-step, batch-step,
-//! spill-bandwidth, batched-sweep and closed-loop
+//! spill-bandwidth, batched-sweep (at one worker, as the baseline's
+//! `batched_seconds` was taken) and closed-loop
 //! throughput metrics (server, coordinated rack, the SS/E-coord rack
 //! modes, and the global-E-coord rack loop; best of three), compares
 //! them against the committed baseline,
@@ -50,7 +53,7 @@
 
 use gfsc::experiments::{ablations, fan_study_spec};
 use gfsc::server::ServerSpec;
-use gfsc::sweep::{ScenarioGrid, WorkloadRecipe};
+use gfsc::sweep::{ScenarioGrid, ScenarioResult, WorkloadRecipe};
 use gfsc::{tune_gain_schedule, Solution};
 use gfsc_bench::{chain_network, EPOCH_CHANNELS};
 use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
@@ -63,22 +66,20 @@ use gfsc_workload::{SquareWave, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+fn usage() -> ! {
+    eprintln!("usage: perf_report [--out PATH] [--check BASELINE.json]");
+    std::process::exit(2)
+}
+
 fn main() {
-    let mut table3_horizon = 900.0;
     let mut out_path: Option<String> = None;
     let mut check_baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--table3-horizon" => {
-                table3_horizon = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--table3-horizon needs a number");
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            "--check" => check_baseline = Some(args.next().expect("--check needs a path")),
-            other => panic!("unknown argument `{other}`"),
+            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--check" => check_baseline = Some(args.next().unwrap_or_else(|| usage())),
+            _ => usage(),
         }
     }
     if let Some(baseline) = check_baseline {
@@ -86,7 +87,7 @@ fn main() {
     }
     let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", today_utc()));
     let cores = thread_count();
-    println!("perf_report: {cores} worker(s) available; table3 horizon {table3_horizon} s");
+    println!("perf_report: {cores} worker(s) available");
 
     // --- thermal-step ---------------------------------------------------
     let mut model = ServerThermalModel::date14(Celsius::new(30.0));
@@ -209,37 +210,20 @@ fn main() {
         recorder_overhead_fraction * 100.0
     );
 
-    // --- 64-scenario lockstep batch sweep --------------------------------
-    let (batch_sweep_horizon, sweep64_serial_s, sweep64_batched_s, sweep64_bit_identical) =
-        batched_sweep64();
-    let sweep64_speedup = sweep64_serial_s / sweep64_batched_s;
-    println!(
-        "batched 64-scenario finned-2S sweep ({batch_sweep_horizon} s horizon): serial \
-         {sweep64_serial_s:.3} s, batched {sweep64_batched_s:.3} s ({sweep64_speedup:.2}x, \
-         bit-identical: {sweep64_bit_identical})"
-    );
-    assert!(sweep64_bit_identical, "batched sweep diverged from the serial reference");
-
-    // --- table3 sweep: serial vs parallel --------------------------------
-    let grid = ScenarioGrid::builder()
-        .horizon(Seconds::new(table3_horizon))
-        .solutions(&Solution::ALL)
-        .seeds(&[42])
-        .build();
-    let (serial_results, table3_serial_s) = time(|| grid.run_serial());
+    // --- 64-scenario lockstep batch sweep: serial vs batched per worker --
+    let sweep64 = sweep64_grid();
+    let (sweep64_serial, sweep64_serial_s) = time(|| sweep64.run_serial());
     let mut worker_rows = String::new();
-    let mut bit_identical = true;
-    let mut parallel_best_s = table3_serial_s;
+    let mut sweep64_batched_s = f64::NAN;
     for workers in worker_ladder(cores) {
-        let (results, secs) = time(|| grid.run_with_workers(workers));
-        bit_identical &= results
-            .iter()
-            .zip(&serial_results)
-            .all(|(a, b)| a.summary == b.summary && a.label == b.label);
-        parallel_best_s = parallel_best_s.min(secs);
+        let secs = batched_sweep64_secs(&sweep64, &sweep64_serial, workers);
+        if workers == 1 {
+            sweep64_batched_s = secs;
+        }
         println!(
-            "table3 x{workers}: {secs:.3} s ({:.2}x vs serial {table3_serial_s:.3} s)",
-            table3_serial_s / secs
+            "batched 64-scenario finned-2S sweep ({SWEEP64_HORIZON_S} s horizon) x{workers}: \
+             {secs:.3} s ({:.2}x vs serial {sweep64_serial_s:.3} s, bit-identical)",
+            sweep64_serial_s / secs
         );
         let _ = write!(
             worker_rows,
@@ -247,7 +231,7 @@ fn main() {
             if worker_rows.is_empty() { "" } else { ", " },
         );
     }
-    assert!(bit_identical, "parallel table3 diverged from the serial reference");
+    let sweep64_speedup = sweep64_serial_s / sweep64_batched_s;
 
     // --- ablation sweep: serial vs parallel ------------------------------
     let lags = [Seconds::new(0.0), Seconds::new(10.0), Seconds::new(20.0), Seconds::new(30.0)];
@@ -309,11 +293,12 @@ fn main() {
          \"step_ns_per_scenario_b8\": {batch_b8_ns:.1},\n    \
          \"step_ns_per_scenario_b64\": {batch_b64_ns:.1},\n    \
          \"spill_write_mb_s\": {spill_mb_s:.1},\n    \
-         \"sweep64\": {{\n      \"horizon_s\": {batch_sweep_horizon},\n      \
+         \"sweep64\": {{\n      \"horizon_s\": {SWEEP64_HORIZON_S},\n      \
          \"serial_seconds\": {sweep64_serial_s:.4},\n      \
          \"batched_seconds\": {sweep64_batched_s:.4},\n      \
          \"speedup\": {sweep64_speedup:.3},\n      \
-         \"bit_identical_to_serial\": {sweep64_bit_identical}\n    }}\n  }},\n  \
+         \"batched_by_workers\": [{worker_rows}],\n      \
+         \"bit_identical_to_serial\": true\n    }}\n  }},\n  \
          \"closed_loop\": {{\n    \"sim_seconds_per_wall_second\": {sim_rate:.1}\n  }},\n  \
          \"rack_loop\": {{\n    \
          \"coordinated_sim_seconds_per_wall_second\": {rack_rate:.1},\n    \
@@ -327,18 +312,12 @@ fn main() {
          \"armed_seconds\": {recorder_armed_s:.4},\n    \
          \"recorder_epoch_overhead_ns\": {recorder_epoch_overhead_ns:.1},\n    \
          \"recorder_overhead_fraction\": {recorder_overhead_fraction:.4}\n  }},\n  \
-         \"table3\": {{\n    \"horizon_s\": {table3_horizon},\n    \
-         \"serial_seconds\": {table3_serial_s:.4},\n    \
-         \"by_workers\": [{worker_rows}],\n    \
-         \"best_speedup\": {best_speedup:.3},\n    \
-         \"bit_identical_to_serial\": {bit_identical}\n  }},\n  \
          \"ablation_lag_sweep_4pt\": {{\n    \"serial_seconds\": {ablation_serial_s:.4},\n    \
          \"parallel_seconds\": {ablation_parallel_s:.4}\n  }},\n  \
          \"zn_tuning_2region\": {{\n    \"serial_seconds\": {tuning_serial_s:.4},\n    \
          \"parallel_seconds\": {tuning_parallel_s:.4}\n  }}\n}}\n",
         date = today_utc(),
         rc8_speedup = rc8_uncached / rc8_cached,
-        best_speedup = table3_serial_s / parallel_best_s,
     );
     std::fs::write(&out_path, &json).expect("writing the snapshot");
     println!("wrote {out_path}");
@@ -555,31 +534,40 @@ fn spill_write_mb_s() -> f64 {
     bytes / (1024.0 * 1024.0) / secs
 }
 
+/// Simulated seconds of every cell of the 64-scenario sweep.
+const SWEEP64_HORIZON_S: f64 = 300.0;
+
 /// The tentpole workload: a 64-scenario same-topology sweep on the finned
 /// 2S server with 500 rpm fan command quantization (PWM-granular targets
 /// put every commanded speed on a shared rpm lattice, so batch lanes
 /// share factorizations across lanes *and* steps), 64 seeds of a noisy
-/// square wave, R-coord @ fixed Tref, serial vs lockstep-batched.
-/// Returns `(horizon_s, serial_s, batched_s, bit_identical)`.
-fn batched_sweep64() -> (f64, f64, f64, bool) {
-    let horizon = 300.0;
+/// square wave, R-coord @ fixed Tref. Building it tunes the spec's gains.
+fn sweep64_grid() -> ScenarioGrid {
     let spec = ServerSpec {
         fan_cmd_step: 500.0,
         fan_control_interval: Seconds::new(1.0),
         ..ServerSpec::with_topology(Topology::finned(2, 32))
     };
-    let grid = ScenarioGrid::builder()
-        .horizon(Seconds::new(horizon))
+    ScenarioGrid::builder()
+        .horizon(Seconds::new(SWEEP64_HORIZON_S))
         .solutions(&[Solution::RCoordFixedTref])
         .seeds(&(1..=64).collect::<Vec<u64>>())
         .workload(WorkloadRecipe::SquareWave { low: 0.1, high: 0.9, period_s: 14.0, sigma: 0.12 })
         .spec_variant("finned2x32-q500", spec)
-        .build();
-    let (serial, serial_s) = time(|| grid.run_serial());
-    let (batched, batched_s) = time(|| grid.run_batched());
-    let bit_identical =
-        serial.iter().zip(&batched).all(|(s, b)| s.label == b.label && s.summary == b.summary);
-    (horizon, serial_s, batched_s, bit_identical)
+        .build()
+}
+
+/// Wall seconds of one `run_batched` pass over `grid` with the sweep
+/// executor pinned to `workers` (`GFSC_SWEEP_THREADS` set and removed
+/// around the call), asserting the results match `serial` bit for bit.
+fn batched_sweep64_secs(grid: &ScenarioGrid, serial: &[ScenarioResult], workers: usize) -> f64 {
+    std::env::set_var("GFSC_SWEEP_THREADS", workers.to_string());
+    let (batched, secs) = time(|| grid.run_batched());
+    std::env::remove_var("GFSC_SWEEP_THREADS");
+    let identical = serial.len() == batched.len()
+        && serial.iter().zip(&batched).all(|(s, b)| s.label == b.label && s.summary == b.summary);
+    assert!(identical, "batched sweep at {workers} worker(s) diverged from the serial reference");
+    secs
 }
 
 /// One server on `board` (Table I calibration per socket): the one-slot
@@ -601,8 +589,13 @@ fn finned_plant() -> RackPlant {
 /// committed baseline, prints a verdict table, and returns the process
 /// exit code (0 = within tolerance).
 fn run_check(baseline_path: &str) -> i32 {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline `{baseline_path}`: {e}"));
+    let baseline = match std::fs::read_to_string(baseline_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("perf_report: cannot read baseline `{baseline_path}`: {e}");
+            return 2;
+        }
+    };
     let tolerance: f64 =
         std::env::var("GFSC_BENCH_TOLERANCE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.30);
     println!("bench check vs {baseline_path} (tolerance {:.0} %)", tolerance * 100.0);
@@ -641,11 +634,12 @@ fn run_check(baseline_path: &str) -> i32 {
     let rack_8s = best3(Box::new(time_rack_8s_step));
     let batch64 = best3(Box::new(|| batch_step_ns_per_scenario(64)));
     let spill_cost = best3(Box::new(|| 1.0 / spill_write_mb_s()));
-    let sweep64_batched = best3(Box::new(|| {
-        let (_, _, batched_s, bit_identical) = batched_sweep64();
-        assert!(bit_identical, "batched sweep diverged from the serial reference");
-        batched_s
-    }));
+    // One worker: the baseline's `batched_seconds` was taken on a
+    // one-worker host, and more workers would let a slower batch engine
+    // hide behind the extra cores.
+    let sweep64 = sweep64_grid();
+    let sweep64_serial = sweep64.run_serial();
+    let sweep64_batched = best3(Box::new(|| batched_sweep64_secs(&sweep64, &sweep64_serial, 1)));
     let rack_rate_cost = best3(Box::new(|| 1.0 / rack_coord_sim_rate()));
     let rack_ss_ecoord_cost = best3(Box::new(|| 1.0 / rack_ss_ecoord_sim_rate()));
     let rack_global_ecoord_cost = best3(Box::new(|| 1.0 / rack_global_ecoord_sim_rate()));
