@@ -636,10 +636,14 @@ fn run_check(baseline_path: &str) -> i32 {
     let spill_cost = best3(Box::new(|| 1.0 / spill_write_mb_s()));
     // One worker: the baseline's `batched_seconds` was taken on a
     // one-worker host, and more workers would let a slower batch engine
-    // hide behind the extra cores.
-    let sweep64 = sweep64_grid();
-    let sweep64_serial = sweep64.run_serial();
-    let sweep64_batched = best3(Box::new(|| batched_sweep64_secs(&sweep64, &sweep64_serial, 1)));
+    // hide behind the extra cores. Each sample builds the grid and runs
+    // the serial reference before its timed run, the way the baseline's
+    // samples were taken.
+    let sweep64_batched = best3(Box::new(|| {
+        let grid = sweep64_grid();
+        let serial = grid.run_serial();
+        batched_sweep64_secs(&grid, &serial, 1)
+    }));
     let rack_rate_cost = best3(Box::new(|| 1.0 / rack_coord_sim_rate()));
     let rack_ss_ecoord_cost = best3(Box::new(|| 1.0 / rack_ss_ecoord_sim_rate()));
     let rack_global_ecoord_cost = best3(Box::new(|| 1.0 / rack_global_ecoord_sim_rate()));

@@ -34,16 +34,15 @@
 //! cargo bench -p gfsc-bench --bench hot_paths      # hot-path guards
 //! cargo bench -p gfsc-bench                        # everything
 //! GFSC_BENCH_FAST=1 cargo bench -p gfsc-bench      # smoke mode (CI)
-//! cargo run --release -p gfsc-bench --bin perf_report
-//!     [--table3-horizon 7200] [--out BENCH_custom.json]
+//! cargo run --release -p gfsc-bench --bin perf_report [--out BENCH_custom.json]
 //! ```
 //!
 //! `perf_report` times the thermal step (cached vs uncached), 8-channel
 //! trace recording (by name vs by handle), the closed-loop epoch rate, the
-//! table3 sweep at several worker counts (asserting bit-identity against
-//! the serial path), a reduced ablation sweep, and two-region gain tuning,
-//! then writes a `BENCH_<date>.json` snapshot next to the existing ones so
-//! the perf trajectory stays in-repo.
+//! batched 64-cell sweep at several worker counts (asserting bit-identity
+//! against the serial path at each), a reduced ablation sweep, and
+//! two-region gain tuning, then writes a `BENCH_<date>.json` snapshot next
+//! to the existing ones so the perf trajectory stays in-repo.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -781,7 +781,6 @@ impl ScenarioGrid {
 
     /// [`ScenarioGrid::run_batched`] with an explicit worker count.
     fn run_batched_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
-        let workers = workers.max(1);
         if self.scenarios.iter().any(|s| s.spec.is_none()) {
             let _ = crate::fine_gain_schedule();
         }
