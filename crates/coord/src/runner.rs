@@ -599,6 +599,16 @@ mod tests {
         let out = sim.run(Seconds::new(300.0));
         assert_eq!(out.total_epochs, 301);
         assert_eq!(out.horizon, Seconds::new(300.0));
+
+        // A horizon between plant steps: the 0.5 s step instants run to
+        // 61 s (the first at or past 60.7 s), so the loop makes one CPU
+        // epoch per second at t = 0, 1, …, 61.
+        let mut sim = basic_sim(Workload::builder(Constant::new(0.3)).build());
+        let out = sim.run(Seconds::new(60.7));
+        assert_eq!(out.total_epochs, 62);
+        let stamps = out.traces.require("u_demand").unwrap().times();
+        let expected: Vec<f64> = (0..=61).map(f64::from).collect();
+        assert_eq!(stamps, expected.as_slice());
     }
 
     #[test]
@@ -723,6 +733,13 @@ mod tests {
             let name = b.name();
             let s = scalar.traces.require(name).unwrap();
             assert_eq!(b.len(), s.len(), "lane {lane}: trace {name} length");
+            for (step, (bt, st)) in b.times().iter().zip(s.times()).enumerate() {
+                assert_eq!(
+                    bt.to_bits(),
+                    st.to_bits(),
+                    "lane {lane}: trace {name} stamped differently at sample {step}: {bt} vs {st}"
+                );
+            }
             for (step, (bv, sv)) in b.values().iter().zip(s.values()).enumerate() {
                 assert_eq!(
                     bv.to_bits(),
@@ -747,7 +764,9 @@ mod tests {
 
     #[test]
     fn single_lane_batch_matches_scalar_run_bitwise() {
-        let horizon = Seconds::new(180.0);
+        // Off the 0.5 s step grid, so both loops must agree on where the
+        // horizon falls between plant steps.
+        let horizon = Seconds::new(180.7);
         let mut lanes = vec![parity_lane(2)];
         let batched = run_batch(&mut lanes, horizon);
         let scalar = parity_lane(2).run(horizon);

@@ -208,48 +208,58 @@ fn overrun_burst_is_accounted_and_streak_fallback_round_trips() {
 
 #[test]
 fn horizon_boundary_is_parity_with_the_batch_loop_not_an_off_by_one() {
-    // The `0..=steps` loop advances the plant once more after the final
-    // control cycle, so the backend ends at horizon + sim_dt. That is
-    // the *batch loop's* shape, audited and kept: both worlds must land
-    // on the same (bit-identical) end time.
-    let horizon = Seconds::new(60.0);
+    // Both loops step the plant at k · sim_dt for k = 0..=ceil(horizon /
+    // sim_dt), advancing it once more after the final control cycle. On
+    // the 0.5 s step grid the backend ends at horizon + sim_dt; a horizon
+    // between steps runs the instants to the first step at or past it
+    // (61 s for 60.7 s), so the backend ends at 61.5 s. Both worlds must
+    // land on the same (bit-identical) end time and traces.
     let rack = RackSpec::new(RackTopology::rack_2u_x4());
+    let zones = rack.rack.zones().len();
+    let sockets = rack.rack.total_sockets();
+    for (horizon, expected_end, expected_epochs) in [(60.0, 60.5, 61), (60.7, 61.5, 62)] {
+        let horizon = Seconds::new(horizon);
+        let mut batch = RackLoopSim::builder(rack.clone())
+            .workload(golden_workload())
+            .control(RackControl::Coordinated { adaptive_reference: true })
+            .build();
+        let batch_out = batch.run(horizon);
+        let batch_end = batch.server().now();
 
-    let mut batch = RackLoopSim::builder(rack.clone())
-        .workload(golden_workload())
-        .control(RackControl::Coordinated { adaptive_reference: true })
-        .build();
-    let _ = batch.run(horizon);
-    let batch_end = batch.server().now();
+        let cfg = DaemonConfig::new(RackControlConfig::new(RackControl::Coordinated {
+            adaptive_reference: true,
+        }));
+        let backend = SimTelemetry::new(
+            rack.clone(),
+            golden_workload(),
+            cfg.start_utilization,
+            cfg.start_fan,
+            FaultPlan::none(),
+        );
+        let mut daemon = Daemon::new(backend, rack.clone(), cfg);
+        let daemon_out = daemon.run(horizon);
+        let daemon_end = daemon.backend().now();
 
-    let cfg = DaemonConfig::new(RackControlConfig::new(RackControl::Coordinated {
-        adaptive_reference: true,
-    }));
-    let backend = SimTelemetry::new(
-        rack.clone(),
-        golden_workload(),
-        cfg.start_utilization,
-        cfg.start_fan,
-        FaultPlan::none(),
-    );
-    let sim_dt = rack.server.sim_dt;
-    let mut daemon = Daemon::new(backend, rack, cfg);
-    let _ = daemon.run(horizon);
-    let daemon_end = daemon.backend().now();
-
-    assert_eq!(
-        daemon_end.value().to_bits(),
-        batch_end.value().to_bits(),
-        "daemon ends at {} s, batch loop at {} s",
-        daemon_end.value(),
-        batch_end.value()
-    );
-    let expected = horizon.value() + sim_dt.value();
-    assert!(
-        (daemon_end.value() - expected).abs() < 1e-9,
-        "both loops end one sim step past the horizon ({expected} s), got {} s",
-        daemon_end.value()
-    );
+        assert_eq!(
+            daemon_end.value().to_bits(),
+            batch_end.value().to_bits(),
+            "horizon {horizon:?}: daemon ends at {} s, batch loop at {} s",
+            daemon_end.value(),
+            batch_end.value()
+        );
+        assert!(
+            (daemon_end.value() - expected_end).abs() < 1e-9,
+            "horizon {horizon:?}: both loops end at {expected_end} s, got {} s",
+            daemon_end.value()
+        );
+        let epochs = batch_out.traces.require("u_demand").expect("u_demand recorded").len();
+        assert_eq!(epochs, expected_epochs, "horizon {horizon:?}: batch-loop epochs");
+        assert_eq!(
+            bits_of(&daemon_out.traces, zones, sockets),
+            bits_of(&batch_out.traces, zones, sockets),
+            "horizon {horizon:?}: daemon and batch-loop traces diverge"
+        );
+    }
 }
 
 #[test]
