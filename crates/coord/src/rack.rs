@@ -36,7 +36,7 @@ use crate::{
 use gfsc_control::GainSchedule;
 use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::{RackServer, RackSpec};
-use gfsc_sim::{Clock, Periodic, TraceSet};
+use gfsc_sim::{plant_steps, Cadence, TraceSet};
 use gfsc_units::{total_max, total_min, Bounds, Celsius, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
@@ -666,35 +666,23 @@ impl RackLoopSim {
 
     /// Runs the closed loop for `horizon` simulated seconds.
     pub fn run(&mut self, horizon: Seconds) -> RunOutcome {
-        let spec = self.server.spec().server.clone();
-        let mut clock = Clock::new(spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(spec.fan_control_interval);
+        let spec = &self.server.spec().server;
+        let sim_dt = spec.sim_dt;
+        let mut cadence = Cadence::new(spec.cpu_control_interval, spec.fan_control_interval);
         let mut traces = TraceSet::new();
-        let epochs = (horizon.value() / spec.cpu_control_interval.value()).floor() as usize + 2;
         let channels = RackChannels::resolve(
             &mut traces,
-            epochs,
+            cadence.trace_capacity(horizon),
             self.server.zone_count(),
             self.server.socket_count(),
         );
 
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
+        for now in plant_steps(sim_dt, horizon) {
+            if let Some(fan_due) = cadence.poll(now) {
                 let demand = self.workload.sample(now);
-                self.bank.epoch(
-                    &mut self.server,
-                    now,
-                    demand,
-                    fan_epoch.is_due(now),
-                    &mut traces,
-                    &channels,
-                );
+                self.bank.epoch(&mut self.server, now, demand, fan_due, &mut traces, &channels);
             }
-            self.server.step(spec.sim_dt, self.bank.executed());
-            clock.tick();
+            self.server.step(sim_dt, self.bank.executed());
         }
 
         RunOutcome {

@@ -7,7 +7,7 @@ use crate::{
 use gfsc_obs::FlightSnapshot;
 use gfsc_sensors::MovingAverage;
 use gfsc_server::{PerformanceMonitor, Server, ServerSpec};
-use gfsc_sim::{ChannelId, Clock, Periodic, TraceSet};
+use gfsc_sim::{plant_steps, Cadence, ChannelId, TraceSet};
 use gfsc_units::{Joules, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
@@ -251,29 +251,29 @@ impl ClosedLoopSim {
     /// Runs the closed loop for `horizon` simulated seconds and returns
     /// traces and metrics.
     pub fn run(&mut self, horizon: Seconds) -> RunOutcome {
-        let mut clock = Clock::new(self.spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(self.spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(self.spec.fan_control_interval);
-        let mut traces = TraceSet::new();
-        // Resolve the eight channels once and size them for the whole run
-        // (one sample per CPU epoch, t = 0..=horizon inclusive), so the
-        // epoch path records by index into pre-allocated storage — zero
-        // string scans, zero allocations in steady state.
-        let epochs =
-            (horizon.value() / self.spec.cpu_control_interval.value()).floor() as usize + 2;
-        let channels = EpochChannels::resolve(&mut traces, epochs, self.server.socket_count());
-
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
-                self.control_epoch(now, fan_epoch.is_due(now), &mut traces, &channels);
+        let (mut cadence, mut traces, channels) = self.start(horizon);
+        for now in plant_steps(self.spec.sim_dt, horizon) {
+            if let Some(fan_due) = cadence.poll(now) {
+                self.control_epoch(now, fan_due, &mut traces, &channels);
             }
             self.server.step(self.spec.sim_dt, self.executed);
-            clock.tick();
         }
-
         self.outcome(traces, horizon)
+    }
+
+    /// A run's schedule and recording state: the spec's cadence, and the
+    /// epoch channels resolved once and sized for the whole run, so the
+    /// epoch path records by index into pre-allocated storage — zero
+    /// string scans, zero allocations in steady state.
+    fn start(&self, horizon: Seconds) -> (Cadence, TraceSet, EpochChannels) {
+        let cadence = Cadence::new(self.spec.cpu_control_interval, self.spec.fan_control_interval);
+        let mut traces = TraceSet::new();
+        let channels = EpochChannels::resolve(
+            &mut traces,
+            cadence.trace_capacity(horizon),
+            self.server.socket_count(),
+        );
+        (cadence, traces, channels)
     }
 
     /// The run's report: `traces` plus the metrics accumulated so far.
@@ -385,27 +385,18 @@ impl ClosedLoopSim {
     }
 }
 
-/// Per-lane schedule and recording state for [`run_batch`]: exactly what
-/// [`ClosedLoopSim::run`] keeps on its stack, one copy per lane so lanes
-/// may run different control intervals while sharing the lockstep clock.
-struct BatchLane {
-    cpu_epoch: Periodic,
-    fan_epoch: Periodic,
-    traces: TraceSet,
-    channels: EpochChannels,
-}
-
 /// Runs several compatible closed loops in lockstep for `horizon`
 /// simulated seconds, solving all lanes' thermal networks through one
 /// [`gfsc_thermal::BatchRcNetwork`] per step.
 ///
-/// Per lane, this replays [`ClosedLoopSim::run`]'s schedule operation for
-/// operation — control epochs, server stepping, trace recording — with
-/// only the thermal solve hoisted into the shared batch, whose
-/// factorization memo is the point: lanes ramping through the same fan
-/// lattice share LU factors across lanes *and* steps instead of each
-/// refactorizing privately. Outcomes are **bitwise identical** to running
-/// every lane alone.
+/// Per lane, this replays [`ClosedLoopSim::run`] operation for
+/// operation: each lane runs `ClosedLoopSim::run`'s [`Cadence`] on the
+/// shared plant-step instants, with its own control epochs, server
+/// stepping and trace recording. Only the thermal solve is hoisted into
+/// the shared batch, whose factorization memo is the point: lanes ramping
+/// through the same fan lattice share LU factors across lanes *and* steps
+/// instead of each refactorizing privately. Outcomes are **bitwise
+/// identical** to running every lane alone.
 ///
 /// Compatibility is the caller's contract (the sweep engine groups cells
 /// before calling): every lane needs the same `sim_dt` and the same plant
@@ -438,32 +429,11 @@ pub fn run_batch(sims: &mut [ClosedLoopSim], horizon: Seconds) -> Vec<RunOutcome
         BatchRcNetwork::new(&nets).expect("lockstep lanes must share one topology")
     };
 
-    let mut lanes: Vec<BatchLane> = sims
-        .iter()
-        .map(|sim| {
-            let mut traces = TraceSet::new();
-            let epochs =
-                (horizon.value() / sim.spec.cpu_control_interval.value()).floor() as usize + 2;
-            let channels = EpochChannels::resolve(&mut traces, epochs, sim.server.socket_count());
-            BatchLane {
-                cpu_epoch: Periodic::new(sim.spec.cpu_control_interval),
-                fan_epoch: Periodic::new(sim.spec.fan_control_interval),
-                traces,
-                channels,
-            }
-        })
-        .collect();
-
-    let mut clock = Clock::new(sim_dt);
-    let steps = clock.steps_for(horizon);
-    for _ in 0..=steps {
-        let now = clock.now();
-        for (sim, lane) in sims.iter_mut().zip(&mut lanes) {
-            // Same short-circuit as the scalar loop: the fan schedule is
-            // only consulted (and advanced) inside a due CPU epoch.
-            if lane.cpu_epoch.is_due(now) {
-                let fan_due = lane.fan_epoch.is_due(now);
-                sim.control_epoch(now, fan_due, &mut lane.traces, &lane.channels);
+    let mut lanes: Vec<_> = sims.iter().map(|sim| sim.start(horizon)).collect();
+    for now in plant_steps(sim_dt, horizon) {
+        for (sim, (cadence, traces, channels)) in sims.iter_mut().zip(&mut lanes) {
+            if let Some(fan_due) = cadence.poll(now) {
+                sim.control_epoch(now, fan_due, traces, channels);
             }
             sim.server.begin_step(sim_dt, sim.executed);
         }
@@ -477,10 +447,9 @@ pub fn run_batch(sims: &mut [ClosedLoopSim], horizon: Seconds) -> Vec<RunOutcome
         for sim in sims.iter_mut() {
             sim.server.finish_step(sim_dt);
         }
-        clock.tick();
     }
 
-    sims.iter().zip(lanes).map(|(sim, lane)| sim.outcome(lane.traces, horizon)).collect()
+    sims.iter().zip(lanes).map(|(sim, (_, traces, _))| sim.outcome(traces, horizon)).collect()
 }
 
 /// The epoch-rate channels, resolved to [`ChannelId`]s once per run: the

@@ -1,7 +1,7 @@
 //! The degenerate case for the lifted controllers: on a single-zone,
 //! no-plenum rack the new rack modes must replay the *single-server*
-//! machinery bit for bit — the same contract `crates/rack/tests/
-//! properties.rs` pins for the plant, one layer up at the controllers.
+//! machinery bit for bit — the same contract `tests/properties.rs` pins
+//! for the plant, one layer up at the controllers.
 //!
 //! - `CoordinatedECoord` vs the single-server closed loop running
 //!   [`EnergyAwareCoordinator`]: the whole stack (plant, sensor chains,
@@ -23,7 +23,7 @@ use gfsc_coord::{
 use gfsc_rack::{RackServer, RackSpec, RackTopology};
 use gfsc_sensors::MovingAverage;
 use gfsc_server::ServerSpec;
-use gfsc_sim::{Clock, Periodic};
+use gfsc_sim::{plant_steps, Cadence};
 use gfsc_thermal::Topology;
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization};
 use gfsc_workload::{SquareWave, Workload};
@@ -212,19 +212,14 @@ impl SingleFanSsLoop {
 
     fn run(&mut self, workload: &mut Workload, horizon: Seconds) {
         let spec = self.server.spec().server.clone();
-        let mut clock = Clock::new(spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(spec.fan_control_interval);
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
-                self.epoch(workload.sample(now), fan_epoch.is_due(now), spec.fan_bounds.hi());
+        let mut cadence = Cadence::new(spec.cpu_control_interval, spec.fan_control_interval);
+        for now in plant_steps(spec.sim_dt, horizon) {
+            if let Some(fan_due) = cadence.poll(now) {
+                self.epoch(workload.sample(now), fan_due, spec.fan_bounds.hi());
             }
             let executed = core::mem::take(&mut self.executed);
             self.server.step(spec.sim_dt, &executed);
             self.executed = executed;
-            clock.tick();
         }
     }
 

@@ -735,8 +735,8 @@ impl ScenarioGrid {
         self.run_with_workers(executor::thread_count())
     }
 
-    /// [`ScenarioGrid::run`] with an explicit worker count (the scaling
-    /// probe in `perf_report` sweeps this).
+    /// [`ScenarioGrid::run`] with an explicit worker count (the
+    /// determinism tests pin worker counts with this).
     #[must_use]
     pub fn run_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
         // The gain-schedule caches (`OnceLock`) are warmed before the fan-out:

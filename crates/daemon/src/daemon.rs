@@ -36,7 +36,7 @@ use gfsc_coord::{RackChannels, RackControlBank, RackControlConfig, RackView};
 use gfsc_obs::{EventKind, FlightSnapshot, Source};
 use gfsc_rack::RackSpec;
 use gfsc_sensors::{SensorHealth, SensorStatus};
-use gfsc_sim::{Clock, Periodic, TraceSet};
+use gfsc_sim::{plant_steps, Cadence, TraceSet};
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -283,42 +283,38 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
 
     /// The shared loop behind [`Self::run`] / [`Self::run_paced`].
     ///
-    /// Loop-boundary note, pinned by `tests/paced.rs`: the step loop is
-    /// `0..=steps` with the plant advanced *after* the final control
-    /// cycle, so the backend ends at `horizon + sim_dt`. That mirrors
-    /// `RackLoopSim::run` exactly (same `0..=steps` shape, same trailing
-    /// plant step) and is required for the bit-for-bit parity contract —
-    /// an off-by-one "fix" here would shift every golden trace.
+    /// Loop-boundary note, pinned by `tests/paced.rs`: the loop walks the
+    /// same [`plant_steps`] instants and polls the same [`Cadence`] as
+    /// `RackLoopSim::run`, advancing the backend after each instant's
+    /// cycle, so both end one `sim_dt` past the last instant (see
+    /// [`plant_steps`] for where that falls). The bit-for-bit parity
+    /// contract rests on that shared schedule — a hand-rolled loop here
+    /// that drifted from it would shift every golden trace.
     fn run_inner(
         &mut self,
         horizon: Seconds,
         mut pacing: Option<(&mut dyn WallClock, PacingConfig)>,
     ) -> DaemonRunOutcome {
-        let spec = self.view.spec().server.clone();
-        let mut clock = Clock::new(spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(spec.fan_control_interval);
+        let spec = &self.view.spec().server;
+        let (sim_dt, cpu_interval) = (spec.sim_dt, spec.cpu_control_interval);
+        let mut cadence = Cadence::new(cpu_interval, spec.fan_control_interval);
         let mut traces = TraceSet::new();
-        let epochs = (horizon.value() / spec.cpu_control_interval.value()).floor() as usize + 2;
         let channels = RackChannels::resolve(
             &mut traces,
-            epochs,
+            cadence.trace_capacity(horizon),
             self.view.zone_count(),
             self.view.socket_count(),
         );
 
         // Wall-pacing state: cycle k's deadline is origin + k periods.
-        let period_wall = pacing
-            .as_ref()
-            .map_or(0.0, |(_, cfg)| spec.cpu_control_interval.value() * cfg.time_scale);
+        let period_wall =
+            pacing.as_ref().map_or(0.0, |(_, cfg)| cpu_interval.value() * cfg.time_scale);
         let wall_origin = pacing.as_mut().map_or(0.0, |(wall, _)| wall.now().value());
         let mut overrun_streak: u32 = 0;
 
-        let steps = clock.steps_for(horizon);
         let mut cycle_idx = 0u64;
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
+        for now in plant_steps(sim_dt, horizon) {
+            if let Some(fan_due) = cadence.poll(now) {
                 // Sleep to this cycle's wall deadline; how late the
                 // cycle actually starts is the miss statistic.
                 let mut wall_start = 0.0;
@@ -334,7 +330,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 // the <5 % front-end overhead budget `perf_report` gates.
                 let started =
                     (self.endpoint.is_some() || cycle_idx.trailing_zeros() >= 4).then(Instant::now);
-                self.cycle(now, fan_epoch.is_due(now), &mut traces, &channels);
+                self.cycle(now, fan_due, &mut traces, &channels);
                 if let Some(started) = started {
                     let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     self.metrics.observe_latency(ns);
@@ -363,8 +359,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 }
                 cycle_idx += 1;
             }
-            self.backend.advance(spec.sim_dt);
-            clock.tick();
+            self.backend.advance(sim_dt);
         }
 
         DaemonRunOutcome {

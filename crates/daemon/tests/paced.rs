@@ -11,12 +11,13 @@
 //!    flight event stream, and a persistent streak hands the rack to
 //!    firmware exactly like sensor loss — including the recovery
 //!    round-trip once cycles land on time again.
-//! 3. **The horizon boundary is parity, not an off-by-one.** The step
-//!    loop is `0..=steps` with the plant advanced after the final
-//!    control cycle, mirroring `RackLoopSim::run`; the backend ends one
-//!    sim step past the horizon in both worlds. Pinned here so a
-//!    well-meaning "fix" shows up as a red test, not a shifted golden
-//!    trace.
+//! 3. **The horizon boundary is parity, not an off-by-one.** The daemon
+//!    and `RackLoopSim::run` walk the same `gfsc_sim::plant_steps`
+//!    instants and poll the same `gfsc_sim::Cadence`, advancing the plant
+//!    after each instant's control cycle, so the backend ends one sim
+//!    step past the last instant in both worlds — on and off the step
+//!    grid. Pinned here so a well-meaning "fix" shows up as a red test,
+//!    not a shifted golden trace.
 //!
 //! Artifacts land in `target/daemon-paced/` for CI upload.
 

@@ -8,6 +8,7 @@ use gfsc_units::Seconds;
 /// accumulating `+= dt`), so long simulations do not accumulate floating
 /// point drift — a 10-hour run at `dt = 0.1 s` stays exactly on the step
 /// grid, which the multi-rate scheduler ([`crate::Periodic`]) relies on.
+/// [`crate::plant_steps`] yields a whole run's instants from one clock.
 ///
 /// # Examples
 ///
@@ -20,7 +21,6 @@ use gfsc_units::Seconds;
 ///     clock.tick();
 /// }
 /// assert_eq!(clock.now(), Seconds::new(10.0));
-/// assert_eq!(clock.step(), 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Clock {
@@ -40,33 +40,16 @@ impl Clock {
         Self { dt, step: 0 }
     }
 
-    /// The fixed step size.
-    #[must_use]
-    pub fn dt(&self) -> Seconds {
-        self.dt
-    }
-
     /// The current simulation time (`step × dt`).
     #[must_use]
     pub fn now(&self) -> Seconds {
         Seconds::new(self.step as f64 * self.dt.value())
     }
 
-    /// The number of completed ticks.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
     /// Advances the clock by one step and returns the new time.
     pub fn tick(&mut self) -> Seconds {
         self.step += 1;
         self.now()
-    }
-
-    /// Resets the clock to `t = 0`, keeping the step size.
-    pub fn reset(&mut self) {
-        self.step = 0;
     }
 
     /// Number of ticks needed to cover `duration` (rounded up).
@@ -84,7 +67,6 @@ mod tests {
     fn starts_at_zero() {
         let clock = Clock::new(Seconds::new(1.0));
         assert_eq!(clock.now(), Seconds::new(0.0));
-        assert_eq!(clock.step(), 0);
     }
 
     #[test]
@@ -111,16 +93,6 @@ mod tests {
         assert_eq!(clock.steps_for(Seconds::new(1.0)), 4);
         assert_eq!(clock.steps_for(Seconds::new(0.9)), 3);
         assert_eq!(clock.steps_for(Seconds::new(0.0)), 0);
-    }
-
-    #[test]
-    fn reset_rewinds_time() {
-        let mut clock = Clock::new(Seconds::new(1.0));
-        clock.tick();
-        clock.tick();
-        clock.reset();
-        assert_eq!(clock.now(), Seconds::new(0.0));
-        assert_eq!(clock.dt(), Seconds::new(1.0));
     }
 
     #[test]

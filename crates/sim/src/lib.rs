@@ -7,6 +7,9 @@
 //! chain samples every 1 s. This crate provides the scaffolding for that
 //! style of simulation:
 //!
+//! - [`plant_steps`] / [`Cadence`]: the multi-rate epoch schedule every
+//!   closed loop runs — the plant-step instants of a run, and the CPU and
+//!   fan control epochs due at each of them,
 //! - [`Clock`]: a drift-free fixed-step simulation clock,
 //! - [`Periodic`]: a multi-rate scheduler primitive ("is this controller due
 //!   at the current time?"),
@@ -20,22 +23,29 @@
 //!
 //! # Examples
 //!
+//! A closed loop visits each plant-step instant, runs a control epoch
+//! when its cadence says one is due, and then steps its plant:
+//!
 //! ```
-//! use gfsc_sim::{Clock, Periodic, Trace};
+//! use gfsc_sim::{plant_steps, Cadence, TraceSet};
 //! use gfsc_units::Seconds;
 //!
-//! let mut clock = Clock::new(Seconds::new(0.5));
-//! let mut fan_ctrl = Periodic::new(Seconds::new(30.0));
-//! let mut trace = Trace::new("fan_speed_rpm");
-//! let mut fires = 0;
-//! while clock.now().value() < 120.0 {
-//!     if fan_ctrl.is_due(clock.now()) {
-//!         fires += 1;
-//!         trace.push(clock.now(), 2000.0);
+//! let horizon = Seconds::new(120.0);
+//! let mut cadence = Cadence::new(Seconds::new(1.0), Seconds::new(30.0));
+//! let mut traces = TraceSet::new();
+//! let fan = traces.channel_with_capacity("fan_speed_rpm", cadence.trace_capacity(horizon));
+//! let mut fan_decisions = 0;
+//! for now in plant_steps(Seconds::new(0.5), horizon) {
+//!     if let Some(fan_due) = cadence.poll(now) {
+//!         if fan_due {
+//!             fan_decisions += 1;
+//!         }
+//!         traces.record_by_id(fan, now, 2000.0);
 //!     }
-//!     clock.tick();
+//!     // ... step the plant by 0.5 s ...
 //! }
-//! assert_eq!(fires, 4); // t = 0, 30, 60, 90
+//! assert_eq!(fan_decisions, 5); // t = 0, 30, 60, 90, 120
+//! assert_eq!(traces.require("fan_speed_rpm").unwrap().len(), 121); // t = 0..=120
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,6 +61,6 @@ mod trace;
 
 pub use clock::Clock;
 pub use fault::{FaultSchedule, FaultWindow};
-pub use schedule::Periodic;
+pub use schedule::{plant_steps, Cadence, Periodic};
 pub use spill::{SinkChannel, SpilledTraces, TraceSink};
 pub use trace::{ChannelId, Trace, TraceError, TraceSet};

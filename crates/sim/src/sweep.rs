@@ -94,8 +94,8 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker count, bypassing the
-/// [`thread_count`] policy — the scaling probe in `perf_report` and the
-/// executor's own tests pin worker counts with this.
+/// [`thread_count`] policy — the batched sweep engine and the executor's
+/// own tests pin worker counts with this.
 ///
 /// # Panics
 ///
