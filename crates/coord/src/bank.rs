@@ -11,10 +11,11 @@
 //! extracting it is pure code motion, pinned by the golden traces in
 //! `tests/rack_golden.rs` and the bit-for-bit daemon parity test.
 
+use crate::runner::MONITOR_WINDOW;
 use crate::{
     CappingCoordinator, FanController, FixedPidFan, IntegralCapper, RackControl, RackEnergyDescent,
     RackView, SingleStepFanScaling, SsFanAction, WorkMigrator, ZoneEnergyCoordinator,
-    ZoneReferences, ZoneSsFanBank,
+    ZoneReferences, ZoneSsFanBank, FIXED_REFERENCE,
 };
 use gfsc_control::{AdaptivePid, GainSchedule, PidGains};
 use gfsc_obs::{EventKind, Recorder, Source};
@@ -24,12 +25,19 @@ use gfsc_sensors::MovingAverage;
 use gfsc_sim::{ChannelId, TraceSet};
 use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization, Watts};
 
-/// Everything that parameterizes a [`RackControlBank`] beyond the rack
-/// spec itself: the control mode and every tunable of the layered
-/// controllers. [`RackControlConfig::new`] carries the same defaults the
-/// [`crate::RackLoopSim`] builder has always used, so a daemon
-/// constructing its bank from a fresh config replays the simulation
-/// bit-for-bit.
+/// What parameterizes a [`RackControlBank`] beyond the rack spec itself:
+/// the control mode, the fan gains, the two E-coord policies and the
+/// flight recorder.
+///
+/// Everything else is the one rack calibration every run uses, built by
+/// [`RackControlBank::new`]: the [`IntegralCapper::date14_rack`] capper
+/// per socket, a coordinator cut budget of 2 sockets per epoch, the
+/// [`FIXED_REFERENCE`] for non-adaptive fan loops, 2 K of reference
+/// shading per unit of excess airflow derate, the single-server
+/// single-step scheme ([`SingleStepFanScaling::new`]`(0.3)` over a
+/// 10-epoch violation window) and the [`WorkMigrator::date14_rack`]
+/// migrator. A daemon constructing its bank from a fresh config
+/// therefore replays the simulation bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct RackControlConfig {
     /// The control mode.
@@ -37,26 +45,10 @@ pub struct RackControlConfig {
     /// Pre-tuned gain schedule for adaptive-PID fan loops (`None` falls
     /// back to the paper's fixed gain set).
     pub gain_schedule: Option<GainSchedule>,
-    /// The per-socket capper.
-    pub capper: IntegralCapper,
-    /// The coordinator's per-epoch cut budget.
-    pub max_cuts_per_epoch: usize,
-    /// The fan reference for non-adaptive loops.
-    pub fixed_reference: Celsius,
-    /// Topology-aware reference penalty in kelvin per unit of excess
-    /// airflow derate.
-    pub derate_shading: f64,
-    /// The per-zone single-step scheme (`CoordinatedSsFan`).
-    pub single_step: SingleStepFanScaling,
-    /// The sliding window (in CPU epochs) of each zone's violation
-    /// monitor.
-    pub monitor_window: usize,
     /// The per-zone E-coord policy (`CoordinatedECoord`).
     pub energy_coordinator: ZoneEnergyCoordinator,
     /// The rack-global descent (`GlobalECoord`).
     pub energy_descent: RackEnergyDescent,
-    /// The work migrator (`MigratingCoordinated`).
-    pub work_migrator: WorkMigrator,
     /// The decision flight recorder — disarmed by default, so every
     /// record call in the epoch path is a no-op branch. Arm it
     /// (`Recorder::armed(capacity)`) to keep an event trail of every
@@ -72,15 +64,8 @@ impl RackControlConfig {
         Self {
             control,
             gain_schedule: None,
-            capper: IntegralCapper::date14_rack(),
-            max_cuts_per_epoch: 2,
-            fixed_reference: Celsius::new(75.0),
-            derate_shading: 2.0,
-            single_step: SingleStepFanScaling::new(0.3),
-            monitor_window: 10,
             energy_coordinator: ZoneEnergyCoordinator::date14_rack(),
             energy_descent: RackEnergyDescent::date14_rack(),
-            work_migrator: WorkMigrator::date14_rack(),
             recorder: Recorder::disarmed(),
         }
     }
@@ -170,12 +155,12 @@ impl RackControlBank {
         let zones = plant.zone_count();
         let sockets = plant.socket_count();
         let server = &spec.server;
-        let make_fan = |reference: Celsius| -> Box<dyn FanController> {
+        let make_fan = || -> Box<dyn FanController> {
             match &config.gain_schedule {
                 // The same standard configuration every server loop runs.
                 Some(schedule) => Box::new(AdaptivePid::date14_configured(
                     schedule.clone(),
-                    reference,
+                    FIXED_REFERENCE,
                     server.fan_bounds,
                     server.quantization_step,
                 )),
@@ -183,7 +168,7 @@ impl RackControlBank {
                 // just not retuned per region.
                 None => Box::new(FixedPidFan::new(
                     PidGains::new(696.0, 464.0, 261.0),
-                    reference,
+                    FIXED_REFERENCE,
                     server.fan_bounds,
                     (server.quantization_step > 0.0).then_some(server.quantization_step),
                 )),
@@ -193,14 +178,14 @@ impl RackControlBank {
             RackControl::GlobalLockstep => 1,
             _ => zones,
         };
-        let fans: Vec<Box<dyn FanController>> =
-            (0..fan_count).map(|_| make_fan(config.fixed_reference)).collect();
-        let references = ZoneReferences::for_rack(spec, config.derate_shading);
+        let fans: Vec<Box<dyn FanController>> = (0..fan_count).map(|_| make_fan()).collect();
+        // 2 K of reference shading per unit of excess airflow derate.
+        let references = ZoneReferences::for_rack(spec, 2.0);
         let ss = matches!(config.control, RackControl::CoordinatedSsFan { .. }).then(|| {
             ZoneSsFanBank::new(
                 zones,
-                config.single_step.clone(),
-                config.monitor_window,
+                SingleStepFanScaling::new(0.3),
+                MONITOR_WINDOW,
                 spec.rack.plenum().is_some(),
             )
         });
@@ -212,17 +197,14 @@ impl RackControlBank {
             descent
         });
         let migrator = matches!(config.control, RackControl::MigratingCoordinated { .. })
-            .then(|| config.work_migrator.clone());
+            .then(WorkMigrator::date14_rack);
 
         Self {
             control: config.control,
             fans,
-            capper: config.capper,
-            coordinator: CappingCoordinator::new(
-                sockets,
-                config.max_cuts_per_epoch,
-                spec.server.t_safe,
-            ),
+            capper: IntegralCapper::date14_rack(),
+            // At most two sockets' cuts honored per epoch.
+            coordinator: CappingCoordinator::new(sockets, 2, spec.server.t_safe),
             global_capper: crate::CpuCapController::date14(),
             references,
             ss,

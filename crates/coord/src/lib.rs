@@ -78,7 +78,7 @@ pub use rack::{
     CappingCoordinator, IntegralCapper, RackControl, RackLoopSim, RackLoopSimBuilder,
     RackRunOutcome, ZoneReferences,
 };
-pub use reference::AdaptiveReference;
+pub use reference::{AdaptiveReference, FIXED_REFERENCE};
 pub use runner::{run_batch, ClosedLoopSim, ClosedLoopSimBuilder, RunOutcome};
 pub use ssfan::{SingleStepFanScaling, SsFanAction};
 pub use view::RackView;

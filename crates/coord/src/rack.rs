@@ -31,7 +31,7 @@
 
 use crate::{
     AdaptiveReference, RackChannels, RackControlBank, RackControlConfig, RackEnergyDescent,
-    RunOutcome, SingleStepFanScaling, WorkMigrator, ZoneEnergyCoordinator,
+    RunOutcome, ZoneEnergyCoordinator,
 };
 use gfsc_control::GainSchedule;
 use gfsc_obs::{EventKind, Recorder, Source};
@@ -365,7 +365,7 @@ pub enum RackControl {
     /// views — one zone's boost traded against a plenum-coupled
     /// neighbour's release inside the solver.
     GlobalECoord,
-    /// [`RackControl::Coordinated`] plus the [`WorkMigrator`]: before the
+    /// [`RackControl::Coordinated`] plus the [`crate::WorkMigrator`]: before the
     /// capper bank cuts a hot socket, a slice of its server's demand
     /// weight is shifted to a thermally-headroomed server behind another
     /// fan wall (budgeted, hottest-first, reversed on cool-down) — move
@@ -439,8 +439,6 @@ pub struct RackLoopSimBuilder {
     spec: RackSpec,
     workload: Option<Workload>,
     config: RackControlConfig,
-    start_utilization: Utilization,
-    start_fan: Rpm,
 }
 
 impl std::fmt::Debug for RackLoopSimBuilder {
@@ -477,70 +475,6 @@ impl RackLoopSimBuilder {
         self
     }
 
-    /// Replaces the per-socket capper (default
-    /// [`IntegralCapper::date14_rack`]).
-    #[must_use]
-    pub fn capper(mut self, capper: IntegralCapper) -> Self {
-        self.config.capper = capper;
-        self
-    }
-
-    /// The coordinator's per-epoch cut budget (default 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero.
-    #[must_use]
-    pub fn max_cuts_per_epoch(mut self, budget: usize) -> Self {
-        assert!(budget > 0, "cut budget must be positive");
-        self.config.max_cuts_per_epoch = budget;
-        self
-    }
-
-    /// The fan reference for non-adaptive loops (default 75 °C).
-    #[must_use]
-    pub fn fixed_reference(mut self, reference: Celsius) -> Self {
-        self.config.fixed_reference = reference;
-        self
-    }
-
-    /// The topology-aware reference penalty in kelvin per unit of excess
-    /// airflow derate (default 2.0; 0 disables the shift).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shading` is negative.
-    #[must_use]
-    pub fn derate_shading(mut self, shading: f64) -> Self {
-        assert!(shading >= 0.0, "derate shading must be non-negative");
-        self.config.derate_shading = shading;
-        self
-    }
-
-    /// Replaces the per-zone single-step scheme used by
-    /// [`RackControl::CoordinatedSsFan`] (default
-    /// [`SingleStepFanScaling::new`]`(0.3)`, the single-server
-    /// calibration).
-    #[must_use]
-    pub fn single_step(mut self, scheme: SingleStepFanScaling) -> Self {
-        self.config.single_step = scheme;
-        self
-    }
-
-    /// The sliding window (in CPU epochs) of each zone's violation
-    /// monitor feeding single-step scaling (default 10, the single-server
-    /// calibration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn monitor_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "monitor window must be positive");
-        self.config.monitor_window = window;
-        self
-    }
-
     /// Replaces the per-zone E-coord policy used by
     /// [`RackControl::CoordinatedECoord`] (default
     /// [`ZoneEnergyCoordinator::date14_rack`]).
@@ -559,15 +493,6 @@ impl RackLoopSimBuilder {
         self
     }
 
-    /// Replaces the work migrator used by
-    /// [`RackControl::MigratingCoordinated`] (default
-    /// [`WorkMigrator::date14_rack`]).
-    #[must_use]
-    pub fn work_migrator(mut self, migrator: WorkMigrator) -> Self {
-        self.config.work_migrator = migrator;
-        self
-    }
-
     /// Arms the decision flight recorder with a ring of `capacity`
     /// events (default: disarmed — recording is a no-op). The recording
     /// comes back in [`RunOutcome::flight`].
@@ -581,15 +506,6 @@ impl RackLoopSimBuilder {
         self
     }
 
-    /// Starts the run from thermal equilibrium at this operating point
-    /// (default: `u = 0.1`, every zone at 1500 rpm).
-    #[must_use]
-    pub fn start_at(mut self, utilization: Utilization, fan: Rpm) -> Self {
-        self.start_utilization = utilization;
-        self.start_fan = fan;
-        self
-    }
-
     /// Builds the simulation.
     ///
     /// # Panics
@@ -600,11 +516,12 @@ impl RackLoopSimBuilder {
         // gfsc-lint: allow(panic) builder contract, pinned by the missing_workload_rejected should_panic test
         let workload = self.workload.expect("a workload is required");
         let mut server = RackServer::new(self.spec.clone());
-        let zones = server.zone_count();
-        let start_fans = vec![self.start_fan; zones];
-        server.equilibrate(self.start_utilization, &start_fans);
-        let bank =
-            RackControlBank::new(self.config, &self.spec, server.plant(), self.start_utilization);
+        // Every rack run starts from thermal equilibrium at u = 0.1 with
+        // every zone at 1500 rpm: the operating point the daemon
+        // front-end's `DaemonConfig::new` assumes too.
+        let start = Utilization::new(0.1);
+        server.equilibrate(start, &vec![Rpm::new(1500.0); server.zone_count()]);
+        let bank = RackControlBank::new(self.config, &self.spec, server.plant(), start);
         RackLoopSim { server, workload, bank }
     }
 }
@@ -653,8 +570,6 @@ impl RackLoopSim {
             spec,
             workload: None,
             config: RackControlConfig::new(RackControl::Coordinated { adaptive_reference: true }),
-            start_utilization: Utilization::new(0.1),
-            start_fan: Rpm::new(1500.0),
         }
     }
 

@@ -3,6 +3,11 @@
 use gfsc_sensors::MovingAverage;
 use gfsc_units::{Celsius, Utilization};
 
+/// The fan reference of every fixed-reference loop: the paper's
+/// `R-coord @ T_ref = 75 °C` solution, and each rack zone loop that runs
+/// without an adaptive reference.
+pub const FIXED_REFERENCE: Celsius = Celsius::new(75.0);
+
 /// Scales the fan reference temperature linearly with the *predicted* CPU
 /// utilization:
 ///

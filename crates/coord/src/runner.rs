@@ -43,11 +43,18 @@ pub struct RunOutcome {
     pub flight: Option<FlightSnapshot>,
 }
 
+/// The sliding window, in CPU epochs, of the violation monitor that feeds
+/// single-step fan scaling — the single-server calibration, which every
+/// rack zone's window repeats.
+pub(crate) const MONITOR_WINDOW: usize = 10;
+
 /// Builder for [`ClosedLoopSim`].
 ///
 /// Only the fan controller and workload are mandatory; every other
-/// component defaults to the paper's calibration (deadzone capper,
-/// uncoordinated arbitration, fixed reference, no single-step scaling).
+/// component defaults to the paper's calibration (the
+/// [`CpuCapController::date14`] deadzone capper, uncoordinated
+/// arbitration, fixed reference, no single-step scaling, a 10-epoch
+/// violation window).
 pub struct ClosedLoopSimBuilder {
     spec: ServerSpec,
     workload: Option<Workload>,
@@ -58,7 +65,6 @@ pub struct ClosedLoopSimBuilder {
     single_step: Option<SingleStepFanScaling>,
     start_utilization: Utilization,
     start_fan: Rpm,
-    monitor_window: usize,
 }
 
 impl std::fmt::Debug for ClosedLoopSimBuilder {
@@ -86,13 +92,6 @@ impl ClosedLoopSimBuilder {
     #[must_use]
     pub fn fan(mut self, fan: impl FanController + 'static) -> Self {
         self.fan = Some(Box::new(fan));
-        self
-    }
-
-    /// Sets the CPU capper (default: [`CpuCapController::date14`]).
-    #[must_use]
-    pub fn capper(mut self, capper: CpuCapController) -> Self {
-        self.capper = Some(capper);
         self
     }
 
@@ -134,19 +133,6 @@ impl ClosedLoopSimBuilder {
         self
     }
 
-    /// Sets the sliding window (in CPU epochs) of the violation monitor
-    /// that feeds single-step scaling (default 10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn monitor_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "monitor window must be positive");
-        self.monitor_window = window;
-        self
-    }
-
     /// Builds the simulation.
     ///
     /// # Panics
@@ -161,7 +147,7 @@ impl ClosedLoopSimBuilder {
         let fan = self.fan.expect("a fan controller is required");
         let mut server = Server::new(self.spec.clone());
         server.equilibrate(self.start_utilization, self.start_fan);
-        let monitor = PerformanceMonitor::new(self.monitor_window);
+        let monitor = PerformanceMonitor::new(MONITOR_WINDOW);
         ClosedLoopSim {
             spec: self.spec,
             server,
@@ -244,7 +230,6 @@ impl ClosedLoopSim {
             single_step: None,
             start_utilization: Utilization::new(0.1),
             start_fan: Rpm::new(1000.0),
-            monitor_window: 10,
         }
     }
 

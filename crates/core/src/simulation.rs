@@ -6,10 +6,10 @@ use gfsc_control::{AdaptivePid, GainSchedule};
 use gfsc_coord::RunOutcome;
 use gfsc_coord::{
     AdaptiveReference, ClosedLoopSim, EnergyAwareCoordinator, RuleBasedCoordinator,
-    SingleStepFanScaling, Uncoordinated,
+    SingleStepFanScaling, Uncoordinated, FIXED_REFERENCE,
 };
 use gfsc_server::ServerSpec;
-use gfsc_units::{Celsius, Rpm, Seconds, Utilization};
+use gfsc_units::{Rpm, Seconds, Utilization};
 use gfsc_workload::{SquareWave, Workload};
 
 /// The paper's evaluation workload: demand alternating 0.1 ↔ 0.7 with
@@ -32,7 +32,6 @@ pub struct SimulationBuilder {
     solution: Solution,
     seed: u64,
     workload: Option<Workload>,
-    fixed_reference: Celsius,
     gain_schedule: Option<GainSchedule>,
 }
 
@@ -62,14 +61,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn workload(mut self, workload: Workload) -> Self {
         self.workload = Some(workload);
-        self
-    }
-
-    /// The fan reference used by fixed-reference solutions (default 75 °C,
-    /// the paper's `R-coord @ T_ref = 75 °C` setting).
-    #[must_use]
-    pub fn fixed_reference(mut self, reference: Celsius) -> Self {
-        self.fixed_reference = reference;
         self
     }
 
@@ -105,7 +96,7 @@ impl SimulationBuilder {
         };
         let fan = AdaptivePid::date14_configured(
             schedule,
-            self.fixed_reference,
+            FIXED_REFERENCE,
             spec.fan_bounds,
             spec.quantization_step,
         );
@@ -167,7 +158,6 @@ impl Simulation {
             solution: Solution::RCoordAdaptiveTrefSsFan,
             seed: 0,
             workload: None,
-            fixed_reference: Celsius::new(75.0),
             gain_schedule: None,
         }
     }

@@ -1,6 +1,6 @@
 //! The batch scenario-sweep engine: declarative grids of
-//! `spec × topology × ambient × lag × quantization × fan-interval ×
-//! rack × workload × solution × seed`, evaluated across all cores.
+//! `spec × topology × fan-interval × rack × solution × seed` on one
+//! workload recipe, evaluated across all cores.
 //!
 //! The paper's whole evaluation is embarrassingly parallel — Table III runs
 //! five independent solutions, the ablations run dozens of independent
@@ -24,10 +24,10 @@
 //! # Determinism
 //!
 //! Scenarios are enumerated in a fixed nested order (spec → topology →
-//! ambient → lag → quantization → fan-interval → rack → workload →
-//! solution → seed) and every run is seeded per-scenario, so the parallel
-//! result vector is byte-identical to the serial one — asserted by
-//! `tests/determinism.rs`, for multi-socket topologies and rack cells too.
+//! fan-interval → rack → solution → seed) and every run is seeded
+//! per-scenario, so the parallel result vector is byte-identical to the
+//! serial one — asserted by `tests/determinism.rs`, for multi-socket
+//! topologies and rack cells too.
 //!
 //! # Rack cells
 //!
@@ -67,7 +67,7 @@ use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_server::ServerSpec;
 use gfsc_sim::{sweep as executor, TraceSet};
 use gfsc_thermal::Topology;
-use gfsc_units::{Celsius, Rpm, Seconds};
+use gfsc_units::{Rpm, Seconds};
 
 /// The workload recipe of a scenario (must be constructible on any worker
 /// thread from plain data, hence a recipe rather than a built `Workload`).
@@ -134,8 +134,6 @@ pub struct Scenario {
     pub horizon: Seconds,
     /// Workload recipe.
     pub workload: WorkloadRecipe,
-    /// Fan reference for fixed-reference solutions.
-    pub fixed_reference: Celsius,
     /// The fan gain schedule, pre-tuned once per spec variant at grid
     /// build time (`None` = the default spec's per-process cache).
     pub gain_schedule: Option<gfsc_control::GainSchedule>,
@@ -170,10 +168,7 @@ impl Scenario {
     /// single-server `Simulation`.
     fn build_simulation(&self) -> Simulation {
         assert!(self.rack.is_none(), "rack cells do not build a single-server simulation");
-        let mut builder = Simulation::builder()
-            .solution(self.solution)
-            .seed(self.seed)
-            .fixed_reference(self.fixed_reference);
+        let mut builder = Simulation::builder().solution(self.solution).seed(self.seed);
         if let Some(spec) = &self.spec {
             builder = builder.spec(spec.clone());
         }
@@ -259,7 +254,6 @@ impl Scenario {
             .workload(self.workload.build(self.seed))
             .control(control)
             .gain_schedule(schedule)
-            .fixed_reference(self.fixed_reference)
             .build();
         sim.run(self.horizon)
     }
@@ -322,17 +316,13 @@ pub struct ScenarioResult {
 pub struct ScenarioGridBuilder {
     specs: Vec<(String, Option<ServerSpec>)>,
     topologies: Vec<Option<Topology>>,
-    ambients: Vec<Option<Celsius>>,
-    sensor_lags: Vec<Option<Seconds>>,
-    quantization_steps: Vec<Option<f64>>,
     fan_intervals: Vec<Option<Seconds>>,
     racks: Vec<Option<RackTopology>>,
     rack_controls: Vec<RackControl>,
-    workloads: Vec<(String, WorkloadRecipe)>,
+    workload: WorkloadRecipe,
     solutions: Vec<Solution>,
     seeds: Vec<u64>,
     horizon: Seconds,
-    fixed_reference: Celsius,
     keep_traces: bool,
 }
 
@@ -383,30 +373,6 @@ impl ScenarioGridBuilder {
         self
     }
 
-    /// Sets the ambient (inlet) temperature axis (the default axis is the
-    /// spec's own ambient).
-    #[must_use]
-    pub fn ambients(mut self, ambients: &[Celsius]) -> Self {
-        self.ambients = ambients.iter().copied().map(Some).collect();
-        self
-    }
-
-    /// Sets the sensor-transport-lag axis (the default axis is the spec's
-    /// own lag).
-    #[must_use]
-    pub fn sensor_lags(mut self, lags: &[Seconds]) -> Self {
-        self.sensor_lags = lags.iter().copied().map(Some).collect();
-        self
-    }
-
-    /// Sets the ADC quantization-step axis (the default axis is the spec's
-    /// own step; `0.0` is an ideal converter).
-    #[must_use]
-    pub fn quantization_steps(mut self, steps: &[f64]) -> Self {
-        self.quantization_steps = steps.iter().copied().map(Some).collect();
-        self
-    }
-
     /// Sets the fan-control-interval axis: how often the fan loop decides
     /// (the default axis is the spec's own 30 s interval). Each value
     /// derives a spec — and pays one gain tuning — since the tuned gains
@@ -448,33 +414,10 @@ impl ScenarioGridBuilder {
     }
 
     /// Sets the workload recipe shared by every scenario (default:
-    /// [`WorkloadRecipe::Date14`]). Replaces the whole workload axis with
-    /// this single unlabelled recipe.
+    /// [`WorkloadRecipe::Date14`]).
     #[must_use]
     pub fn workload(mut self, workload: WorkloadRecipe) -> Self {
-        self.workloads = vec![(String::new(), workload)];
-        self
-    }
-
-    /// Adds a labelled recipe to the workload axis (labelled `wl-{label}`),
-    /// so one grid sweeps recipes alongside every other axis. The first
-    /// call replaces the untouched builder default (the unlabelled DATE'14
-    /// recipe); a recipe set explicitly via [`Self::workload`] stays on the
-    /// axis as its unlabelled entry.
-    #[must_use]
-    pub fn workload_variant(mut self, label: impl Into<String>, workload: WorkloadRecipe) -> Self {
-        if self.workloads == [(String::new(), WorkloadRecipe::Date14)] {
-            self.workloads.clear();
-        }
-        self.workloads.push((label.into(), workload));
-        self
-    }
-
-    /// Sets the fan reference for fixed-reference solutions (default
-    /// 75 °C).
-    #[must_use]
-    pub fn fixed_reference(mut self, reference: Celsius) -> Self {
-        self.fixed_reference = reference;
+        self.workload = workload;
         self
     }
 
@@ -487,8 +430,7 @@ impl ScenarioGridBuilder {
     }
 
     /// Enumerates the grid in the fixed nested order spec → topology →
-    /// ambient → lag → quantization → fan-interval → rack → workload →
-    /// solution → seed.
+    /// fan-interval → rack → solution → seed.
     ///
     /// # Panics
     ///
@@ -503,12 +445,8 @@ impl ScenarioGridBuilder {
     pub fn build(self) -> ScenarioGrid {
         assert!(!self.specs.is_empty(), "grid needs at least one spec");
         assert!(!self.topologies.is_empty(), "grid needs at least one topology");
-        assert!(!self.ambients.is_empty(), "grid needs at least one ambient");
-        assert!(!self.sensor_lags.is_empty(), "grid needs at least one sensor lag");
-        assert!(!self.quantization_steps.is_empty(), "grid needs at least one quantization step");
         assert!(!self.fan_intervals.is_empty(), "grid needs at least one fan interval");
         assert!(!self.racks.is_empty(), "grid needs at least one rack cell");
-        assert!(!self.workloads.is_empty(), "grid needs at least one workload");
         assert!(!self.solutions.is_empty(), "grid needs at least one solution");
         assert!(!self.seeds.is_empty(), "grid needs at least one seed");
         let rack_axis = self.racks.iter().any(Option::is_some);
@@ -522,56 +460,36 @@ impl ScenarioGridBuilder {
             self.rack_controls.is_empty() || rack_axis,
             "the rack-control axis needs a rack axis: control modes only apply to rack cells"
         );
-        let cells = self.specs.len()
-            * self.topologies.len()
-            * self.ambients.len()
-            * self.sensor_lags.len()
-            * self.quantization_steps.len()
-            * self.fan_intervals.len()
-            * self.racks.len()
-            * self.workloads.len();
+        let cells =
+            self.specs.len() * self.topologies.len() * self.fan_intervals.len() * self.racks.len();
         let mut scenarios = Vec::with_capacity(cells * self.solutions.len() * self.seeds.len());
         for (spec_label, base_spec) in &self.specs {
             for topology in &self.topologies {
-                for ambient in &self.ambients {
-                    for lag in &self.sensor_lags {
-                        for quant in &self.quantization_steps {
-                            for fan_interval in &self.fan_intervals {
-                                let (spec, prefix) = Self::derive_spec(
-                                    spec_label,
-                                    base_spec,
-                                    topology,
-                                    ambient,
-                                    lag,
-                                    quant,
-                                    fan_interval,
-                                );
-                                // The same 4-region recipe Simulation::build
-                                // would run ad hoc; `None` keeps the default
-                                // spec's per-process cache.
-                                let schedule = spec.as_ref().map(|spec| {
-                                    crate::tune_gain_schedule(
-                                        spec,
-                                        &[
-                                            Rpm::new(2000.0),
-                                            Rpm::new(3500.0),
-                                            Rpm::new(5000.0),
-                                            Rpm::new(7000.0),
-                                        ],
-                                    )
-                                });
-                                self.push_cells(&mut scenarios, &spec, &prefix, &schedule);
-                            }
-                        }
-                    }
+                for fan_interval in &self.fan_intervals {
+                    let (spec, prefix) =
+                        Self::derive_spec(spec_label, base_spec, topology, fan_interval);
+                    // The same 4-region recipe Simulation::build would run
+                    // ad hoc; `None` keeps the default spec's per-process
+                    // cache.
+                    let schedule = spec.as_ref().map(|spec| {
+                        crate::tune_gain_schedule(
+                            spec,
+                            &[
+                                Rpm::new(2000.0),
+                                Rpm::new(3500.0),
+                                Rpm::new(5000.0),
+                                Rpm::new(7000.0),
+                            ],
+                        )
+                    });
+                    self.push_cells(&mut scenarios, &spec, &prefix, &schedule);
                 }
             }
         }
         ScenarioGrid { scenarios, keep_traces: self.keep_traces }
     }
 
-    /// Emits the rack × workload × solution × seed block of one derived
-    /// spec cell.
+    /// Emits the rack × solution × seed block of one derived spec cell.
     fn push_cells(
         &self,
         scenarios: &mut Vec<Scenario>,
@@ -584,94 +502,69 @@ impl ScenarioGridBuilder {
                 Some(rack) => format!("rack-{}/", rack.label()),
                 None => String::new(),
             };
-            for (wl_label, workload) in &self.workloads {
-                let wl_part =
-                    if wl_label.is_empty() { String::new() } else { format!("wl-{wl_label}/") };
-                let push = |label_part: &str,
-                            solution: Solution,
-                            control: Option<RackControl>,
-                            scenarios: &mut Vec<Scenario>| {
-                    for &seed in &self.seeds {
-                        scenarios.push(Scenario {
-                            label: format!("{prefix}{rack_part}{wl_part}{label_part}/seed{seed}"),
-                            spec: spec.clone(),
-                            solution,
-                            seed,
-                            horizon: self.horizon,
-                            workload: workload.clone(),
-                            fixed_reference: self.fixed_reference,
-                            gain_schedule: schedule.clone(),
-                            rack: rack.clone(),
-                            rack_control_override: control,
-                        });
-                    }
-                };
-                if rack.is_some() && !self.rack_controls.is_empty() {
-                    // The rack-control axis: enumerate the control modes
-                    // directly; the reported solution is the matrix row
-                    // each mode extends.
-                    for &control in &self.rack_controls {
-                        push(
-                            control.label(),
-                            Scenario::nearest_solution(control),
-                            Some(control),
-                            scenarios,
-                        );
-                    }
-                } else {
-                    for &solution in &self.solutions {
-                        push(&solution.to_string(), solution, None, scenarios);
-                    }
+            let push = |label_part: &str,
+                        solution: Solution,
+                        control: Option<RackControl>,
+                        scenarios: &mut Vec<Scenario>| {
+                for &seed in &self.seeds {
+                    scenarios.push(Scenario {
+                        label: format!("{prefix}{rack_part}{label_part}/seed{seed}"),
+                        spec: spec.clone(),
+                        solution,
+                        seed,
+                        horizon: self.horizon,
+                        workload: self.workload.clone(),
+                        gain_schedule: schedule.clone(),
+                        rack: rack.clone(),
+                        rack_control_override: control,
+                    });
+                }
+            };
+            if rack.is_some() && !self.rack_controls.is_empty() {
+                // The rack-control axis: enumerate the control modes
+                // directly; the reported solution is the matrix row each
+                // mode extends.
+                for &control in &self.rack_controls {
+                    push(
+                        control.label(),
+                        Scenario::nearest_solution(control),
+                        Some(control),
+                        scenarios,
+                    );
+                }
+            } else {
+                for &solution in &self.solutions {
+                    push(&solution.to_string(), solution, None, scenarios);
                 }
             }
         }
     }
 
-    /// Applies the topology/ambient/lag/quantization/fan-interval
-    /// overrides of one grid cell to the base spec, returning the
-    /// effective spec (`None` = the untouched Table I default) and the
-    /// cell's label prefix.
+    /// Applies the topology and fan-interval overrides of one grid cell to
+    /// the base spec, returning the effective spec (`None` = the untouched
+    /// Table I default) and the cell's label prefix.
     fn derive_spec(
         spec_label: &str,
         base_spec: &Option<ServerSpec>,
         topology: &Option<Topology>,
-        ambient: &Option<Celsius>,
-        lag: &Option<Seconds>,
-        quant: &Option<f64>,
         fan_interval: &Option<Seconds>,
     ) -> (Option<ServerSpec>, String) {
         let mut spec = base_spec.clone();
         let mut prefix =
             if spec_label.is_empty() { String::new() } else { format!("{spec_label}/") };
-        let mut apply = |part: String, f: &mut dyn FnMut(ServerSpec) -> ServerSpec| {
-            let base = spec.take().unwrap_or_else(ServerSpec::enterprise_default);
-            spec = Some(f(base));
-            prefix.push_str(&part);
-            prefix.push('/');
-        };
         if let Some(topology) = topology {
-            apply(topology.label().to_owned(), &mut |s| ServerSpec {
-                topology: topology.clone(),
-                ..s
-            });
-        }
-        // Full-precision Display keeps labels injective: distinct axis
-        // values must never collapse into one cell label, or
-        // `aggregate_over_seeds` would silently pool different conditions.
-        if let Some(ambient) = *ambient {
-            apply(format!("amb{}", ambient.value()), &mut |s| ServerSpec { ambient, ..s });
-        }
-        if let Some(sensor_lag) = *lag {
-            apply(format!("lag{}s", sensor_lag.value()), &mut |s| ServerSpec { sensor_lag, ..s });
-        }
-        if let Some(quantization_step) = *quant {
-            apply(format!("q{quantization_step}"), &mut |s| ServerSpec { quantization_step, ..s });
+            let base = spec.unwrap_or_else(ServerSpec::enterprise_default);
+            spec = Some(ServerSpec { topology: topology.clone(), ..base });
+            prefix.push_str(&format!("{}/", topology.label()));
         }
         if let Some(fan_control_interval) = *fan_interval {
-            apply(format!("fi{}s", fan_control_interval.value()), &mut |s| ServerSpec {
-                fan_control_interval,
-                ..s
-            });
+            let base = spec.unwrap_or_else(ServerSpec::enterprise_default);
+            spec = Some(ServerSpec { fan_control_interval, ..base });
+            // Full-precision Display keeps labels injective: distinct
+            // intervals must never collapse into one cell label, or
+            // `aggregate_over_seeds` would silently pool different
+            // conditions.
+            prefix.push_str(&format!("fi{}s/", fan_control_interval.value()));
         }
         (spec, prefix)
     }
@@ -691,17 +584,13 @@ impl ScenarioGrid {
         ScenarioGridBuilder {
             specs: vec![(String::new(), None)],
             topologies: vec![None],
-            ambients: vec![None],
-            sensor_lags: vec![None],
-            quantization_steps: vec![None],
             fan_intervals: vec![None],
             racks: vec![None],
             rack_controls: Vec::new(),
-            workloads: vec![(String::new(), WorkloadRecipe::Date14)],
+            workload: WorkloadRecipe::Date14,
             solutions: Solution::ALL.to_vec(),
             seeds: vec![42],
             horizon: Seconds::new(900.0),
-            fixed_reference: Celsius::new(75.0),
             keep_traces: false,
         }
     }
@@ -1212,33 +1101,6 @@ mod tests {
     }
 
     #[test]
-    fn non_default_axes_compose_labels_and_specs() {
-        use gfsc_units::{Celsius, Seconds};
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1])
-            .ambients(&[Celsius::new(25.0), Celsius::new(40.0)])
-            .sensor_lags(&[Seconds::new(5.0)])
-            .quantization_steps(&[0.5])
-            .build();
-        let labels: Vec<&str> = grid.scenarios().iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "amb25/lag5s/q0.5/w/o coordination (baseline)/seed1",
-                "amb40/lag5s/q0.5/w/o coordination (baseline)/seed1",
-            ]
-        );
-        let spec = grid.scenarios()[1].spec.as_ref().expect("derived spec");
-        assert_eq!(spec.ambient, Celsius::new(40.0));
-        assert_eq!(spec.sensor_lag, Seconds::new(5.0));
-        assert_eq!(spec.quantization_step, 0.5);
-        // Derived cells carry their own pre-tuned schedule.
-        assert!(grid.scenarios().iter().all(|s| s.gain_schedule.is_some()));
-    }
-
-    #[test]
     fn topology_axis_is_first_class() {
         use gfsc_thermal::Topology;
         let grid = ScenarioGrid::builder()
@@ -1256,47 +1118,6 @@ mod tests {
         assert_eq!(spec.topology, Topology::dual_socket());
         // One tuning for both seeds.
         assert_eq!(grid.scenarios()[0].gain_schedule, grid.scenarios()[1].gain_schedule);
-    }
-
-    #[test]
-    fn workload_axis_is_first_class() {
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1])
-            .workload_variant("date14", WorkloadRecipe::Date14)
-            .workload_variant("steady", WorkloadRecipe::Constant(0.5))
-            .build();
-        let labels: Vec<&str> = grid.scenarios().iter().map(|s| s.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "wl-date14/w/o coordination (baseline)/seed1",
-                "wl-steady/w/o coordination (baseline)/seed1",
-            ]
-        );
-        // Workload variants do not derive specs — no per-cell tuning.
-        assert!(grid.scenarios().iter().all(|s| s.spec.is_none()));
-        assert_eq!(grid.scenarios()[1].workload, WorkloadRecipe::Constant(0.5));
-    }
-
-    #[test]
-    fn explicit_workload_survives_added_variants() {
-        // `workload(..)` pins an explicit recipe; later variants extend the
-        // axis instead of silently replacing it (only the untouched builder
-        // default is replaced).
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1])
-            .workload(WorkloadRecipe::Constant(0.5))
-            .workload_variant("burst", WorkloadRecipe::Date14)
-            .build();
-        let workloads: Vec<&WorkloadRecipe> =
-            grid.scenarios().iter().map(|s| &s.workload).collect();
-        assert_eq!(workloads, [&WorkloadRecipe::Constant(0.5), &WorkloadRecipe::Date14]);
-        assert_eq!(grid.scenarios()[0].label, "w/o coordination (baseline)/seed1");
-        assert_eq!(grid.scenarios()[1].label, "wl-burst/w/o coordination (baseline)/seed1");
     }
 
     #[test]

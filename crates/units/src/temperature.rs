@@ -32,7 +32,7 @@ impl Celsius {
     /// Panics if `deg_c` is NaN; every temperature in the simulator must be
     /// comparable.
     #[must_use]
-    pub fn new(deg_c: f64) -> Self {
+    pub const fn new(deg_c: f64) -> Self {
         assert!(!deg_c.is_nan(), "temperature must not be NaN");
         Self(deg_c)
     }
