@@ -305,16 +305,6 @@ impl ZnTuner {
     pub fn tune_pid<P: Plant>(&self, plant: &mut P) -> Result<PidGains, TuneError> {
         Ok(ZieglerNichols::classic_pid(self.find_ultimate_gain(plant)?))
     }
-
-    /// Convenience: ultimate-gain search followed by the Tyreus–Luyben
-    /// rule (for dead-time-dominant loops).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TuneError`] from the search.
-    pub fn tune_pid_tyreus_luyben<P: Plant>(&self, plant: &mut P) -> Result<PidGains, TuneError> {
-        Ok(ZieglerNichols::tyreus_luyben(self.find_ultimate_gain(plant)?))
-    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,7 @@
 //! - [`RackServer`]: the closed physical rack — per-zone slew-limited fan
 //!   walls ([`FanActuator`]), per-socket non-ideal sensor chains, per-zone
 //!   max aggregation ([`hottest_reading`]), demand weights
-//!   ([`LoadWeights`]), rack-wide energy metering,
-//! - [`ZoneFanPlant`]: `gfsc_control::Plant` adapter for Ziegler–Nichols
-//!   tuning of one zone's fan loop.
+//!   ([`LoadWeights`]), rack-wide energy metering.
 //!
 //! The control layer on top (per-socket cappers, the capping coordinator,
 //! the rack closed loop) lives in `gfsc_coord`.
@@ -42,7 +40,5 @@
 #[cfg(test)]
 mod server;
 
-pub use gfsc_server::{
-    hottest_reading, FanActuator, LoadWeights, RackServer, RackSpec, ZoneFanPlant,
-};
+pub use gfsc_server::{hottest_reading, FanActuator, LoadWeights, RackServer, RackSpec};
 pub use gfsc_thermal::{PlenumDef, RackPlant, RackTopology, RackZoneDef, ServerSlot, ZonePlant};

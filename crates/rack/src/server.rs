@@ -2,7 +2,7 @@
 //! (re-exported here), where it shares one chassis with `Server`.
 
 mod tests {
-    use crate::{RackServer, RackSpec, RackTopology, ZoneFanPlant};
+    use crate::{RackServer, RackSpec, RackTopology};
     use gfsc_units::{Celsius, Joules, Rpm, Seconds, Utilization};
 
     fn rack() -> RackServer {
@@ -130,23 +130,5 @@ mod tests {
         r.equilibrate(Utilization::new(0.7), &[Rpm::new(4000.0), Rpm::new(4000.0)]);
         let v = r.min_safe_zone_fan(1, Utilization::new(0.7), Celsius::new(75.0)).unwrap();
         assert!(v > Rpm::new(0.0));
-    }
-
-    #[test]
-    fn zone_fan_plant_tunes_like_a_server_plant() {
-        let mut plant = ZoneFanPlant::new(
-            RackSpec::new(RackTopology::rack_1u_x8()),
-            1,
-            Utilization::new(0.7),
-            vec![Rpm::new(3000.0), Rpm::new(3000.0)],
-        );
-        assert_eq!(plant.zone(), 1);
-        gfsc_control::Plant::reset(&mut plant);
-        let before = gfsc_control::Plant::step(&mut plant, 3000.0);
-        let mut after = before;
-        for _ in 0..4 {
-            after = gfsc_control::Plant::step(&mut plant, 8000.0);
-        }
-        assert!(after < before - 3.0, "before {before} after {after}");
     }
 }

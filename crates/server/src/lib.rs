@@ -28,9 +28,8 @@
 //!   `gfsc_thermal`), so a zone of a rack plant looks like a server,
 //! - [`TempAggregation`]: how per-socket readings fold into the one
 //!   temperature the global controllers act on,
-//! - [`FanPlant`] / [`ZoneFanPlant`]: a server's / a rack zone's
-//!   fan→measured-temperature loop as a `gfsc_control::Plant` for
-//!   Ziegler–Nichols tuning,
+//! - [`FanPlant`]: a server's fan→measured-temperature loop as a
+//!   `gfsc_control::Plant` for Ziegler–Nichols tuning,
 //! - [`PerformanceMonitor`]: deadline-violation accounting (the Table III
 //!   performance metric).
 //!
@@ -64,6 +63,6 @@ pub use chassis::{hottest_reading, LoadWeights};
 pub use gfsc_thermal::PlantModel;
 pub use monitor::PerformanceMonitor;
 pub use plant::FanPlant;
-pub use rack::{RackServer, RackSpec, ZoneFanPlant};
+pub use rack::{RackServer, RackSpec};
 pub use server::{Plant, Server};
 pub use spec::{ServerSpec, TempAggregation};

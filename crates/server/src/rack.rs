@@ -350,75 +350,3 @@ impl RackServer {
         self.chassis.restart(&self.spec.server, |i| self.plant.junction(i));
     }
 }
-
-/// Adapter exposing one zone's fan → measured-temperature loop as a
-/// `gfsc_control::Plant` for Ziegler–Nichols tuning — the rack analogue of
-/// [`crate::FanPlant`], so zone fan loops are tuned with exactly the
-/// machinery the paper's controller uses.
-///
-/// Each [`gfsc_control::Plant::step`] applies a zone fan command, holds it
-/// for one fan decision period while the whole rack integrates (other
-/// zones at their operating speeds), and returns the zone's aggregated
-/// measurement — lag and quantization included.
-#[derive(Debug, Clone)]
-pub struct ZoneFanPlant {
-    rack: RackServer,
-    zone: usize,
-    utilization: Utilization,
-    operating: Vec<Rpm>,
-    executed: Vec<Utilization>,
-    /// The zone's measurement at the (fixed) operating-point equilibrium,
-    /// captured at construction.
-    equilibrium: f64,
-}
-
-impl ZoneFanPlant {
-    /// Creates the adapter around a fresh rack, equilibrated at
-    /// `(utilization, operating)` with zone `zone` under tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `zone` is out of range or `operating` is not one speed
-    /// per zone.
-    #[must_use]
-    pub fn new(spec: RackSpec, zone: usize, utilization: Utilization, operating: Vec<Rpm>) -> Self {
-        let mut rack = RackServer::new(spec);
-        assert!(zone < rack.zone_count(), "zone {zone} out of range");
-        assert_eq!(operating.len(), rack.zone_count(), "one operating speed per zone");
-        rack.equilibrate(utilization, &operating);
-        let mut executed = vec![Utilization::IDLE; rack.socket_count()];
-        rack.socket_demands(utilization, &mut executed);
-        let equilibrium = rack.measured_zone(zone).value();
-        Self { rack, zone, utilization, operating, executed, equilibrium }
-    }
-
-    /// The zone under tuning.
-    #[must_use]
-    pub fn zone(&self) -> usize {
-        self.zone
-    }
-
-    /// The equilibrium zone measurement at the operating point — the
-    /// natural set-point for tuning probes.
-    #[must_use]
-    pub fn equilibrium_temperature(&self) -> f64 {
-        self.equilibrium
-    }
-}
-
-impl gfsc_control::Plant for ZoneFanPlant {
-    fn reset(&mut self) {
-        self.rack.equilibrate(self.utilization, &self.operating);
-    }
-
-    fn step(&mut self, input: f64) -> f64 {
-        self.rack.set_zone_fan_target(self.zone, Rpm::saturating_new(input.max(0.0)));
-        let dt = self.rack.spec().server.sim_dt;
-        let period = self.rack.spec().server.fan_control_interval;
-        let substeps = (period / dt).round() as usize;
-        for _ in 0..substeps {
-            self.rack.step(dt, &self.executed);
-        }
-        self.rack.measured_zone(self.zone).value()
-    }
-}

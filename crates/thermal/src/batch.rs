@@ -227,12 +227,6 @@ impl BatchRcNetwork {
         })
     }
 
-    /// Lane count B.
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
     /// Nodes per lane.
     #[must_use]
     pub fn node_count(&self) -> usize {

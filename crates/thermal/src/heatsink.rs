@@ -94,12 +94,6 @@ impl HeatSinkLaw {
         KelvinPerWatt::new(self.base)
     }
 
-    /// The airflow coefficient `coeff` of `base + coeff / V^exponent`.
-    #[must_use]
-    pub fn airflow_coefficient(&self) -> f64 {
-        self.coeff
-    }
-
     /// The airflow exponent of `base + coeff / V^exponent`.
     #[must_use]
     pub fn airflow_exponent(&self) -> f64 {

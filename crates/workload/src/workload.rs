@@ -65,19 +65,6 @@ impl Workload {
         }
         Utilization::new(u)
     }
-
-    /// Pre-computes the workload at a fixed interval over `[0, horizon]`
-    /// (inclusive of both endpoints), consuming the stochastic state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn materialize(mut self, horizon: Seconds, interval: Seconds) -> Vec<Utilization> {
-        assert!(!interval.is_zero(), "interval must be positive");
-        let steps = (horizon / interval).floor() as usize;
-        (0..=steps).map(|k| self.sample(Seconds::new(k as f64 * interval.value()))).collect()
-    }
 }
 
 /// Builder for [`Workload`] (see there for an example).
@@ -160,14 +147,6 @@ mod tests {
             max_u = max_u.max(w.sample(Seconds::new(k as f64)).value());
         }
         assert!((max_u - 0.7).abs() < 1e-9, "spike level {max_u}");
-    }
-
-    #[test]
-    fn materialize_covers_horizon_inclusive() {
-        let w = Workload::builder(Constant::new(0.5)).build();
-        let trace = w.materialize(Seconds::new(10.0), Seconds::new(1.0));
-        assert_eq!(trace.len(), 11);
-        assert!(trace.iter().all(|u| u.value() == 0.5));
     }
 
     #[test]
