@@ -3,14 +3,18 @@
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin ablations [lag|quant|regions|noise|all]`
 //!
-//! Any other subcommand prints the usage line to stderr and exits 2.
+//! Any other subcommand, or a second argument, prints the usage line to
+//! stderr and exits 2.
 
 use gfsc::experiments::ablations;
 use gfsc_units::Seconds;
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    if !["lag", "quant", "regions", "noise", "all"].contains(&which.as_str()) {
+    let mut args = std::env::args().skip(1);
+    let which = args.next().unwrap_or_else(|| "all".to_owned());
+    if args.next().is_some()
+        || !["lag", "quant", "regions", "noise", "all"].contains(&which.as_str())
+    {
         eprintln!("usage: ablations [lag|quant|regions|noise|all]");
         std::process::exit(2);
     }

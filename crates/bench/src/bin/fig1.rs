@@ -2,13 +2,17 @@
 //! utilization by ~10 s, plus the I2C mechanistic account of the lag.
 //!
 //! Usage: `cargo run -p gfsc-bench --bin fig1 [--csv]`
+//!
+//! Any other argument prints the usage line to stderr and exits 2 before
+//! the experiment runs.
 
 use gfsc::experiments::fig1::{run, Fig1Config};
 
 fn main() {
+    let csv = gfsc_bench::artifact_args("fig1", Some("--csv"));
     let config = Fig1Config::default();
     let fig = run(&config);
-    if std::env::args().any(|a| a == "--csv") {
+    if csv {
         fig.traces.write_csv(std::io::stdout()).expect("stdout");
         return;
     }

@@ -2,15 +2,19 @@
 //! PID vs the fixed parameter sets tuned at 2000 and 6000 rpm.
 //!
 //! Usage: `cargo run -p gfsc-bench --bin fig3 [--csv]`
+//!
+//! Any other argument prints the usage line to stderr and exits 2 before
+//! the experiment runs.
 
 use gfsc::experiments::fig3::{run, Fig3Config};
 
 fn main() {
+    let csv = gfsc_bench::artifact_args("fig3", Some("--csv"));
     let config = Fig3Config::default();
     let fig = run(&config);
     let schemes = [&fig.adaptive, &fig.fixed_low, &fig.fixed_high];
 
-    if std::env::args().any(|a| a == "--csv") {
+    if csv {
         // Wide CSV: one fan/temperature column pair per scheme.
         println!(
             "time_s,fan_adaptive,t_adaptive,fan_fixed2000,t_fixed2000,fan_fixed6000,t_fixed6000"

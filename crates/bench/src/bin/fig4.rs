@@ -2,14 +2,18 @@
 //! under a fixed workload, with the adaptive PID as a stable control.
 //!
 //! Usage: `cargo run -p gfsc-bench --bin fig4 [--csv]`
+//!
+//! Any other argument prints the usage line to stderr and exits 2 before
+//! the experiment runs.
 
 use gfsc::experiments::fig4::{run, Fig4Config};
 
 fn main() {
+    let csv = gfsc_bench::artifact_args("fig4", Some("--csv"));
     let config = Fig4Config::default();
     let fig = run(&config);
 
-    if std::env::args().any(|a| a == "--csv") {
+    if csv {
         fig.traces.write_csv(std::io::stdout()).expect("stdout");
         return;
     }

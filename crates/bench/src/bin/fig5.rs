@@ -2,14 +2,18 @@
 //! dynamic CPU load with Gaussian noise (sigma = 0.04).
 //!
 //! Usage: `cargo run -p gfsc-bench --bin fig5 [--csv]`
+//!
+//! Any other argument prints the usage line to stderr and exits 2 before
+//! the experiment runs.
 
 use gfsc::experiments::fig5::{run, Fig5Config};
 
 fn main() {
+    let csv = gfsc_bench::artifact_args("fig5", Some("--csv"));
     let config = Fig5Config::default();
     let fig = run(&config);
 
-    if std::env::args().any(|a| a == "--csv") {
+    if csv {
         fig.traces.write_csv(std::io::stdout()).expect("stdout");
         return;
     }

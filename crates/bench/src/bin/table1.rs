@@ -1,11 +1,15 @@
 //! Prints Table I: the design parameters used in power and temperature
 //! modeling, echoed from the live `ServerSpec` (so a drift between code
 //! and paper is visible immediately).
+//!
+//! Usage: `table1` — any argument prints the usage line to stderr and
+//! exits 2.
 
 use gfsc_server::ServerSpec;
 use gfsc_units::{Rpm, Utilization};
 
 fn main() {
+    gfsc_bench::artifact_args("table1", None);
     let s = ServerSpec::enterprise_default();
     println!("Table I — design parameters (paper value vs ServerSpec)\n");
     let rows: Vec<(&str, String, &str)> = vec![

@@ -1,10 +1,14 @@
 //! Prints Table II: the rule-based coordination matrix, evaluated live
 //! from `rule_matrix` over all nine cases.
+//!
+//! Usage: `table2` — any argument prints the usage line to stderr and
+//! exits 2.
 
 use gfsc_coord::rule_matrix;
 use gfsc_units::{Rpm, Utilization};
 
 fn main() {
+    gfsc_bench::artifact_args("table2", None);
     println!("Table II — rule-based coordination (evaluated from the live rule_matrix)\n");
     let cap_now = Utilization::new(0.5);
     let fan_now = Rpm::new(4000.0);

@@ -12,11 +12,12 @@
 //!
 //! # Running the sweep engine
 //!
-//! `table3`, all four `ablations` sweeps and Ziegler–Nichols gain tuning
-//! run through the batch scenario-sweep engine
-//! ([`gfsc::sweep::ScenarioGrid`] over `gfsc_sim::sweep::parallel_map`),
-//! which fans independent scenarios out across every core while keeping
-//! results bit-identical to a serial walk:
+//! `table3` runs through the batch scenario-sweep engine
+//! ([`gfsc::sweep::ScenarioGrid`] over `gfsc_sim::sweep::parallel_map`);
+//! the four `ablations` sweeps and Ziegler–Nichols gain tuning call
+//! `gfsc_sim::sweep::parallel_map` directly. Both fan independent runs out
+//! across every core while keeping results bit-identical to a serial
+//! walk:
 //!
 //! ```text
 //! cargo run --release -p gfsc-bench --bin table3          # 5 solutions, parallel
@@ -92,4 +93,23 @@ pub fn chain_network(n: usize) -> RcNetwork {
     let hot = net.node_id("n0").expect("exists");
     net.set_power(hot, Watts::new(120.0));
     net
+}
+
+/// Reads a paper-artifact binary's command line before any experiment
+/// runs: it may be empty or, when `flag` is given, hold that one flag.
+/// Returns whether the flag was given. Anything else prints
+/// `usage: <bin> [<flag>]` (or `usage: <bin>`) to stderr and exits 2.
+pub fn artifact_args(bin: &str, flag: Option<&str>) -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match (args.as_slice(), flag) {
+        ([], _) => false,
+        ([arg], Some(flag)) if arg == flag => true,
+        _ => {
+            match flag {
+                Some(flag) => eprintln!("usage: {bin} [{flag}]"),
+                None => eprintln!("usage: {bin}"),
+            }
+            std::process::exit(2)
+        }
+    }
 }
