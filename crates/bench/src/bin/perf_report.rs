@@ -557,13 +557,10 @@ fn sweep64_grid() -> ScenarioGrid {
         .build()
 }
 
-/// Wall seconds of one `run_batched` pass over `grid` with the sweep
-/// executor pinned to `workers` (`GFSC_SWEEP_THREADS` set and removed
-/// around the call), asserting the results match `serial` bit for bit.
+/// Wall seconds of one lockstep-batched run of `grid` on `workers` sweep
+/// workers, asserting the results match `serial` bit for bit.
 fn batched_sweep64_secs(grid: &ScenarioGrid, serial: &[ScenarioResult], workers: usize) -> f64 {
-    std::env::set_var("GFSC_SWEEP_THREADS", workers.to_string());
-    let (batched, secs) = time(|| grid.run_batched());
-    std::env::remove_var("GFSC_SWEEP_THREADS");
+    let (batched, secs) = time(|| grid.run_with_workers(workers));
     let identical = serial.len() == batched.len()
         && serial.iter().zip(&batched).all(|(s, b)| s.label == b.label && s.summary == b.summary);
     assert!(identical, "batched sweep at {workers} worker(s) diverged from the serial reference");

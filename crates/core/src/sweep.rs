@@ -13,12 +13,10 @@
 //!   [`gfsc_coord::RunOutcome`] (traces are dropped by default so a
 //!   10 000-scenario grid stays memory-bounded; opt back in with
 //!   [`ScenarioGridBuilder::keep_traces`]),
-//! - [`ScenarioGrid`]: the declarative cartesian grid plus its executors —
-//!   [`ScenarioGrid::run`] fans the cells out over the
-//!   [`gfsc_sim::sweep`] workers, [`ScenarioGrid::run_batched`] fans out
-//!   lockstep batches of compatible multi-socket cells (each group cut
-//!   into up to one batch per worker) alongside the remaining cells,
-//!   [`ScenarioGrid::run_shard`] runs one [`ShardManifest`]'s slice, and
+//! - [`ScenarioGrid`]: the declarative cartesian grid plus its executor —
+//!   [`ScenarioGrid::run`] fans lockstep batches of compatible
+//!   multi-socket cells (each group cut into up to one batch per worker)
+//!   and the remaining cells out over the [`gfsc_sim::sweep`] workers, and
 //!   [`ScenarioGrid::run_serial`] is the bit-identical reference path.
 //!
 //! # Determinism
@@ -68,6 +66,7 @@ use gfsc_server::ServerSpec;
 use gfsc_sim::{sweep as executor, TraceSet};
 use gfsc_thermal::Topology;
 use gfsc_units::{Rpm, Seconds};
+use std::ops::Range;
 
 /// The workload recipe of a scenario (must be constructible on any worker
 /// thread from plain data, hence a recipe rather than a built `Workload`).
@@ -178,11 +177,12 @@ impl Scenario {
         builder.workload(self.workload.build(self.seed)).build()
     }
 
-    /// Whether this cell can join a lockstep batch: a single-server cell
-    /// whose plant is the cached RC network (multi-socket topology). The
-    /// single-socket default runs the exact-exponential two-node model,
-    /// which has no shared-factorization structure to exploit; rack cells
-    /// run their own closed loop.
+    /// Whether [`ScenarioGrid::run`] can step this cell in a lockstep
+    /// batch: a single-server cell whose plant is the cached RC network
+    /// (multi-socket topology). The single-socket default runs the
+    /// exact-exponential two-node model, which has no shared-factorization
+    /// structure to exploit; rack cells run their own closed loop, one
+    /// cell per job.
     #[must_use]
     pub fn is_batchable(&self) -> bool {
         self.rack.is_none() && self.spec.as_ref().is_some_and(|s| !s.topology.is_single())
@@ -617,59 +617,40 @@ impl ScenarioGrid {
         }
     }
 
-    /// Runs every scenario across all cores; results come back in
-    /// enumeration order, bit-identical to [`ScenarioGrid::run_serial`].
+    /// Runs every scenario across all cores, at
+    /// [`gfsc_sim::sweep::thread_count`] workers (see
+    /// [`ScenarioGrid::run_with_workers`] for the execution strategy).
+    /// Results come back in enumeration order, bit-identical to
+    /// [`ScenarioGrid::run_serial`].
     #[must_use]
     pub fn run(&self) -> Vec<ScenarioResult> {
         self.run_with_workers(executor::thread_count())
     }
 
     /// [`ScenarioGrid::run`] with an explicit worker count (the
-    /// determinism tests pin worker counts with this).
-    #[must_use]
-    pub fn run_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
-        // The gain-schedule caches (`OnceLock`) are warmed before the fan-out:
-        // letting N workers race into `get_or_init` would serialize them all
-        // behind one tuner anyway, while charging the wait to every scenario.
-        if self.scenarios.iter().any(|s| s.spec.is_none()) {
-            let _ = crate::fine_gain_schedule();
-        }
-        executor::parallel_map_with_workers(&self.scenarios, |s| self.execute(s), workers)
-    }
-
-    /// Runs every scenario on the calling thread — the determinism
-    /// reference for [`ScenarioGrid::run`].
-    #[must_use]
-    pub fn run_serial(&self) -> Vec<ScenarioResult> {
-        executor::serial_map(&self.scenarios, |s| self.execute(s))
-    }
-
-    /// Runs the grid through the lockstep batch engine across all cores:
-    /// compatible multi-socket cells (same topology, step size, and
+    /// determinism tests pin worker counts with this; 0 runs as 1).
+    ///
+    /// Compatible multi-socket cells (same topology, step size, and
     /// horizon — see [`Scenario::is_batchable`]) step together through a
     /// [`gfsc_thermal::BatchRcNetwork`] whose memoized LU factorizations
     /// are shared across lanes *and* steps; everything else (single-socket
-    /// cells, rack cells, singleton groups) falls back to the scalar path.
-    ///
-    /// Each group of two or more compatible cells is cut into up to
+    /// cells, rack cells, singleton groups) runs the scalar path cell by
+    /// cell. Each group of two or more compatible cells is cut into up to
     /// `workers` contiguous lockstep batches of at least two lanes each
-    /// (sizes differ by at most one), where `workers` is the executor's
-    /// [`gfsc_sim::sweep::thread_count`]. The batches and the fallback
-    /// cells share those workers as the jobs of one parallel map, so
-    /// `GFSC_SWEEP_THREADS=1` runs one batch per group on the calling
-    /// thread.
+    /// (sizes differ by at most one). The batches and the scalar cells
+    /// share the workers as the jobs of one parallel map, so one worker
+    /// runs one batch per group on the calling thread.
     ///
     /// Results come back in enumeration order, **bitwise identical** to
     /// [`ScenarioGrid::run_serial`] — batching is purely an execution
     /// strategy, never a numerical one, whatever the worker count.
     /// Asserted by `tests/determinism.rs` across every solution mode.
     #[must_use]
-    pub fn run_batched(&self) -> Vec<ScenarioResult> {
-        self.run_batched_with_workers(executor::thread_count())
-    }
-
-    /// [`ScenarioGrid::run_batched`] with an explicit worker count.
-    fn run_batched_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
+    pub fn run_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
+        let workers = workers.max(1);
+        // The gain-schedule caches (`OnceLock`) are warmed before the fan-out:
+        // letting N workers race into `get_or_init` would serialize them all
+        // behind one tuner anyway, while charging the wait to every scenario.
         if self.scenarios.iter().any(|s| s.spec.is_none()) {
             let _ = crate::fine_gain_schedule();
         }
@@ -692,8 +673,8 @@ impl ScenarioGrid {
         let mut jobs: Vec<Vec<usize>> = Vec::new();
         let mut in_batch = vec![false; self.scenarios.len()];
         for (_, members) in groups.iter().filter(|(_, members)| members.len() >= 2) {
-            for cut in ShardManifest::split(members.len(), workers.min(members.len() / 2)) {
-                jobs.push(members[cut.start..cut.start + cut.len].to_vec());
+            for cut in split(members.len(), workers.min(members.len() / 2)) {
+                jobs.push(members[cut].to_vec());
             }
             for &i in members {
                 in_batch[i] = true;
@@ -712,9 +693,24 @@ impl ScenarioGrid {
         results.into_iter().map(|r| r.expect("every cell ran")).collect()
     }
 
-    /// Runs one job of [`ScenarioGrid::run_batched`]: a single cell on the
-    /// scalar path, or two or more compatible cells as one lockstep batch
-    /// (its own `BatchRcNetwork` and factor arena).
+    /// Runs every scenario on the calling thread — the determinism
+    /// reference for [`ScenarioGrid::run`].
+    #[must_use]
+    pub fn run_serial(&self) -> Vec<ScenarioResult> {
+        executor::serial_map(&self.scenarios, |s| self.execute(s))
+    }
+
+    /// The same run as [`ScenarioGrid::run`], under the name the
+    /// repository benchmark (`perfbench`) calls; nothing in the workspace
+    /// calls it.
+    #[must_use]
+    pub fn run_batched(&self) -> Vec<ScenarioResult> {
+        self.run()
+    }
+
+    /// Runs one job of [`ScenarioGrid::run_with_workers`]: a single cell
+    /// on the scalar path, or two or more compatible cells as one lockstep
+    /// batch (its own `BatchRcNetwork` and factor arena).
     fn run_job(&self, cells: &[usize]) -> Vec<ScenarioResult> {
         if let [i] = *cells {
             return vec![self.execute(&self.scenarios[i])];
@@ -730,215 +726,25 @@ impl ScenarioGrid {
             .map(|(&i, outcome)| self.package(&self.scenarios[i], outcome))
             .collect()
     }
-
-    /// Splits the grid into `shards` deterministic manifests covering the
-    /// enumeration order in contiguous chunks (sizes differ by at most
-    /// one). Each manifest names a slice any process holding the same
-    /// grid can run with [`ScenarioGrid::run_shard`];
-    /// [`merge_shards`] reassembles the full result vector bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn shard(&self, shards: usize) -> Vec<ShardManifest> {
-        ShardManifest::split(self.scenarios.len(), shards)
-    }
-
-    /// Runs the slice of the grid a manifest names, across all cores,
-    /// returning that shard's results in enumeration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifest's `total` does not match this grid — the
-    /// guard against pairing a manifest with a differently-built grid —
-    /// or if its `start+len` range does not lie inside the grid.
-    #[must_use]
-    pub fn run_shard(&self, manifest: &ShardManifest) -> Vec<ScenarioResult> {
-        assert_eq!(
-            manifest.total,
-            self.scenarios.len(),
-            "manifest was cut from a {}-scenario grid, this grid has {}",
-            manifest.total,
-            self.scenarios.len()
-        );
-        assert!(
-            manifest.range_fits(),
-            "manifest range {}+{} lies outside the {}-scenario grid",
-            manifest.start,
-            manifest.len,
-            manifest.total
-        );
-        let slice = &self.scenarios[manifest.start..manifest.start + manifest.len];
-        if slice.iter().any(|s| s.spec.is_none()) {
-            let _ = crate::fine_gain_schedule();
-        }
-        executor::parallel_map(slice, |s| self.execute(s))
-    }
 }
 
-/// One shard of a [`ScenarioGrid`]: a contiguous slice of the grid's
-/// enumeration order, identified well enough to validate reassembly.
-///
-/// Manifests are plain data with a stable one-line text form
-/// ([`ShardManifest::to_text`] / [`ShardManifest::from_text`]), so a
-/// driver can cut a grid into K manifests, farm them out to K processes
-/// that each rebuild the same grid, and [`merge_shards`] the returned
-/// result vectors into the exact vector the unsharded run produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardManifest {
-    /// This shard's index, `0..shard_count`.
-    pub shard: usize,
-    /// How many shards the grid was cut into.
-    pub shard_count: usize,
-    /// First scenario index covered.
-    pub start: usize,
-    /// Number of scenarios covered.
-    pub len: usize,
-    /// Total scenarios in the grid the cut was made from (the
-    /// merge-time compatibility check).
-    pub total: usize,
-}
-
-impl ShardManifest {
-    /// Cuts `total` items into `shards` contiguous chunks in index order;
-    /// the first `total % shards` chunks take one extra item. Purely a
-    /// function of the two counts — every process cutting the same grid
-    /// the same way gets byte-identical manifests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn split(total: usize, shards: usize) -> Vec<ShardManifest> {
-        assert!(shards > 0, "need at least one shard");
-        let base = total / shards;
-        let extra = total % shards;
-        let mut start = 0;
-        (0..shards)
-            .map(|shard| {
-                let len = base + usize::from(shard < extra);
-                let manifest = ShardManifest { shard, shard_count: shards, start, len, total };
-                start += len;
-                manifest
-            })
-            .collect()
-    }
-
-    /// The one-line text form: `gfsc-shard v1 <shard>/<count> <start>+<len> of <total>`.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        format!(
-            "gfsc-shard v1 {}/{} {}+{} of {}",
-            self.shard, self.shard_count, self.start, self.len, self.total
-        )
-    }
-
-    /// Parses [`ShardManifest::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field, of trailing
-    /// input, or of a manifest [`ScenarioGrid::run_shard`] could not run:
-    /// a zero shard count, a shard index past the count, or a
-    /// `start+len` range that overflows or ends past `total`.
-    pub fn from_text(text: &str) -> Result<ShardManifest, String> {
-        let mut words = text.split_whitespace();
-        let mut expect = |want: &str| match words.next() {
-            Some(got) if got == want => Ok(()),
-            Some(got) => Err(format!("expected `{want}`, found `{got}`")),
-            None => Err(format!("expected `{want}`, found end of input")),
-        };
-        expect("gfsc-shard")?;
-        expect("v1")?;
-        let mut words = text.split_whitespace().skip(2);
-        let mut field = |name: &str| words.next().ok_or_else(|| format!("missing {name}"));
-        let (shard, shard_count) = field("shard/count")?
-            .split_once('/')
-            .ok_or_else(|| "shard/count needs a `/`".to_owned())?;
-        let (start, len) = field("start+len")?
-            .split_once('+')
-            .ok_or_else(|| "start+len needs a `+`".to_owned())?;
-        let of = field("`of`")?;
-        if of != "of" {
-            return Err(format!("expected `of`, found `{of}`"));
-        }
-        let total = field("total")?;
-        if let Some(extra) = words.next() {
-            return Err(format!("unexpected `{extra}` after the total"));
-        }
-        let num = |name: &str, digits: &str| {
-            digits.parse::<usize>().map_err(|e| format!("bad {name} `{digits}`: {e}"))
-        };
-        let manifest = ShardManifest {
-            shard: num("shard", shard)?,
-            shard_count: num("shard count", shard_count)?,
-            start: num("start", start)?,
-            len: num("len", len)?,
-            total: num("total", total)?,
-        };
-        if manifest.shard >= manifest.shard_count {
-            return Err(format!(
-                "shard {} is out of range for {} shards",
-                manifest.shard, manifest.shard_count
-            ));
-        }
-        if !manifest.range_fits() {
-            return Err(format!(
-                "range {}+{} lies outside a {}-scenario grid",
-                manifest.start, manifest.len, manifest.total
-            ));
-        }
-        Ok(manifest)
-    }
-
-    /// Whether `start+len` neither overflows nor ends past `total`.
-    fn range_fits(&self) -> bool {
-        self.start.checked_add(self.len).is_some_and(|end| end <= self.total)
-    }
-}
-
-/// Reassembles shard results into the full grid's result vector —
-/// bitwise what the unsharded run returns, in enumeration order. Parts
-/// may arrive in any order; they are sorted by manifest.
+/// Cuts `total` items into `parts` contiguous index ranges in order; the
+/// first `total % parts` ranges take one extra item.
 ///
 /// # Panics
 ///
-/// Panics unless the manifests form exactly one complete, non-overlapping
-/// cover of `0..total` with consistent shard counts, and each part's
-/// length matches its manifest — partial or doubled coverage must never
-/// silently masquerade as a full sweep.
-#[must_use]
-pub fn merge_shards(mut parts: Vec<(ShardManifest, Vec<ScenarioResult>)>) -> Vec<ScenarioResult> {
-    assert!(!parts.is_empty(), "merge needs at least one shard");
-    parts.sort_by_key(|(m, _)| m.start);
-    let (first, _) = &parts[0];
-    let (shard_count, total) = (first.shard_count, first.total);
-    assert_eq!(parts.len(), shard_count, "expected {shard_count} shards, got {}", parts.len());
-    let mut next = 0;
-    let mut merged = Vec::with_capacity(total);
-    for (i, (manifest, results)) in parts.into_iter().enumerate() {
-        assert_eq!(
-            (manifest.shard_count, manifest.total),
-            (shard_count, total),
-            "shard {} was cut from a different grid",
-            manifest.shard
-        );
-        assert_eq!(manifest.shard, i, "duplicate or missing shard index {i}");
-        assert_eq!(manifest.start, next, "shard {} does not start at index {next}", manifest.shard);
-        assert_eq!(
-            results.len(),
-            manifest.len,
-            "shard {} returned {} results for {} scenarios",
-            manifest.shard,
-            results.len(),
-            manifest.len
-        );
-        next += manifest.len;
-        merged.extend(results);
-    }
-    assert_eq!(next, total, "shards cover {next} of {total} scenarios");
-    merged
+/// Panics if `parts` is zero.
+fn split(total: usize, parts: usize) -> Vec<Range<usize>> {
+    assert!(parts > 0, "need at least one part");
+    let (base, extra) = (total / parts, total % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|part| {
+            let len = base + usize::from(part < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
 }
 
 /// Mean and 95 % confidence half-width of one metric over the seed axis.
@@ -1240,7 +1046,7 @@ mod tests {
             .build();
         assert!(grid.scenarios().iter().all(Scenario::is_batchable));
         let serial = grid.run_serial();
-        let batched = grid.run_batched();
+        let batched = grid.run();
         assert_eq!(serial.len(), batched.len());
         for (s, b) in serial.iter().zip(&batched) {
             assert_eq!(s.label, b.label);
@@ -1259,7 +1065,7 @@ mod tests {
             .build();
         assert!(grid.scenarios().iter().all(|s| !s.is_batchable()));
         let serial = grid.run_serial();
-        let batched = grid.run_batched();
+        let batched = grid.run();
         for (s, b) in serial.iter().zip(&batched) {
             assert_eq!((s.label.as_str(), &s.summary), (b.label.as_str(), &b.summary));
         }
@@ -1269,8 +1075,9 @@ mod tests {
     fn batched_run_matches_serial_at_every_worker_count() {
         // Two 10-lane groups (2S and 4S; both fan intervals share a batch
         // key): 4 workers cut each into 3/3/2/2 lanes, 6 are clamped to 5
-        // batches of 2. The single-socket cells never batch and run as
-        // one-cell jobs alongside the batches.
+        // batches of 2, and 0 runs as 1 (one 10-lane batch per group). The
+        // single-socket cells never batch and run as one-cell jobs
+        // alongside the batches.
         let grid = ScenarioGrid::builder()
             .horizon(Seconds::new(60.0))
             .solutions(&[Solution::RCoordAdaptiveTref])
@@ -1292,8 +1099,8 @@ mod tests {
                 })
                 .collect()
         };
-        for workers in 1..=6 {
-            let batched = grid.run_batched_with_workers(workers);
+        for workers in 0..=6 {
+            let batched = grid.run_with_workers(workers);
             assert_eq!(serial.len(), batched.len());
             for (s, b) in serial.iter().zip(&batched) {
                 assert_eq!(s.label, b.label, "{workers} workers");
@@ -1311,102 +1118,35 @@ mod tests {
     }
 
     #[test]
-    fn shard_split_covers_the_grid_exactly() {
-        let manifests = ShardManifest::split(10, 3);
-        assert_eq!(manifests.len(), 3);
-        assert_eq!((manifests[0].start, manifests[0].len), (0, 4));
-        assert_eq!((manifests[1].start, manifests[1].len), (4, 3));
-        assert_eq!((manifests[2].start, manifests[2].len), (7, 3));
-        assert!(manifests.iter().all(|m| m.total == 10 && m.shard_count == 3));
-        // More shards than items: trailing shards go empty, coverage holds.
-        let thin = ShardManifest::split(2, 4);
-        assert_eq!(thin.iter().map(|m| m.len).sum::<usize>(), 2);
-    }
-
-    #[test]
-    fn shard_manifest_text_round_trips() {
-        for manifest in ShardManifest::split(17, 4) {
-            let text = manifest.to_text();
-            assert_eq!(ShardManifest::from_text(&text), Ok(manifest), "{text}");
-        }
-        assert!(ShardManifest::from_text("not a manifest").is_err());
-        assert!(ShardManifest::from_text("gfsc-shard v2 0/1 0+1 of 1").is_err());
-        assert!(ShardManifest::from_text("gfsc-shard v1 0of1 0+1 of 1").is_err());
-    }
-
-    #[test]
-    fn shard_manifest_text_rejects_manifests_no_grid_can_run() {
-        for text in [
-            // The range ends past the grid.
-            "gfsc-shard v1 0/1 5+10 of 10",
-            // Zero shards, and a shard index past the count.
-            "gfsc-shard v1 3/0 0+1 of 1",
-            // start + len overflows.
-            "gfsc-shard v1 0/1 18446744073709551615+1 of 10",
-            // Trailing words.
-            "gfsc-shard v1 0/1 0+1 of 1 extra",
-        ] {
-            assert!(ShardManifest::from_text(text).is_err(), "{text}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "manifest range 1+5 lies outside the 2-scenario grid")]
-    fn run_shard_rejects_ranges_past_the_grid() {
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1, 2])
-            .build();
-        let past = ShardManifest { shard: 0, shard_count: 1, start: 1, len: 5, total: 2 };
-        let _ = grid.run_shard(&past);
-    }
-
-    #[test]
-    fn sharded_run_merges_to_the_unsharded_results() {
+    fn rack_cells_match_serial_at_every_worker_count() {
+        use gfsc_rack::RackTopology;
+        // Rack cells run as one-cell jobs today; however they are later
+        // batched, every worker count must replay the serial walk bitwise.
         let grid = ScenarioGrid::builder()
             .horizon(Seconds::new(60.0))
             .solutions(&[Solution::WithoutCoordination, Solution::ECoord])
-            .seeds(&[1, 2, 3])
+            .seeds(&[1, 2])
+            .rack_variant(RackTopology::rack_2u_x4())
             .build();
-        let whole = grid.run_serial();
-        let manifests = grid.shard(4);
-        // Merge out-of-order on purpose: order is the merger's job.
-        let mut parts: Vec<(ShardManifest, Vec<ScenarioResult>)> =
-            manifests.iter().rev().map(|m| (*m, grid.run_shard(m))).collect();
-        parts.rotate_left(1);
-        let merged = merge_shards(parts);
-        assert_eq!(whole.len(), merged.len());
-        for (w, m) in whole.iter().zip(&merged) {
-            assert_eq!((w.label.as_str(), &w.summary), (m.label.as_str(), &m.summary));
+        let serial = grid.run_serial();
+        for workers in 0..=6 {
+            let parallel = grid.run_with_workers(workers);
+            assert_eq!(serial.len(), parallel.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(s.label, p.label, "{workers} workers");
+                assert_eq!(s.summary, p.summary, "{} at {workers} workers", s.label);
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "cover")]
-    fn merge_rejects_missing_shards() {
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1, 2])
-            .build();
-        let manifests = grid.shard(2);
-        let _ = merge_shards(vec![
-            (manifests[0], grid.run_shard(&manifests[0])),
-            (ShardManifest { len: 0, start: 1, ..manifests[1] }, Vec::new()),
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario grid")]
-    fn run_shard_rejects_foreign_manifests() {
-        let grid = ScenarioGrid::builder()
-            .horizon(Seconds::new(30.0))
-            .solutions(&[Solution::WithoutCoordination])
-            .seeds(&[1])
-            .build();
-        let foreign = ShardManifest { shard: 0, shard_count: 1, start: 0, len: 9, total: 9 };
-        let _ = grid.run_shard(&foreign);
+    fn shard_split_covers_the_grid_exactly() {
+        // The cut rule behind the lockstep batches: contiguous, in order,
+        // sizes within one of each other.
+        assert_eq!(split(10, 3), [0..4, 4..7, 7..10]);
+        assert_eq!(split(4, 2), [0..2, 2..4]);
+        // More parts than items: trailing parts go empty, coverage holds.
+        assert_eq!(split(2, 4), [0..1, 1..2, 2..2, 2..2]);
     }
 
     #[test]

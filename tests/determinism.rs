@@ -193,7 +193,7 @@ fn batched_sweep_matches_serial_byte_for_byte_across_all_solutions() {
         .seeds(&[1, 2])
         .topology_variant(Topology::dual_socket())
         .build();
-    let batched = grid.run_batched();
+    let batched = grid.run();
     let serial = grid.run_serial();
     assert_eq!(batched.len(), 10);
     for (b, s) in batched.iter().zip(&serial) {
@@ -225,43 +225,12 @@ fn batched_sweep_handles_mixed_compatibility_groups() {
         .build();
     let batchable = grid.scenarios().iter().filter(|s| s.is_batchable()).count();
     assert_eq!(batchable, 12);
-    let batched = grid.run_batched();
+    let batched = grid.run();
     let serial = grid.run_serial();
     assert_eq!(batched.len(), 18);
     for (b, s) in batched.iter().zip(&serial) {
         assert_eq!(b.label, s.label);
         assert_eq!(b.summary, s.summary, "{}", b.label);
-    }
-}
-
-#[test]
-fn sharded_rack_sweep_merges_to_the_unsharded_results() {
-    use gfsc::rack::RackTopology;
-    use gfsc::sweep::{merge_shards, ScenarioGrid, ShardManifest};
-    // Shard manifests on a rack grid: three shards of a 10-cell grid,
-    // round-tripped through the text form (as a driver farming shards to
-    // other processes would), must merge into the exact unsharded vector.
-    let grid = ScenarioGrid::builder()
-        .horizon(Seconds::new(120.0))
-        .solutions(&[Solution::WithoutCoordination, Solution::ECoord])
-        .seeds(&[1, 2, 3, 4, 5])
-        .rack_variant(RackTopology::rack_2u_x4())
-        .build();
-    let whole = grid.run_serial();
-    let parts = grid
-        .shard(3)
-        .into_iter()
-        .map(|m| {
-            let manifest = ShardManifest::from_text(&m.to_text()).unwrap();
-            let results = grid.run_shard(&manifest);
-            (manifest, results)
-        })
-        .collect();
-    let merged = merge_shards(parts);
-    assert_eq!(whole.len(), merged.len());
-    for (w, m) in whole.iter().zip(&merged) {
-        assert_eq!(w.label, m.label);
-        assert_eq!(w.summary, m.summary, "{}", w.label);
     }
 }
 
@@ -302,11 +271,11 @@ fn one_worker_parallel_map_is_the_serial_path() {
 #[test]
 #[ignore = "large-grid smoke test (10k cells): run explicitly or via scripts/ci.sh full"]
 fn large_grid_smoke_with_spilled_traces() {
-    use gfsc::sweep::{merge_shards, ScenarioGrid, WorkloadRecipe};
+    use gfsc::sweep::{ScenarioGrid, WorkloadRecipe};
     use gfsc_sim::SpilledTraces;
     // 10 000 cells at a tiny horizon: the grid machinery (enumeration,
-    // sharding, merge, batched execution) plus a spilled-trace pass must
-    // hold up at three orders of magnitude above the unit tests' size.
+    // job fan-out, result reassembly) plus a spilled-trace pass must hold
+    // up at three orders of magnitude above the unit tests' size.
     let grid = ScenarioGrid::builder()
         .horizon(Seconds::new(4.0))
         .solutions(&[Solution::WithoutCoordination])
@@ -314,11 +283,10 @@ fn large_grid_smoke_with_spilled_traces() {
         .seeds(&(0..10_000).collect::<Vec<u64>>())
         .build();
     assert_eq!(grid.scenarios().len(), 10_000);
-    let parts = grid.shard(8).into_iter().map(|m| (m, grid.run_shard(&m))).collect();
-    let merged = merge_shards(parts);
-    assert_eq!(merged.len(), 10_000);
-    let first = &merged[0].summary;
-    assert!(merged.iter().all(|r| r.summary.total_epochs == first.total_epochs));
+    let results = grid.run();
+    assert_eq!(results.len(), 10_000);
+    let first = &results[0].summary;
+    assert!(results.iter().all(|r| r.summary.total_epochs == first.total_epochs));
 
     // Spill one representative cell's traces through a tmpdir and read a
     // single column back.
@@ -329,7 +297,7 @@ fn large_grid_smoke_with_spilled_traces() {
         .seeds(&[1])
         .keep_traces(true)
         .build();
-    let results = keep.run_batched();
+    let results = keep.run();
     let traces = results[0].traces.as_ref().expect("keep_traces grid returns traces");
     traces.spill_to(&dir).unwrap();
     let spilled = SpilledTraces::open(&dir).unwrap();
