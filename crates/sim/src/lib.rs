@@ -15,8 +15,8 @@
 //!   at the current time?"),
 //! - [`Trace`] / [`TraceSet`]: named time series with CSV export,
 //! - [`spill`]: columnar on-disk trace spill ([`TraceSet::spill_to`],
-//!   streaming [`TraceSink`], selective [`SpilledTraces`] reads) so large
-//!   sweeps keep full traces without keeping them resident,
+//!   selective [`SpilledTraces`] reads) so large sweeps keep full traces
+//!   without keeping them resident,
 //! - [`stats`]: step-response and stability metrics (settling time,
 //!   overshoot, sustained-oscillation detection) used to evaluate the
 //!   paper's claims quantitatively.
@@ -62,5 +62,5 @@ mod trace;
 pub use clock::Clock;
 pub use fault::{FaultSchedule, FaultWindow};
 pub use schedule::{plant_steps, Cadence, Periodic};
-pub use spill::{SinkChannel, SpilledTraces, TraceSink};
+pub use spill::SpilledTraces;
 pub use trace::{ChannelId, Trace, TraceError, TraceSet};

@@ -12,9 +12,7 @@
 //! - one `index.tsv` mapping trace names to column ids and lengths,
 //!   written **last** so a complete index certifies a complete spill.
 //!
-//! [`TraceSet::spill_to`] writes a finished in-memory set;
-//! [`TraceSink`] streams samples to disk as they are produced (the
-//! large-grid path that never materializes the set at all); and
+//! [`TraceSet::spill_to`] writes a finished in-memory set, and
 //! [`SpilledTraces`] reads **single columns** back without replaying or
 //! even touching the rest of the directory — post-hoc analysis of one
 //! channel out of thousands costs one index parse plus two column reads.
@@ -56,142 +54,49 @@ fn values_file(dir: &Path, id: usize) -> PathBuf {
     dir.join(format!("col_{id}.values"))
 }
 
-/// A pre-resolved handle to one column of a [`TraceSink`] — the sink-side
-/// analog of [`crate::ChannelId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SinkChannel(usize);
-
-/// One open column: its running length, ordering watermark, and the two
-/// buffered column writers.
-#[derive(Debug)]
-struct SinkColumn {
-    name: String,
-    len: u64,
-    last_time: f64,
-    times: BufWriter<File>,
-    values: BufWriter<File>,
-}
-
-/// A streaming columnar trace writer: samples go straight to buffered
-/// column files instead of accumulating in a [`TraceSet`], so a sweep can
-/// record arbitrarily long traces in constant memory. [`TraceSink::finish`]
-/// seals the spill by writing the index; a directory without an index is
-/// an aborted spill and [`SpilledTraces::open`] refuses it.
-#[derive(Debug)]
-pub struct TraceSink {
-    dir: PathBuf,
-    columns: Vec<SinkColumn>,
-}
-
-impl TraceSink {
-    /// Creates the spill directory (and parents) and an empty sink in it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] if the directory cannot be created.
-    pub fn create(dir: impl Into<PathBuf>) -> Result<Self, TraceError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir, columns: Vec::new() })
-    }
-
-    /// Resolves `name` to a column handle, opening its column files on
-    /// first use (same aliasing rule as [`TraceSet::channel`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Format`] for names the tab-separated index
-    /// cannot represent (embedded tabs or newlines), [`TraceError::Io`]
-    /// if the column files cannot be created.
-    pub fn channel(&mut self, name: &str) -> Result<SinkChannel, TraceError> {
-        if let Some(idx) = self.columns.iter().position(|c| c.name == name) {
-            return Ok(SinkChannel(idx));
-        }
-        if name.contains(['\t', '\n']) {
-            return Err(TraceError::Format(format!(
-                "trace name {name:?} cannot be spilled: tabs and newlines delimit the index"
-            )));
-        }
-        let id = self.columns.len();
-        self.columns.push(SinkColumn {
-            name: name.to_owned(),
-            len: 0,
-            last_time: f64::NEG_INFINITY,
-            times: BufWriter::new(File::create(times_file(&self.dir, id))?),
-            values: BufWriter::new(File::create(values_file(&self.dir, id))?),
-        });
-        Ok(SinkChannel(id))
-    }
-
-    /// Appends one sample to a column, enforcing the same invariants as
-    /// [`Trace::try_push`]: non-decreasing times, no NaN values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::OutOfOrder`] for time regressions,
-    /// [`TraceError::Io`] if the write fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN or `channel` came from another sink.
-    pub fn record(
-        &mut self,
-        channel: SinkChannel,
-        t: Seconds,
-        value: f64,
-    ) -> Result<(), TraceError> {
-        assert!(!value.is_nan(), "trace value must not be NaN");
-        let column = &mut self.columns[channel.0];
-        if column.len > 0 && t.value() < column.last_time {
-            return Err(TraceError::OutOfOrder { last: column.last_time, attempted: t.value() });
-        }
-        column.times.write_all(&t.value().to_le_bytes())?;
-        column.values.write_all(&value.to_le_bytes())?;
-        column.last_time = t.value();
-        column.len += 1;
-        Ok(())
-    }
-
-    /// Flushes every column and writes the index, sealing the spill.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] if a flush or the index write fails.
-    pub fn finish(self) -> Result<(), TraceError> {
-        let mut index = String::from(MAGIC);
-        index.push('\t');
-        index.push_str(&self.columns.len().to_string());
-        index.push('\n');
-        for (id, column) in self.columns.into_iter().enumerate() {
-            column.times.into_inner().map_err(|e| TraceError::Io(e.into_error()))?.sync_data()?;
-            column.values.into_inner().map_err(|e| TraceError::Io(e.into_error()))?.sync_data()?;
-            index.push_str(&format!("{id}\t{}\t{}\n", column.len, column.name));
-        }
-        fs::write(self.dir.join(INDEX), index)?;
-        Ok(())
-    }
-}
-
 impl TraceSet {
     /// Spills every trace to `dir` in the columnar layout (see the
-    /// [module docs](crate::spill)), creating the directory as needed.
+    /// [module docs](crate::spill)), creating the directory as needed:
+    /// each trace's two column files, then the index that seals the spill.
     /// The set itself is untouched; [`SpilledTraces::open`] reads the
     /// result back column by column.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Io`] on filesystem failure and
-    /// [`TraceError::Format`] for trace names the index cannot hold.
+    /// [`TraceError::Format`] for trace names the index cannot hold
+    /// (embedded tabs or newlines). A spill that stops at a bad name or a
+    /// failed column write has no index, so [`SpilledTraces::open`]
+    /// refuses it.
     pub fn spill_to(&self, dir: impl Into<PathBuf>) -> Result<(), TraceError> {
-        let mut sink = TraceSink::create(dir)?;
-        for trace in self.iter() {
-            let channel = sink.channel(trace.name())?;
-            for (t, v) in trace.iter() {
-                sink.record(channel, Seconds::new(t), v)?;
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        let mut index = format!("{MAGIC}\t{}\n", self.len());
+        for (id, trace) in self.iter().enumerate() {
+            let name = trace.name();
+            if name.contains(['\t', '\n']) {
+                return Err(TraceError::Format(format!(
+                    "trace name {name:?} cannot be spilled: tabs and newlines delimit the index"
+                )));
             }
+            write_column(&times_file(&dir, id), trace.times())?;
+            write_column(&values_file(&dir, id), trace.values())?;
+            index.push_str(&format!("{id}\t{}\t{name}\n", trace.len()));
         }
-        sink.finish()
+        fs::write(dir.join(INDEX), index)?;
+        Ok(())
     }
+}
+
+/// Writes one fixed-width little-endian `f64` column file and syncs it, so
+/// the index written after the columns certifies data already on disk.
+fn write_column(path: &Path, column: &[f64]) -> Result<(), TraceError> {
+    let mut out = BufWriter::new(File::create(path)?);
+    for x in column {
+        out.write_all(&x.to_le_bytes())?;
+    }
+    out.into_inner().map_err(|e| TraceError::Io(e.into_error()))?.sync_data()?;
+    Ok(())
 }
 
 /// One index entry: where a named trace's columns live and how long they
@@ -232,7 +137,9 @@ impl SpilledTraces {
             .and_then(|rest| rest.strip_prefix('\t'))
             .and_then(|n| n.parse::<usize>().ok())
             .ok_or_else(|| TraceError::Format(format!("bad index header {header:?}")))?;
-        let mut entries = Vec::with_capacity(count);
+        // The header is outside input: pre-sizing from its count would let
+        // a corrupt header abort the process.
+        let mut entries = Vec::new();
         for line in lines {
             let mut fields = line.splitn(3, '\t');
             let entry = (|| {
@@ -268,15 +175,6 @@ impl SpilledTraces {
     /// The spilled trace names, in spill order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|e| e.name.as_str())
-    }
-
-    /// The sample count of one trace, from the index alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::UnknownTrace`] if no column has that name.
-    pub fn sample_count(&self, name: &str) -> Result<usize, TraceError> {
-        self.entry(name).map(|e| e.len)
     }
 
     /// Loads one trace by reading only its two column files.
@@ -329,14 +227,13 @@ impl SpilledTraces {
 }
 
 /// Reads one fixed-width `f64` column file, validating its byte length
-/// against the index.
+/// against the index (a length whose byte count overflows never matches).
 fn read_column(path: &Path, len: usize) -> Result<Vec<f64>, TraceError> {
     let bytes = fs::read(path)?;
-    if bytes.len() != len * 8 {
+    if len.checked_mul(8) != Some(bytes.len()) {
         return Err(TraceError::Format(format!(
-            "{}: expected {} bytes ({len} samples), found {}",
+            "{}: expected {len} samples of 8 bytes, found {} bytes",
             path.display(),
-            len * 8,
             bytes.len()
         )));
     }
@@ -392,7 +289,6 @@ mod tests {
         let names: Vec<&str> = spilled.names().collect();
         assert_eq!(names, ["t_junction_c", "fan_rpm"]);
         for original in set.iter() {
-            assert_eq!(spilled.sample_count(original.name()).unwrap(), original.len());
             let loaded = spilled.column(original.name()).unwrap();
             assert_eq!(loaded.name(), original.name());
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -418,34 +314,16 @@ mod tests {
     }
 
     #[test]
-    fn sink_streams_and_seals() {
-        let tmp = TempDir::new("sink");
-        let mut sink = TraceSink::create(&tmp.0).unwrap();
-        let a = sink.channel("a").unwrap();
-        let b = sink.channel("b").unwrap();
-        assert_eq!(sink.channel("a").unwrap(), a);
-        for k in 0..100 {
-            sink.record(a, Seconds::new(f64::from(k)), f64::from(k) * 2.0).unwrap();
-        }
-        sink.record(b, Seconds::new(0.0), -1.0).unwrap();
-        // Until finish() writes the index the spill is unreadable.
+    fn unspillable_names_abort_without_an_index() {
+        let tmp = TempDir::new("bad-name");
+        let mut set = sample_set();
+        set.record("tab\tseparated", Seconds::new(0.0), 1.0);
+        let err = set.spill_to(&tmp.0).unwrap_err();
+        assert!(matches!(err, TraceError::Format(_)), "got {err}");
+        // The columns ahead of the bad name are on disk, but with no index
+        // the aborted spill never opens.
+        assert!(tmp.0.join("col_0.times").exists());
         assert!(SpilledTraces::open(&tmp.0).is_err());
-        sink.finish().unwrap();
-        let spilled = SpilledTraces::open(&tmp.0).unwrap();
-        assert_eq!(spilled.column("a").unwrap().len(), 100);
-        assert_eq!(spilled.column("b").unwrap().values(), &[-1.0]);
-    }
-
-    #[test]
-    fn sink_enforces_trace_invariants() {
-        let tmp = TempDir::new("invariants");
-        let mut sink = TraceSink::create(&tmp.0).unwrap();
-        let a = sink.channel("a").unwrap();
-        sink.record(a, Seconds::new(5.0), 1.0).unwrap();
-        sink.record(a, Seconds::new(5.0), 2.0).unwrap(); // equal times OK
-        let err = sink.record(a, Seconds::new(4.0), 3.0).unwrap_err();
-        assert!(matches!(err, TraceError::OutOfOrder { .. }));
-        assert!(sink.channel("tab\tseparated").is_err());
     }
 
     #[test]
@@ -504,5 +382,26 @@ mod tests {
             let err = SpilledTraces::open(&tmp.0).unwrap_err();
             assert!(matches!(err, TraceError::Format(_)), "{bad:?} gave {err}");
         }
+    }
+
+    #[test]
+    fn oversized_index_counts_are_format_errors() {
+        let tmp = TempDir::new("oversized");
+        fs::create_dir_all(&tmp.0).unwrap();
+        // A header promising `usize::MAX` columns over one entry.
+        fs::write(tmp.0.join(INDEX), format!("{MAGIC}\t{}\n0\t1\ta\n", usize::MAX)).unwrap();
+        let err = SpilledTraces::open(&tmp.0).unwrap_err();
+        assert!(matches!(err, TraceError::Format(_)), "got {err}");
+        // An entry whose byte count (8 × len) overflows `usize`, over empty
+        // column files that a wrapped product would match.
+        let len = usize::MAX / 8 + 1;
+        fs::write(tmp.0.join(INDEX), format!("{MAGIC}\t1\n0\t{len}\ta\n")).unwrap();
+        fs::write(times_file(&tmp.0, 0), b"").unwrap();
+        fs::write(values_file(&tmp.0, 0), b"").unwrap();
+        let spilled = SpilledTraces::open(&tmp.0).unwrap();
+        let err = spilled.column("a").unwrap_err();
+        assert!(matches!(err, TraceError::Format(_)), "got {err}");
+        let err = spilled.load_all().unwrap_err();
+        assert!(matches!(err, TraceError::Format(_)), "got {err}");
     }
 }
