@@ -69,18 +69,6 @@ impl ZieglerNichols {
         PidGains::proportional(0.5 * ultimate.ku)
     }
 
-    /// The PI rule (`K_P = 0.45·K_u`, `K_I = K_P·1.2/P_u`), for ablations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pu` is not positive.
-    #[must_use]
-    pub fn pi(ultimate: UltimateGain) -> PidGains {
-        assert!(ultimate.pu > 0.0, "ultimate period must be positive");
-        let kp = 0.45 * ultimate.ku;
-        PidGains::new(kp, kp * 1.2 / ultimate.pu, 0.0)
-    }
-
     /// The Tyreus–Luyben PID rule: `K_P = 0.45·K_u`,
     /// `K_I = K_P / (2.2·P_u)`, `K_D = K_P·P_u / 6.3`.
     ///
@@ -381,10 +369,6 @@ mod tests {
         let u = UltimateGain { ku: 100.0, pu: 10.0 };
         let p = ZieglerNichols::proportional(u);
         assert_eq!((p.kp(), p.ki(), p.kd()), (50.0, 0.0, 0.0));
-        let pi = ZieglerNichols::pi(u);
-        assert_eq!(pi.kp(), 45.0);
-        assert!((pi.ki() - 5.4).abs() < 1e-12);
-        assert_eq!(pi.kd(), 0.0);
     }
 
     #[test]

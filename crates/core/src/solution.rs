@@ -58,17 +58,6 @@ impl Solution {
         }
     }
 
-    /// Whether this solution uses the rule-based coordinator.
-    #[must_use]
-    pub fn uses_rule_coordination(&self) -> bool {
-        matches!(
-            self,
-            Solution::RCoordFixedTref
-                | Solution::RCoordAdaptiveTref
-                | Solution::RCoordAdaptiveTrefSsFan
-        )
-    }
-
     /// Whether this solution adapts the fan reference predictively.
     #[must_use]
     pub fn uses_adaptive_reference(&self) -> bool {
@@ -101,9 +90,6 @@ mod tests {
 
     #[test]
     fn feature_flags_are_monotone_across_r_coord_variants() {
-        assert!(!Solution::WithoutCoordination.uses_rule_coordination());
-        assert!(!Solution::ECoord.uses_rule_coordination());
-        assert!(Solution::RCoordFixedTref.uses_rule_coordination());
         assert!(!Solution::RCoordFixedTref.uses_adaptive_reference());
         assert!(Solution::RCoordAdaptiveTref.uses_adaptive_reference());
         assert!(!Solution::RCoordAdaptiveTref.uses_single_step());

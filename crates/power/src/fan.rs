@@ -60,17 +60,6 @@ impl FanPowerModel {
         let ratio = v.min(self.max_speed).ratio_of(self.max_speed);
         self.max_power * (ratio * ratio * ratio)
     }
-
-    /// Inverse model: the speed that would draw power `p`, clamped to the
-    /// rated range.
-    #[must_use]
-    pub fn speed_for_power(&self, p: Watts) -> Rpm {
-        if self.max_power.value() == 0.0 {
-            return Rpm::new(0.0);
-        }
-        let ratio = (p.value() / self.max_power.value()).clamp(0.0, 1.0);
-        Rpm::new(self.max_speed.value() * ratio.cbrt())
-    }
 }
 
 #[cfg(test)]
@@ -99,23 +88,6 @@ mod tests {
     fn clamps_above_rated_speed() {
         let fan = FanPowerModel::date14();
         assert_eq!(fan.power(Rpm::new(20_000.0)), fan.power(Rpm::new(8500.0)));
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let fan = FanPowerModel::date14();
-        for v in [1000.0, 2000.0, 4250.0, 8500.0] {
-            let p = fan.power(Rpm::new(v));
-            let back = fan.speed_for_power(p);
-            assert!((back.value() - v).abs() < 1e-6, "v={v}");
-        }
-    }
-
-    #[test]
-    fn inverse_clamps() {
-        let fan = FanPowerModel::date14();
-        assert_eq!(fan.speed_for_power(Watts::new(100.0)), Rpm::new(8500.0));
-        assert_eq!(fan.speed_for_power(Watts::new(0.0)), Rpm::new(0.0));
     }
 
     #[test]

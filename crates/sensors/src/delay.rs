@@ -79,14 +79,6 @@ impl<T: Copy> DelayLine<T> {
     pub fn peek(&self) -> Option<T> {
         self.buf.front().copied()
     }
-
-    /// Re-fills the entire line with `value`, restarting the quiescent
-    /// state.
-    pub fn refill(&mut self, value: T) {
-        for slot in &mut self.buf {
-            *slot = value;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +125,6 @@ mod tests {
         line.push(2.0);
         assert_eq!(line.peek(), Some(1.0));
         assert_eq!(line.push(3.0), 1.0);
-    }
-
-    #[test]
-    fn refill_restores_quiescence() {
-        let mut line = DelayLine::new(3, 0.0);
-        line.push(1.0);
-        line.push(2.0);
-        line.refill(9.0);
-        assert_eq!(line.push(5.0), 9.0);
-        assert_eq!(line.push(5.0), 9.0);
-        assert_eq!(line.push(5.0), 9.0);
-        assert_eq!(line.push(5.0), 5.0);
     }
 
     #[test]

@@ -33,14 +33,6 @@ pub enum SensorStatus {
     Frozen,
 }
 
-impl SensorStatus {
-    /// Whether the value may be acted on by a closed-loop controller.
-    #[must_use]
-    pub fn is_usable(self) -> bool {
-        matches!(self, SensorStatus::Fresh)
-    }
-}
-
 /// Per-sensor staleness/freeze tracker (one instance per sensor).
 ///
 /// # Examples
@@ -173,7 +165,6 @@ mod tests {
         // Same value past the freeze budget: frozen, even though every
         // read "succeeds".
         assert_eq!(h.observe(s(4.0), Some(50.0)), SensorStatus::Frozen);
-        assert!(!h.status().is_usable());
         // Any movement proves life.
         assert_eq!(h.observe(s(5.0), Some(51.0)), SensorStatus::Fresh);
     }

@@ -84,8 +84,6 @@ struct SocketHandles {
     sink: NodeId,
     /// Flat zone index (into [`RackPlant`]'s zone vectors).
     zone: usize,
-    /// Flat server index.
-    server: usize,
 }
 
 /// Reusable buffers behind the non-mutating steady-state probes, so a
@@ -299,7 +297,7 @@ impl RackPlant {
         let mut sockets = Vec::with_capacity(topology.total_sockets());
         let mut zone_sockets = vec![Vec::new(); topology.zones().len()];
         let mut server_ranges = Vec::with_capacity(topology.servers().len());
-        for (s, slot) in topology.servers().iter().enumerate() {
+        for slot in topology.servers() {
             let segments = slot.board.sink_segments();
             let start = sockets.len();
             for socket in slot.board.sockets() {
@@ -326,7 +324,6 @@ impl RackPlant {
                         .node_id(&sink_name)
                         .ok_or_else(|| NetworkError::UnknownName(sink_name.clone()))?,
                     zone: slot.zone,
-                    server: s,
                 });
             }
             server_ranges.push((start, sockets.len()));
@@ -425,16 +422,6 @@ impl RackPlant {
     #[must_use]
     pub fn zone_of_socket(&self, i: usize) -> usize {
         self.sockets[i].zone
-    }
-
-    /// The server socket `i` belongs to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn server_of_socket(&self, i: usize) -> usize {
-        self.sockets[i].server
     }
 
     /// Junction temperature of flat socket `i`.
@@ -1195,7 +1182,6 @@ mod tests {
         assert_eq!(rack.zone_sockets(1), &[4, 5, 6, 7]);
         assert_eq!(rack.server_sockets(3), 3..4);
         assert_eq!(rack.zone_of_socket(5), 1);
-        assert_eq!(rack.server_of_socket(5), 5);
         let r4 = RackPlant::new(&cal(), &RackTopology::rack_2u_x4()).unwrap();
         assert_eq!(r4.socket_count(), 8);
         assert_eq!(r4.server_sockets(1), 2..4);

@@ -45,13 +45,6 @@ impl ZoneId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Inverse of [`ZoneId::index`], for callers that enumerate zones by
-    /// position (e.g. a per-zone controller bank).
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        Self(index)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -272,7 +265,6 @@ mod tests {
         assert_eq!(zones.zone_name(rear), "rear");
         assert_eq!(zones.link_count(front), 1);
         assert_eq!(front.index(), 0);
-        assert_eq!(ZoneId::from_index(1), rear);
     }
 
     #[test]

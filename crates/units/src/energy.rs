@@ -118,18 +118,6 @@ impl Joules {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Returns `self / other` as a dimensionless ratio, the normalization
-    /// used by the paper's Table III.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    #[must_use]
-    pub fn normalized_to(self, other: Self) -> f64 {
-        assert!(other.0 > 0.0, "cannot normalize against zero energy");
-        self.0 / other.0
-    }
 }
 
 impl fmt::Display for Joules {
@@ -196,13 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_normalization() {
-        let base = Joules::new(1000.0);
-        let e = Joules::new(703.0);
-        assert!((e.normalized_to(base) - 0.703).abs() < 1e-12);
-    }
-
-    #[test]
     fn energy_over_time_is_average_power() {
         let avg = Joules::new(600.0) / Seconds::new(60.0);
         assert_eq!(avg, Watts::new(10.0));
@@ -218,11 +199,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_power_rejected() {
         let _ = Watts::new(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero energy")]
-    fn normalize_against_zero_rejected() {
-        let _ = Joules::new(1.0).normalized_to(Joules::new(0.0));
     }
 }
