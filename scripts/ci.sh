@@ -6,8 +6,10 @@
 #                              # under both executors), release tests,
 #                              # thermal bitwise oracles at 2000 cases,
 #                              # daemon HIL + wall-clock pacing drills,
-#                              # large-grid smoke, bench smoke, bench check,
+#                              # large-grid smoke, bench smoke,
 #                              # perfbench build + one short run per workload,
+#                              # bench check (after perfbench, so a failing
+#                              # check cannot hide a perfbench failure),
 #                              # paper artifacts byte-identical under
 #                              # GFSC_SWEEP_THREADS=1 and =4
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
@@ -171,14 +173,17 @@ else
     run_hil_stage
     run_paced_stage
     run_explain_stage
-    # 10k-cell grid through shard manifests and spilled traces: the sweep
-    # scale-out machinery at a size the default suite can't afford.
+    # 10k-cell grid through `ScenarioGrid::run`, then spilled traces: the
+    # sweep machinery at a size the default suite can't afford.
     run_stage "large-grid-smoke" cargo test -q --release --locked --offline \
         --test determinism large_grid_smoke_with_spilled_traces -- --ignored
     run_stage "bench-smoke" env GFSC_BENCH_FAST=1 \
         cargo bench -p gfsc-bench --locked --offline --bench hot_paths
-    run_stage "bench-check" ./scripts/bench_check.sh
+    # perfbench runs before the timing gate: the gate stops at the first
+    # failing stage, and the perfbench correctness runs must report even
+    # when a timing row fails.
     run_perfbench_stage full
+    run_stage "bench-check" ./scripts/bench_check.sh
 fi
 
 # The gate must leave the tree exactly as it found it (no fmt rewrites, no
