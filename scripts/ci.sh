@@ -8,10 +8,8 @@
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # large-grid smoke, bench smoke,
 #                              # perfbench build + one short run per workload,
-#                              # bench check (after perfbench, so a failing
-#                              # check cannot hide a perfbench failure),
-#                              # paper artifacts byte-identical under
-#                              # GFSC_SWEEP_THREADS=1 and =4
+#                              # bench check, paper artifacts byte-identical
+#                              # under GFSC_SWEEP_THREADS=1 and =4
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
 #                              # build; skip the release tests & bench runs
