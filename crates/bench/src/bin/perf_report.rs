@@ -55,13 +55,12 @@ use gfsc::experiments::{ablations, fan_study_spec};
 use gfsc::server::ServerSpec;
 use gfsc::sweep::{ScenarioGrid, ScenarioResult, WorkloadRecipe};
 use gfsc::{tune_gain_schedule, Solution};
-use gfsc_bench::{chain_network, EPOCH_CHANNELS};
 use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
 use gfsc_daemon::{Daemon, DaemonConfig, FaultPlan, SimTelemetry};
 use gfsc_rack::{RackPlant, RackSpec, RackTopology};
 use gfsc_sim::sweep::thread_count;
-use gfsc_thermal::{BatchRcNetwork, RcNetwork, ServerThermalModel, Topology};
-use gfsc_units::{Celsius, Rpm, Seconds, Watts};
+use gfsc_thermal::{BatchRcNetwork, RcNetwork, RcNetworkBuilder, ServerThermalModel, Topology};
+use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 use gfsc_workload::{SquareWave, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -321,6 +320,42 @@ fn main() {
     );
     std::fs::write(&out_path, &json).expect("writing the snapshot");
     println!("wrote {out_path}");
+}
+
+/// The eight channels `ClosedLoopSim` records per CPU epoch, in recording
+/// order: the workload of the trace-recording and spill-bandwidth rows.
+const EPOCH_CHANNELS: [&str; 8] = [
+    "u_demand",
+    "u_cap",
+    "u_executed",
+    "t_measured_c",
+    "t_junction_c",
+    "fan_rpm",
+    "fan_target_rpm",
+    "t_ref_c",
+];
+
+/// A chain of `n` capacitive nodes ending at an ambient boundary, with the
+/// last link playing the fan-dependent sink→ambient role and 120 W
+/// injected at the hot end: the topology of the `RcNetwork::step` rows.
+fn chain_network(n: usize) -> RcNetwork {
+    let mut builder = RcNetworkBuilder::new();
+    for i in 0..n {
+        builder = builder.node(
+            format!("n{i}"),
+            JoulesPerKelvin::new(1.0 + 40.0 * i as f64),
+            Celsius::new(30.0),
+        );
+    }
+    builder = builder.boundary("ambient", Celsius::new(30.0));
+    for i in 0..n {
+        let to = if i + 1 == n { "ambient".to_owned() } else { format!("n{}", i + 1) };
+        builder = builder.link(format!("n{i}"), to, KelvinPerWatt::new(0.1 + 0.02 * i as f64));
+    }
+    let mut net = builder.build().expect("valid chain");
+    let hot = net.node_id("n0").expect("exists");
+    net.set_power(hot, Watts::new(120.0));
+    net
 }
 
 /// Mean nanoseconds per step of the 1U×8 rack plant (8 servers behind two

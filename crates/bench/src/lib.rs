@@ -1,14 +1,9 @@
 //! Benchmark harness for the `gfsc` reproduction.
 //!
-//! - `src/bin/`: one binary per paper artifact (`fig1` … `fig5`,
-//!   `table1` … `table3`, `ablations`) that prints the reproduced
-//!   rows/series next to the paper's published values, plus `perf_report`
-//!   (see below).
-//! - `benches/`: Criterion benchmarks timing the regeneration of each
-//!   artifact (at reduced horizons) plus microbenchmarks of the simulation
-//!   substrates, including `hot_paths` — the regression guards for the
-//!   cached-factorization `RcNetwork::step` and handle-based
-//!   `TraceSet` recording.
+//! `src/bin/` holds one binary per paper artifact (`fig1` … `fig5`,
+//! `table1` … `table3`, `ablations`) that prints the reproduced
+//! rows/series next to the paper's published values, plus `perf_report`
+//! (see below).
 //!
 //! # Running the sweep engine
 //!
@@ -29,12 +24,9 @@
 //! `GFSC_SWEEP_THREADS` caps the worker count (1 forces the serial path);
 //! the default is `std::thread::available_parallelism()`.
 //!
-//! # Running the benches and the perf snapshot
+//! # Running the perf snapshot
 //!
 //! ```text
-//! cargo bench -p gfsc-bench --bench hot_paths      # hot-path guards
-//! cargo bench -p gfsc-bench                        # everything
-//! GFSC_BENCH_FAST=1 cargo bench -p gfsc-bench      # smoke mode (CI)
 //! cargo run --release -p gfsc-bench --bin perf_report [--out BENCH_custom.json]
 //! ```
 //!
@@ -47,53 +39,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use gfsc_thermal::{RcNetwork, RcNetworkBuilder};
-use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Watts};
-
-/// The eight channels `ClosedLoopSim` records per CPU epoch, in recording
-/// order — shared by the `hot_paths` bench and `perf_report` so both
-/// measure the same workload.
-pub const EPOCH_CHANNELS: [&str; 8] = [
-    "u_demand",
-    "u_cap",
-    "u_executed",
-    "t_measured_c",
-    "t_junction_c",
-    "fan_rpm",
-    "fan_target_rpm",
-    "t_ref_c",
-];
-
-/// A chain of `n` capacitive nodes ending at an ambient boundary, with the
-/// last link playing the fan-dependent sink→ambient role and 120 W
-/// injected at the hot end — the shared benchmark topology for
-/// `RcNetwork::step` measurements (one definition, so the criterion guard
-/// and the `BENCH_*.json` snapshot stay comparable).
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-#[must_use]
-pub fn chain_network(n: usize) -> RcNetwork {
-    let mut builder = RcNetworkBuilder::new();
-    for i in 0..n {
-        builder = builder.node(
-            format!("n{i}"),
-            JoulesPerKelvin::new(1.0 + 40.0 * i as f64),
-            Celsius::new(30.0),
-        );
-    }
-    builder = builder.boundary("ambient", Celsius::new(30.0));
-    for i in 0..n {
-        let to = if i + 1 == n { "ambient".to_owned() } else { format!("n{}", i + 1) };
-        builder = builder.link(format!("n{i}"), to, KelvinPerWatt::new(0.1 + 0.02 * i as f64));
-    }
-    let mut net = builder.build().expect("valid chain");
-    let hot = net.node_id("n0").expect("exists");
-    net.set_power(hot, Watts::new(120.0));
-    net
-}
 
 /// Reads a paper-artifact binary's command line before any experiment
 /// runs: it may be empty or, when `flag` is given, hold that one flag.

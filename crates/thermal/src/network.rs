@@ -580,8 +580,8 @@ impl RcNetwork {
 
     /// The reference integrator: assembles and eliminates the full system
     /// every call (the pre-caching behavior). Kept public as the oracle for
-    /// the cached path — the property tests and the `hot_paths` benchmarks
-    /// compare [`RcNetwork::step`] against it.
+    /// the cached path — the property tests and `perf_report` compare
+    /// [`RcNetwork::step`] against it.
     ///
     /// # Panics
     ///

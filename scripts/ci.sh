@@ -6,7 +6,7 @@
 #                              # under both executors), release tests,
 #                              # thermal bitwise oracles at 2000 cases,
 #                              # daemon HIL + wall-clock pacing drills,
-#                              # large-grid smoke, bench smoke,
+#                              # large-grid smoke,
 #                              # perfbench build + one short run per workload,
 #                              # bench check, paper artifacts byte-identical
 #                              # under GFSC_SWEEP_THREADS=1 and =4
@@ -18,7 +18,7 @@
 # and adds the style gates that keep the tree warning-free.
 #
 # Every cargo invocation runs `--locked --offline`: the workspace vendors
-# its three external shims under vendor/, so CI must never touch the
+# its two external shims under vendor/, so CI must never touch the
 # network — a build that tries is a bug, not a flake. A trailing
 # `git status --porcelain` check catches fmt or lockfile drift produced by
 # the gate itself.
@@ -175,8 +175,6 @@ else
     # sweep machinery at a size the default suite can't afford.
     run_stage "large-grid-smoke" cargo test -q --release --locked --offline \
         --test determinism large_grid_smoke_with_spilled_traces -- --ignored
-    run_stage "bench-smoke" env GFSC_BENCH_FAST=1 \
-        cargo bench -p gfsc-bench --locked --offline --bench hot_paths
     # perfbench runs before the timing gate: the gate stops at the first
     # failing stage, and the perfbench correctness runs must report even
     # when a timing row fails.
