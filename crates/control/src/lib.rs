@@ -14,11 +14,9 @@
 //!   integrator on region changes,
 //! - [`QuantizationHold`]: the quantization-error elimination rule
 //!   (Eq. 10),
-//! - [`SingleThreshold`] / [`Deadzone`]: the simple controllers shipping
-//!   firmware uses today, reproduced as baselines (they oscillate under
-//!   non-ideal measurement — Fig. 4),
-//! - [`SasoReport`]: stability/accuracy/settling/overshoot evaluation of a
-//!   closed-loop trace.
+//! - [`Deadzone`]: the simple controller shipping firmware uses today,
+//!   reproduced as a baseline (it oscillates under non-ideal
+//!   measurement — Fig. 4).
 //!
 //! # Sign convention
 //!
@@ -47,13 +45,11 @@
 mod adaptive;
 mod pid;
 mod quantization;
-mod saso;
 mod threshold;
 mod tuning;
 
 pub use adaptive::{AdaptivePid, GainSchedule, Region};
 pub use pid::{PidController, PidGains};
 pub use quantization::QuantizationHold;
-pub use saso::SasoReport;
-pub use threshold::{Deadzone, SingleThreshold};
+pub use threshold::Deadzone;
 pub use tuning::{Plant, TuneError, UltimateGain, ZieglerNichols, ZnTuner, ZnTunerConfig};

@@ -1,61 +1,12 @@
-//! Single-threshold and deadzone fan controllers — the conservative schemes
-//! shipping firmware uses, reproduced as instability baselines.
+//! The deadzone fan controller — the conservative scheme shipping firmware
+//! uses, reproduced as an instability baseline.
 //!
-//! The paper (footnote 2, Fig. 4) reports that both become oscillatory
-//! under the 10 s lag + 1 °C quantization measurement chain: by the time a
-//! crossing is observed, the plant has already moved far past it, so the
-//! controller perpetually overcorrects.
+//! The paper (footnote 2, Fig. 4) reports that threshold schemes like it
+//! become oscillatory under the 10 s lag + 1 °C quantization measurement
+//! chain: by the time a crossing is observed, the plant has already moved
+//! far past it, so the controller perpetually overcorrects.
 
 use gfsc_units::{Bounds, Celsius, Rpm};
-
-/// Bang-bang control on one threshold: fan at `high` speed above the
-/// threshold, at `low` speed below it.
-///
-/// # Examples
-///
-/// ```
-/// use gfsc_control::SingleThreshold;
-/// use gfsc_units::{Celsius, Rpm};
-///
-/// let mut c = SingleThreshold::new(Celsius::new(75.0), Rpm::new(2000.0), Rpm::new(6000.0));
-/// assert_eq!(c.decide(Celsius::new(80.0)), Rpm::new(6000.0));
-/// assert_eq!(c.decide(Celsius::new(70.0)), Rpm::new(2000.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SingleThreshold {
-    threshold: Celsius,
-    low: Rpm,
-    high: Rpm,
-}
-
-impl SingleThreshold {
-    /// Creates the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low > high`.
-    #[must_use]
-    pub fn new(threshold: Celsius, low: Rpm, high: Rpm) -> Self {
-        assert!(low <= high, "low speed must not exceed high speed");
-        Self { threshold, low, high }
-    }
-
-    /// The switching threshold.
-    #[must_use]
-    pub fn threshold(&self) -> Celsius {
-        self.threshold
-    }
-
-    /// One decision: `high` speed at or above the threshold, else `low`.
-    #[must_use]
-    pub fn decide(&mut self, measured: Celsius) -> Rpm {
-        if measured >= self.threshold {
-            self.high
-        } else {
-            self.low
-        }
-    }
-}
 
 /// Incremental deadzone control: step the fan up above `t_high`, step it
 /// down below `t_low`, hold in between.
@@ -138,14 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn single_threshold_switches_at_boundary() {
-        let mut c = SingleThreshold::new(Celsius::new(75.0), Rpm::new(2000.0), Rpm::new(6000.0));
-        assert_eq!(c.decide(Celsius::new(74.99)), Rpm::new(2000.0));
-        assert_eq!(c.decide(Celsius::new(75.0)), Rpm::new(6000.0));
-        assert_eq!(c.threshold(), Celsius::new(75.0));
-    }
-
-    #[test]
     fn deadzone_holds_inside_zone() {
         let mut c = Deadzone::new(Celsius::new(70.0), Celsius::new(78.0), 250.0, bounds());
         for t in [70.0, 74.0, 78.0] {
@@ -167,14 +110,6 @@ mod tests {
         let mut c = Deadzone::new(Celsius::new(70.0), Celsius::new(78.0), 1000.0, bounds());
         assert_eq!(c.decide(Celsius::new(90.0), Rpm::new(8200.0)), Rpm::new(8500.0));
         assert_eq!(c.decide(Celsius::new(50.0), Rpm::new(1200.0)), Rpm::new(1000.0));
-    }
-
-    #[test]
-    fn single_threshold_rejects_inverted_speeds() {
-        let r = std::panic::catch_unwind(|| {
-            SingleThreshold::new(Celsius::new(75.0), Rpm::new(6000.0), Rpm::new(2000.0))
-        });
-        assert!(r.is_err());
     }
 
     #[test]

@@ -63,12 +63,6 @@ impl ZieglerNichols {
         PidGains::new(kp, kp * 2.0 / ultimate.pu, kp * ultimate.pu / 8.0)
     }
 
-    /// The P-only rule (`K_P = 0.5·K_u`), for ablations.
-    #[must_use]
-    pub fn proportional(ultimate: UltimateGain) -> PidGains {
-        PidGains::proportional(0.5 * ultimate.ku)
-    }
-
     /// The Tyreus–Luyben PID rule: `K_P = 0.45·K_u`,
     /// `K_I = K_P / (2.2·P_u)`, `K_D = K_P·P_u / 6.3`.
     ///
@@ -362,13 +356,6 @@ mod tests {
         assert_eq!(g.kp(), 60.0);
         assert_eq!(g.ki(), 15.0);
         assert_eq!(g.kd(), 60.0);
-    }
-
-    #[test]
-    fn zn_alternative_rules() {
-        let u = UltimateGain { ku: 100.0, pu: 10.0 };
-        let p = ZieglerNichols::proportional(u);
-        assert_eq!((p.kp(), p.ki(), p.kd()), (50.0, 0.0, 0.0));
     }
 
     #[test]

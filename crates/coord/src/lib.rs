@@ -76,7 +76,7 @@ pub use global_ecoord::RackEnergyDescent;
 pub use migrate::{Migration, WorkMigrator};
 pub use rack::{
     CappingCoordinator, IntegralCapper, RackControl, RackLoopSim, RackLoopSimBuilder,
-    RackRunOutcome, ZoneReferences,
+    ZoneReferences,
 };
 pub use reference::{AdaptiveReference, FIXED_REFERENCE};
 pub use runner::{run_batch, ClosedLoopSim, ClosedLoopSimBuilder, RunOutcome};

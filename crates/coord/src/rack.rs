@@ -430,10 +430,6 @@ impl RackControl {
     }
 }
 
-/// Everything a finished rack run reports: the one [`RunOutcome`] every
-/// simulated loop returns.
-pub type RackRunOutcome = RunOutcome;
-
 /// Builder for [`RackLoopSim`].
 pub struct RackLoopSimBuilder {
     spec: RackSpec,

@@ -41,9 +41,9 @@
 //! | [`gfsc_sim`] | simulation kernel, traces, stability statistics |
 //! | [`gfsc_thermal`] | RC thermal models, heat-sink law |
 //! | [`gfsc_power`] | CPU/fan power models, energy metering |
-//! | [`gfsc_sensors`] | ADC, delay line, I2C scanner, filters |
+//! | [`gfsc_sensors`] | ADC, delay line, I2C scanner, moving-average filter |
 //! | [`gfsc_workload`] | synthetic demand traces |
-//! | [`gfsc_control`] | PID, Ziegler–Nichols, adaptive PID, SASO |
+//! | [`gfsc_control`] | PID, Ziegler–Nichols, adaptive PID, deadzone baseline |
 //! | [`gfsc_server`] | the simulated enterprise server |
 //! | [`gfsc_rack`] | rack-scale plant: fan zones, shared plenum, per-zone views |
 //! | [`gfsc_coord`] | cappers, coordinators, server & rack closed-loop runners |

@@ -61,17 +61,6 @@ impl CpuPowerModel {
     pub fn power(&self, u: Utilization) -> Watts {
         self.static_power + self.dynamic_max * u.value()
     }
-
-    /// Inverse model: the utilization that would draw `p`, clamped to
-    /// `[0, 1]`. Model-based coordinators use this to translate a thermal
-    /// power budget into a CPU cap.
-    #[must_use]
-    pub fn utilization_for_power(&self, p: Watts) -> Utilization {
-        if self.dynamic_max.value() == 0.0 {
-            return Utilization::IDLE;
-        }
-        Utilization::new((p.value() - self.static_power.value()) / self.dynamic_max.value())
-    }
 }
 
 #[cfg(test)]
@@ -96,26 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn inverse_round_trips() {
-        let cpu = CpuPowerModel::date14();
-        for u in [0.0, 0.1, 0.5, 0.7, 1.0] {
-            let p = cpu.power(Utilization::new(u));
-            let back = cpu.utilization_for_power(p);
-            assert!((back.value() - u).abs() < 1e-12, "u={u}");
-        }
-    }
-
-    #[test]
-    fn inverse_clamps_out_of_range() {
-        let cpu = CpuPowerModel::date14();
-        assert_eq!(cpu.utilization_for_power(Watts::new(50.0)), Utilization::IDLE);
-        assert_eq!(cpu.utilization_for_power(Watts::new(500.0)), Utilization::FULL);
-    }
-
-    #[test]
     fn degenerate_zero_dynamic_power() {
         let cpu = CpuPowerModel::new(Watts::new(50.0), Watts::new(0.0));
         assert_eq!(cpu.power(Utilization::FULL), Watts::new(50.0));
-        assert_eq!(cpu.utilization_for_power(Watts::new(50.0)), Utilization::IDLE);
     }
 }

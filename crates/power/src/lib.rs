@@ -7,8 +7,10 @@
 //! - `P_fan ∝ s_fan³` — the cubic fan affinity law, anchored at the Table I
 //!   figure of 29.4 W per socket at 8500 rpm.
 //!
-//! [`EnergyMeter`] integrates power over simulation steps; the Table III
-//! metric "normalized fan energy" is the ratio of two meters' totals.
+//! The server chassis (`gfsc-server`) evaluates both models and meters
+//! CPU and fan energy with one [`EnergyMeter`] each, which integrates
+//! power over simulation steps; the Table III metric "normalized fan
+//! energy" is the ratio of two meters' totals.
 //!
 //! # Examples
 //!
@@ -31,9 +33,7 @@
 mod cpu;
 mod energy;
 mod fan;
-mod server;
 
 pub use cpu::CpuPowerModel;
 pub use energy::EnergyMeter;
 pub use fan::FanPowerModel;
-pub use server::ServerPowerModel;

@@ -1,4 +1,5 @@
-//! Smoothing filters for noisy telemetry and utilization prediction.
+//! The moving-average smoothing filter for noisy telemetry and utilization
+//! prediction.
 
 use std::collections::VecDeque;
 
@@ -100,72 +101,6 @@ impl MovingAverage {
     }
 }
 
-/// An exponentially-weighted moving average: `y ← α·x + (1−α)·y`.
-///
-/// A cheaper alternative to [`MovingAverage`] with infinite memory decay;
-/// offered for ablation studies of the predictor choice.
-///
-/// # Examples
-///
-/// ```
-/// use gfsc_sensors::Ewma;
-///
-/// let mut f = Ewma::new(0.5);
-/// assert_eq!(f.update(10.0), 10.0); // first sample seeds the state
-/// assert_eq!(f.update(20.0), 15.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    state: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates a filter with smoothing factor `alpha ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must lie in (0, 1]");
-        Self { alpha, state: None }
-    }
-
-    /// The smoothing factor.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Feeds a sample and returns the updated average. The first sample
-    /// seeds the filter state directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn update(&mut self, x: f64) -> f64 {
-        assert!(!x.is_nan(), "filter input must not be NaN");
-        let next = match self.state {
-            Some(y) => self.alpha * x + (1.0 - self.alpha) * y,
-            None => x,
-        };
-        self.state = Some(next);
-        next
-    }
-
-    /// The current average, or `None` before any sample.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.state
-    }
-
-    /// Clears the filter state.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,59 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut f = Ewma::new(0.3);
-        for _ in 0..200 {
-            f.update(0.42);
-        }
-        assert!((f.value().unwrap() - 0.42).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_first_sample_seeds() {
-        let mut f = Ewma::new(0.1);
-        assert_eq!(f.value(), None);
-        assert_eq!(f.update(7.0), 7.0);
-        assert_eq!(f.alpha(), 0.1);
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_input_exactly() {
-        let mut f = Ewma::new(1.0);
-        f.update(3.0);
-        assert_eq!(f.update(9.0), 9.0);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut f = Ewma::new(0.5);
-        f.update(4.0);
-        f.reset();
-        assert_eq!(f.value(), None);
-    }
-
-    #[test]
-    fn ewma_smooths_alternating_noise_more_with_small_alpha() {
-        let noisy: Vec<f64> = (0..100).map(|k| if k % 2 == 0 { 0.0 } else { 1.0 }).collect();
-        let spread = |alpha: f64| {
-            let mut f = Ewma::new(alpha);
-            let out: Vec<f64> = noisy.iter().map(|&x| f.update(x)).collect();
-            let tail = &out[50..];
-            tail.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - tail.iter().cloned().fold(f64::INFINITY, f64::min)
-        };
-        assert!(spread(0.1) < spread(0.9));
-    }
-
-    #[test]
     #[should_panic(expected = "window")]
     fn zero_window_rejected() {
         let _ = MovingAverage::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn invalid_alpha_rejected() {
-        let _ = Ewma::new(0.0);
     }
 }

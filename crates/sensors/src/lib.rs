@@ -13,7 +13,7 @@
 //!
 //! [`MeasurementPipeline`] composes sampling, quantization and delay into
 //! the single `observe(now, true_value)` call the simulator uses, and
-//! [`MovingAverage`]/[`Ewma`] provide the smoothing filters referenced for
+//! [`MovingAverage`] provides the smoothing filter referenced for
 //! utilization prediction (Coskun et al.).
 //!
 //! # Examples
@@ -45,7 +45,7 @@ mod pipeline;
 
 pub use adc::{AdcQuantizer, Rounding};
 pub use delay::DelayLine;
-pub use filter::{Ewma, MovingAverage};
+pub use filter::MovingAverage;
 pub use health::{SensorHealth, SensorStatus};
 pub use i2c::{I2cBusModel, TelemetryScanner};
 pub use pipeline::{MeasurementPipeline, MeasurementPipelineBuilder};

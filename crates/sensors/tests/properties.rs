@@ -1,6 +1,6 @@
 //! Property-based tests for the measurement subsystem.
 
-use gfsc_sensors::{AdcQuantizer, DelayLine, Ewma, MeasurementPipeline, MovingAverage, Rounding};
+use gfsc_sensors::{AdcQuantizer, DelayLine, MeasurementPipeline, MovingAverage, Rounding};
 use gfsc_units::Seconds;
 use proptest::prelude::*;
 
@@ -66,23 +66,6 @@ proptest! {
             let lo = samples[start..chunk_end].iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = samples[start..chunk_end].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9);
-        }
-    }
-
-    /// EWMA output always lies between the previous state and the input.
-    #[test]
-    fn ewma_between_state_and_input(
-        alpha in 0.01f64..=1.0,
-        samples in proptest::collection::vec(-100.0f64..100.0, 2..50),
-    ) {
-        let mut f = Ewma::new(alpha);
-        let mut prev = f.update(samples[0]);
-        for &x in &samples[1..] {
-            let y = f.update(x);
-            let lo = prev.min(x);
-            let hi = prev.max(x);
-            prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
-            prev = y;
         }
     }
 

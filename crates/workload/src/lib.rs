@@ -9,7 +9,7 @@
 //! seed:
 //!
 //! - deterministic base [`Signal`]s: [`SquareWave`], [`Constant`],
-//!   [`Sine`], [`Ramp`], [`StepSequence`],
+//!   [`Sine`],
 //! - [`GaussianNoise`] (Box–Muller over `rand` uniforms — `rand_distr` is
 //!   not in the approved offline dependency set),
 //! - [`SpikeProcess`]: Poisson-arriving rectangular utilization spikes,
@@ -38,6 +38,6 @@ mod spikes;
 mod workload;
 
 pub use noise::GaussianNoise;
-pub use signal::{Constant, Ramp, Signal, Sine, SquareWave, StepSequence};
+pub use signal::{Constant, Signal, Sine, SquareWave};
 pub use spikes::SpikeProcess;
 pub use workload::{Workload, WorkloadBuilder};

@@ -145,97 +145,6 @@ impl Signal for Sine {
     }
 }
 
-/// A linear ramp from `start` to `end` over `duration`, holding `end`
-/// afterwards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ramp {
-    start: f64,
-    end: f64,
-    duration: f64,
-}
-
-impl Ramp {
-    /// Creates a ramp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is zero.
-    #[must_use]
-    pub fn new(start: f64, end: f64, duration: Seconds) -> Self {
-        assert!(!duration.is_zero(), "ramp duration must be positive");
-        Self { start, end, duration: duration.value() }
-    }
-}
-
-impl Signal for Ramp {
-    fn at(&self, t: Seconds) -> f64 {
-        let frac = (t.value() / self.duration).clamp(0.0, 1.0);
-        self.start + (self.end - self.start) * frac
-    }
-}
-
-/// A piecewise-constant step sequence `(t_i, level_i)`: the signal holds
-/// `level_i` from `t_i` until the next breakpoint. Before the first
-/// breakpoint it holds the first level.
-///
-/// Useful for replaying recorded utilization traces.
-///
-/// # Examples
-///
-/// ```
-/// use gfsc_workload::{Signal, StepSequence};
-/// use gfsc_units::Seconds;
-///
-/// let s = StepSequence::new(vec![(0.0, 0.1), (100.0, 0.9), (160.0, 0.3)]);
-/// assert_eq!(s.at(Seconds::new(50.0)), 0.1);
-/// assert_eq!(s.at(Seconds::new(100.0)), 0.9);
-/// assert_eq!(s.at(Seconds::new(1000.0)), 0.3);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepSequence {
-    breakpoints: Vec<(f64, f64)>,
-}
-
-impl StepSequence {
-    /// Creates a step sequence from `(time_s, level)` breakpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `breakpoints` is empty or not sorted by time.
-    #[must_use]
-    pub fn new(breakpoints: Vec<(f64, f64)>) -> Self {
-        assert!(!breakpoints.is_empty(), "step sequence needs at least one breakpoint");
-        assert!(
-            breakpoints.windows(2).all(|w| w[0].0 <= w[1].0),
-            "breakpoints must be sorted by time"
-        );
-        Self { breakpoints }
-    }
-
-    /// Number of breakpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.breakpoints.len()
-    }
-
-    /// Always `false`: construction rejects empty sequences.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-impl Signal for StepSequence {
-    fn at(&self, t: Seconds) -> f64 {
-        let idx = self.breakpoints.partition_point(|&(bt, _)| bt <= t.value());
-        if idx == 0 {
-            self.breakpoints[0].1
-        } else {
-            self.breakpoints[idx - 1].1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,26 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn ramp_interpolates_and_holds() {
-        let r = Ramp::new(0.2, 0.8, secs(60.0));
-        assert_eq!(r.at(secs(0.0)), 0.2);
-        assert!((r.at(secs(30.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(r.at(secs(60.0)), 0.8);
-        assert_eq!(r.at(secs(600.0)), 0.8);
-    }
-
-    #[test]
-    fn step_sequence_lookup() {
-        let s = StepSequence::new(vec![(10.0, 0.5), (20.0, 0.9)]);
-        assert_eq!(s.at(secs(0.0)), 0.5); // before first breakpoint
-        assert_eq!(s.at(secs(10.0)), 0.5);
-        assert_eq!(s.at(secs(19.99)), 0.5);
-        assert_eq!(s.at(secs(20.0)), 0.9);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
     fn constant_is_constant() {
         let c = Constant::new(0.42);
         assert_eq!(c.at(secs(0.0)), 0.42);
@@ -305,17 +194,5 @@ mod tests {
     #[should_panic(expected = "duty")]
     fn degenerate_duty_rejected() {
         let _ = SquareWave::new(0.1, 0.7, secs(100.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_breakpoints_rejected() {
-        let _ = StepSequence::new(vec![(10.0, 0.5), (5.0, 0.9)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn empty_breakpoints_rejected() {
-        let _ = StepSequence::new(vec![]);
     }
 }

@@ -18,7 +18,7 @@
 //! paste the printed table over `GOLDENS`, and say so in the commit
 //! message.
 
-use gfsc_coord::{RackControl, RackLoopSim, RackRunOutcome};
+use gfsc_coord::{RackControl, RackLoopSim, RunOutcome};
 use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_units::Seconds;
 use gfsc_workload::{SquareWave, Workload};
@@ -35,7 +35,7 @@ fn fnv(bits: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
-fn run(control: RackControl, rack: RackTopology) -> RackRunOutcome {
+fn run(control: RackControl, rack: RackTopology) -> RunOutcome {
     let workload = Workload::builder(SquareWave::date14())
         .gaussian_noise(0.04, 42)
         .spikes(1.0 / 240.0, Seconds::new(30.0), 0.8, 43)
