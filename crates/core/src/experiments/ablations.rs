@@ -110,16 +110,12 @@ pub fn lag_sweep(lags: &[Seconds], horizon: Seconds) -> Vec<LagRow> {
                 .traces
         };
         let skip = Seconds::new(400.0);
-        let adaptive_traces = run(Box::new(
-            AdaptivePid::new(
-                schedule,
-                Celsius::new(75.0),
-                spec.fan_bounds,
-                Some(spec.quantization_step),
-            )
-            .with_descent_limit(2000.0)
-            .with_trend_gate(spec.quantization_step.max(0.5)),
-        ));
+        let adaptive_traces = run(Box::new(AdaptivePid::date14_configured(
+            schedule,
+            Celsius::new(75.0),
+            spec.fan_bounds,
+            spec.quantization_step,
+        )));
         let fixed_traces = run(Box::new(FixedPidFan::new(
             fixed_gains,
             Celsius::new(75.0),
@@ -241,16 +237,12 @@ pub fn region_sweep(region_sets: &[Vec<f64>], horizon: Seconds) -> Vec<RegionRow
             .workload(
                 Workload::builder(SquareWave::new(0.1, 0.7, Seconds::new(800.0), 0.5)).build(),
             )
-            .fan(
-                AdaptivePid::new(
-                    schedule,
-                    Celsius::new(75.0),
-                    spec.fan_bounds,
-                    Some(spec.quantization_step),
-                )
-                .with_descent_limit(2000.0)
-                .with_trend_gate(spec.quantization_step.max(0.5)),
-            )
+            .fan(AdaptivePid::date14_configured(
+                schedule,
+                Celsius::new(75.0),
+                spec.fan_bounds,
+                spec.quantization_step,
+            ))
             .without_capper()
             .start_at(Utilization::new(0.1), Rpm::new(2000.0))
             .build();

@@ -145,9 +145,8 @@ pub fn run(config: &Fig3Config) -> Fig3 {
     // descent and trend gating this implementation adds for lag
     // robustness (DESIGN.md §5). The fixed-gain baselines represent the
     // conventional PID of prior work: plain PID + the same Eq. 10 hold.
-    let adaptive = AdaptivePid::new(schedule, config.reference, bounds, quant)
-        .with_descent_limit(2000.0)
-        .with_trend_gate(spec.quantization_step.max(0.5));
+    let adaptive =
+        AdaptivePid::date14_configured(schedule, config.reference, bounds, spec.quantization_step);
     let (low_gains, high_gains) = study_fixed_gains();
 
     Fig3 {

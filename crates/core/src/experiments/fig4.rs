@@ -104,16 +104,12 @@ pub fn run(config: &Fig4Config) -> Fig4 {
     let mut adaptive_sim = ClosedLoopSim::builder()
         .spec(control_spec.clone())
         .workload(workload())
-        .fan(
-            AdaptivePid::new(
-                study_gain_schedule().clone(),
-                config.reference,
-                control_spec.fan_bounds,
-                Some(control_spec.quantization_step),
-            )
-            .with_descent_limit(2000.0)
-            .with_trend_gate(control_spec.quantization_step.max(0.5)),
-        )
+        .fan(AdaptivePid::date14_configured(
+            study_gain_schedule().clone(),
+            config.reference,
+            control_spec.fan_bounds,
+            control_spec.quantization_step,
+        ))
         .without_capper()
         .start_at(config.utilization, Rpm::new(2000.0))
         .build();

@@ -19,16 +19,12 @@ fn adaptive_pid_regulates_steady_load_through_nonideal_chain() {
     let mut sim = ClosedLoopSim::builder()
         .spec(spec.clone())
         .workload(Workload::builder(Constant::new(0.7)).build())
-        .fan(
-            AdaptivePid::new(
-                gfsc::tune_gain_schedule(&spec, &[Rpm::new(2000.0), Rpm::new(6000.0)]),
-                Celsius::new(75.0),
-                spec.fan_bounds,
-                Some(spec.quantization_step),
-            )
-            .with_descent_limit(2000.0)
-            .with_trend_gate(1.0),
-        )
+        .fan(AdaptivePid::date14_configured(
+            gfsc::tune_gain_schedule(&spec, &[Rpm::new(2000.0), Rpm::new(6000.0)]),
+            Celsius::new(75.0),
+            spec.fan_bounds,
+            spec.quantization_step,
+        ))
         .without_capper()
         .start_at(Utilization::new(0.7), Rpm::new(3000.0))
         .build();
