@@ -69,7 +69,9 @@ pub struct WorkloadSpec {
 #[derive(Debug, Clone)]
 pub struct IpmiSpec {
     /// Socket→sensor-name map; empty means auto-discover from the sdr
-    /// listing ([`IpmiAdapter::discover`]).
+    /// listing ([`IpmiAdapter::discover`]). A name listed k times maps k
+    /// sockets to the first k sdr rows of that name, in listing order
+    /// (Dell iDRACs name every CPU sensor `Temp`).
     pub sensors: Vec<String>,
     /// Fan-wall count (must match the topology's zone count).
     pub zones: usize,

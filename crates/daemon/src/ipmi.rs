@@ -160,12 +160,15 @@ impl CommandRunner for ProcessRunner {
 ///
 /// Socket mapping is by sensor name: `sensor_names[i]` is matched
 /// (exact, after trimming) against the sdr rows; a socket whose sensor
-/// is absent or unreadable polls as `None`. Fan commands address zones
-/// as BMC fan indices and translate rpm targets to duty percentages
-/// linearly across the mechanical bounds. Cap writes delegate to a
-/// [`CapEnforcer`] ([`NullEnforcer`] unless
-/// [`IpmiAdapter::with_cap_enforcer`] wires one), and firmware fallback
-/// releases the caps alongside handing the fans back.
+/// is absent or unreadable polls as `None`. A name the map repeats reads
+/// one row per use, in listing order: its k-th use reads the k-th row of
+/// that name (Dell iDRACs print every CPU sensor as `Temp`), and a use
+/// with no row of its own polls as `None` rather than another socket's
+/// reading. Fan commands address zones as BMC fan indices and translate
+/// rpm targets to duty percentages linearly across the mechanical
+/// bounds. Cap writes delegate to a [`CapEnforcer`] ([`NullEnforcer`]
+/// unless [`IpmiAdapter::with_cap_enforcer`] wires one), and firmware
+/// fallback releases the caps alongside handing the fans back.
 pub struct IpmiAdapter<R: CommandRunner> {
     runner: R,
     sensor_names: Vec<String>,
@@ -256,8 +259,13 @@ impl<R: CommandRunner> IpmiAdapter<R> {
         let text =
             self.runner.run("ipmitool", &["sdr".into(), "type".into(), "temperature".into()])?;
         let readings = parse_sdr_temperatures(&text);
-        for (slot, wanted) in out.iter_mut().zip(&self.sensor_names) {
-            *slot = readings.iter().find(|r| &r.name == wanted).and_then(|r| r.value);
+        for (i, (slot, wanted)) in out.iter_mut().zip(&self.sensor_names).enumerate() {
+            let earlier_uses = self.sensor_names[..i].iter().filter(|n| *n == wanted).count();
+            *slot = readings
+                .iter()
+                .filter(|r| &r.name == wanted)
+                .nth(earlier_uses)
+                .and_then(|r| r.value);
         }
         Ok(())
     }

@@ -1,7 +1,8 @@
 //! The IPMI garbage-tolerance corpus: real-world-shaped `ipmitool` /
 //! `sensors` output, including the hostile cases — truncated rows,
 //! `No Reading` / `ns` / `Disabled` placeholders, locale decimal
-//! commas, stderr interleaved with stdout.
+//! commas, stderr interleaved with stdout, a Dell listing whose CPU
+//! rows all share one name.
 //!
 //! The invariant under test: **an unreadable sensor is `None`, never a
 //! fabricated `0.0`** — and through [`gfsc_sensors::SensorHealth`] a
@@ -10,13 +11,39 @@
 //! a phantom 0 °C socket.
 
 use gfsc_daemon::{
-    discover_socket_sensors, parse_sdr_temperatures, parse_sensors_temperatures, IpmiReading,
+    discover_socket_sensors, parse_sdr_temperatures, parse_sensors_temperatures, CommandRunner,
+    IpmiAdapter, IpmiReading, TelemetryError,
 };
 use gfsc_sensors::{SensorHealth, SensorStatus};
-use gfsc_units::{Celsius, Seconds};
+use gfsc_units::{Bounds, Celsius, Rpm, Seconds};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn value_of(readings: &[IpmiReading], name: &str) -> Option<Celsius> {
     readings.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("row {name}")).value
+}
+
+/// Answers every command with one sdr listing and logs each call.
+struct Scripted {
+    listing: &'static str,
+    calls: Rc<RefCell<Vec<String>>>,
+}
+
+impl Scripted {
+    fn new(listing: &'static str) -> Self {
+        Self { listing, calls: Rc::default() }
+    }
+}
+
+impl CommandRunner for Scripted {
+    fn run(&mut self, cmd: &str, args: &[String]) -> Result<String, TelemetryError> {
+        self.calls.borrow_mut().push(format!("{cmd} {}", args.join(" ")));
+        Ok(self.listing.to_owned())
+    }
+}
+
+fn fan_bounds() -> Bounds<Rpm> {
+    Bounds::new(Rpm::new(1000.0), Rpm::new(9000.0))
 }
 
 /// No parser output, on any fixture, may ever be a fabricated zero.
@@ -91,6 +118,33 @@ fn discovery_keeps_unreadable_sockets_in_numeric_order() {
     // every later socket.
     let names = discover_socket_sensors(include_str!("fixtures/sdr_placeholders.txt"));
     assert_eq!(names, vec!["CPU0 Temp", "CPU1 Temp", "CPU2 Temp"]);
+}
+
+#[test]
+fn repeated_sensor_name_reads_one_row_per_socket() {
+    // Dell iDRACs print every CPU sensor as `Temp`, so an explicit map
+    // repeats the name. Socket k reads the k-th `Temp` row, and a socket
+    // with no row of its own polls None, never another socket's reading.
+    let dell = Scripted::new(include_str!("fixtures/sdr_dell.txt"));
+    let mut adapter = IpmiAdapter::new(dell, vec!["Temp".into(); 3], 1, fan_bounds());
+    let mut out = [None; 3];
+    adapter.read_temperatures(&mut out).unwrap();
+    assert_eq!(out, [Some(Celsius::new(40.0)), Some(Celsius::new(52.0)), None]);
+}
+
+#[test]
+fn discovery_maps_cpu_rows_from_one_listing_or_fails() {
+    let clean = Scripted::new(include_str!("fixtures/sdr_clean.txt"));
+    let calls = Rc::clone(&clean.calls);
+    let adapter = IpmiAdapter::discover(clean, 1, fan_bounds()).unwrap();
+    assert_eq!(adapter.sensor_names(), ["CPU0 Temp", "CPU1 Temp"]);
+    assert_eq!(*calls.borrow(), ["ipmitool sdr type temperature"]);
+
+    // No Dell row name says CPU: discovery fails, which is what tells
+    // the operator to write an explicit `[ipmi] sensors` map.
+    let dell = Scripted::new(include_str!("fixtures/sdr_dell.txt"));
+    let err = IpmiAdapter::discover(dell, 1, fan_bounds()).unwrap_err();
+    assert!(matches!(err, TelemetryError::Read(_)), "{err:?}");
 }
 
 #[test]
