@@ -13,8 +13,8 @@
 
 use crate::runner::MONITOR_WINDOW;
 use crate::{
-    CappingCoordinator, FanController, FixedPidFan, IntegralCapper, RackControl, RackEnergyDescent,
-    RackView, SingleStepFanScaling, SsFanAction, WorkMigrator, ZoneEnergyCoordinator,
+    CappingCoordinator, EnergyAwareCoordinator, FanController, FixedPidFan, IntegralCapper,
+    RackControl, RackEnergyDescent, RackView, SingleStepFanScaling, SsFanAction, WorkMigrator,
     ZoneReferences, ZoneSsFanBank, FIXED_REFERENCE,
 };
 use gfsc_control::{AdaptivePid, GainSchedule, PidGains};
@@ -26,8 +26,7 @@ use gfsc_sim::{ChannelId, TraceSet};
 use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization, Watts};
 
 /// What parameterizes a [`RackControlBank`] beyond the rack spec itself:
-/// the control mode, the fan gains, the two E-coord policies and the
-/// flight recorder.
+/// the control mode, the fan gains and the flight recorder.
 ///
 /// Everything else is the one rack calibration every run uses, built by
 /// [`RackControlBank::new`]: the [`IntegralCapper::date14_rack`] capper
@@ -35,9 +34,10 @@ use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization, Watts};
 /// [`FIXED_REFERENCE`] for non-adaptive fan loops, 2 K of reference
 /// shading per unit of excess airflow derate, the single-server
 /// single-step scheme ([`SingleStepFanScaling::new`]`(0.3)` over a
-/// 10-epoch violation window) and the [`WorkMigrator::date14_rack`]
-/// migrator. A daemon constructing its bank from a fresh config
-/// therefore replays the simulation bit-for-bit.
+/// 10-epoch violation window), the [`EnergyAwareCoordinator::date14_rack`]
+/// E-coord rule set, the [`RackEnergyDescent::date14_rack`] descent and
+/// the [`WorkMigrator::date14_rack`] migrator. A daemon constructing its
+/// bank from a fresh config therefore replays the simulation bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct RackControlConfig {
     /// The control mode.
@@ -45,10 +45,6 @@ pub struct RackControlConfig {
     /// Pre-tuned gain schedule for adaptive-PID fan loops (`None` falls
     /// back to the paper's fixed gain set).
     pub gain_schedule: Option<GainSchedule>,
-    /// The per-zone E-coord policy (`CoordinatedECoord`).
-    pub energy_coordinator: ZoneEnergyCoordinator,
-    /// The rack-global descent (`GlobalECoord`).
-    pub energy_descent: RackEnergyDescent,
     /// The decision flight recorder — disarmed by default, so every
     /// record call in the epoch path is a no-op branch. Arm it
     /// (`Recorder::armed(capacity)`) to keep an event trail of every
@@ -61,13 +57,7 @@ impl RackControlConfig {
     /// [`crate::RackLoopSim`] builder defaults.
     #[must_use]
     pub fn new(control: RackControl) -> Self {
-        Self {
-            control,
-            gain_schedule: None,
-            energy_coordinator: ZoneEnergyCoordinator::date14_rack(),
-            energy_descent: RackEnergyDescent::date14_rack(),
-            recorder: Recorder::disarmed(),
-        }
+        Self { control, gain_schedule: None, recorder: Recorder::disarmed() }
     }
 }
 
@@ -92,8 +82,8 @@ pub struct RackControlBank {
     references: ZoneReferences,
     /// The per-zone single-step bank (CoordinatedSsFan only).
     ss: Option<ZoneSsFanBank>,
-    /// The per-zone E-coord policy (CoordinatedECoord only).
-    ecoord: ZoneEnergyCoordinator,
+    /// The per-zone E-coord rule set (CoordinatedECoord only).
+    ecoord: EnergyAwareCoordinator,
     /// The rack-global fan descent (GlobalECoord only).
     descent: Option<RackEnergyDescent>,
     /// The load-weight migrator (MigratingCoordinated only).
@@ -109,11 +99,10 @@ pub struct RackControlBank {
     demands: Vec<Utilization>,
     executed: Vec<Utilization>,
     measured: Vec<Celsius>,
-    /// Per-zone executing-power scratch for the E-coord view probes.
-    zone_powers: Vec<Watts>,
-    /// Whole-rack executing-power scratch for the global descent's joint
-    /// probes.
+    /// Whole-rack executing-power scratch for the E-coord inversions.
     rack_powers: Vec<Watts>,
+    /// Per-zone actual-speed scratch for the per-zone E-coord inversions.
+    zone_fans: Vec<Rpm>,
     /// Per-zone violated-socket scratch for the single-step windows.
     zone_violated: Vec<usize>,
     /// Flat socket → zone map, resolved once.
@@ -189,10 +178,9 @@ impl RackControlBank {
                 spec.rack.plenum().is_some(),
             )
         });
-        let max_zone_sockets = (0..zones).map(|z| plant.zone_sockets(z).len()).max().unwrap_or(0);
         let socket_zone: Vec<usize> = (0..sockets).map(|i| plant.zone_of_socket(i)).collect();
         let descent = matches!(config.control, RackControl::GlobalECoord).then(|| {
-            let mut descent = config.energy_descent.clone();
+            let mut descent = RackEnergyDescent::date14_rack();
             descent.bind(zones);
             descent
         });
@@ -208,7 +196,7 @@ impl RackControlBank {
             global_capper: crate::CpuCapController::date14(),
             references,
             ss,
-            ecoord: config.energy_coordinator,
+            ecoord: EnergyAwareCoordinator::date14_rack(),
             descent,
             migrator,
             demand_filter: MovingAverage::new(30),
@@ -218,8 +206,8 @@ impl RackControlBank {
             demands: vec![Utilization::IDLE; sockets],
             executed: vec![start_utilization; sockets],
             measured: vec![spec.server.ambient; sockets],
-            zone_powers: vec![Watts::new(0.0); max_zone_sockets],
             rack_powers: vec![Watts::new(0.0); sockets],
+            zone_fans: vec![Rpm::new(0.0); zones],
             zone_violated: vec![0; zones],
             socket_zone,
             cpu_power: server.cpu_power,
@@ -462,29 +450,25 @@ impl RackControlBank {
             }
             RackControl::CoordinatedECoord => {
                 // Per zone: the energy-first policy on the zone
-                // measurement, fan sized through the zone's PlantModel
-                // view at the powers its sockets are currently executing.
+                // measurement, each wall sized alone by the min-safe
+                // inversion at the powers every socket is currently
+                // executing, every other wall at its actual speed.
                 let cpu_power = self.cpu_power;
                 let bounds = self.fan_bounds;
+                for i in 0..sockets {
+                    self.rack_powers[i] = cpu_power.power(rack.executed()[i]);
+                }
+                for z in 0..zones {
+                    self.zone_fans[z] = rack.zone_fan_speed(z);
+                }
+                let (powers, fans) = (&self.rack_powers, &self.zone_fans);
                 for z in 0..zones {
                     let zone_measured = rack.measured_zone(z);
                     let current = self.zone_caps[z];
-                    let fan_cmd = {
-                        let zone_sockets = rack.plant().zone_sockets(z);
-                        let k = zone_sockets.len();
-                        for (j, &i) in zone_sockets.iter().enumerate() {
-                            self.zone_powers[j] = cpu_power.power(rack.executed()[i]);
-                        }
-                        let zone_view = rack.plant_mut().zone_plant(z);
-                        self.ecoord.fan_command(
-                            &zone_view,
-                            &self.zone_powers[..k],
-                            zone_measured,
-                            current,
-                            fan_due,
-                            bounds,
-                        )
-                    };
+                    let fan_cmd =
+                        self.ecoord.fan_command(zone_measured, current, fan_due, bounds, |limit| {
+                            rack.plant().min_safe_zone_fan(z, powers, fans, limit)
+                        });
                     if let Some(target) = fan_cmd {
                         rack.set_zone_fan_target(z, target);
                     }

@@ -1,7 +1,7 @@
 //! Global coordination of the two local controllers.
 
 use gfsc_server::Server;
-use gfsc_units::{Celsius, Rpm, Utilization};
+use gfsc_units::{Bounds, Celsius, Rpm, Utilization};
 
 /// Direction of the most recent *applied* fan decision, latched for the
 /// rest of the fan period.
@@ -258,7 +258,7 @@ impl Coordinator for RuleBasedCoordinator {
 ///
 /// - **Fan policy** (model-based, replaces the PID proposal): at fan
 ///   epochs, command the lowest speed whose steady-state junction
-///   temperature for the predicted demand stays at
+///   temperature for what is currently executing stays at
 ///   `t_emergency − fan_margin` — the energy-optimal airflow.
 /// - **Thermal events** (`T_meas ≥ t_emergency`): pick the corrective knob
 ///   with the best temperature-drop-per-extra-watt. Cutting the cap
@@ -319,6 +319,21 @@ impl EnergyAwareCoordinator {
         Self::new(Celsius::new(80.0), 1.0, Celsius::new(78.0), 0.03, 0.10, Utilization::new(0.10))
     }
 
+    /// The rack calibration: the [`Self::date14`] rule set with the fan
+    /// margin opened to 4 K, so each wall is sized for 76 °C — *below* the
+    /// 78 °C recovery threshold. The zone's own airflow then produces the
+    /// recovery state after a thermal event and caps restore without
+    /// waiting for the load to drop, which is what lets the zone descent
+    /// hold equal-or-fewer violations than the lockstep baseline (on the
+    /// 2U boards too, whose downstream sockets overshoot hardest) while
+    /// still running far leaner than a 75 °C PID on every wall. (The
+    /// single-server `date14` margin of 1 K is kept for the Table III
+    /// reproduction, trap included.)
+    #[must_use]
+    pub fn date14_rack() -> Self {
+        Self::new(Celsius::new(80.0), 4.0, Celsius::new(78.0), 0.03, 0.10, Utilization::new(0.10))
+    }
+
     /// Whether `measured` is at or above the thermal-event threshold.
     #[must_use]
     pub fn is_emergency(&self, measured: Celsius) -> bool {
@@ -342,8 +357,8 @@ impl EnergyAwareCoordinator {
     /// floor, cool enough → restore at the raise step, otherwise hold.
     ///
     /// This is the exact decision [`Coordinator::coordinate`] applies; the
-    /// rack's per-zone lift (`ZoneEnergyCoordinator`) calls the same
-    /// method against zone measurements instead of duplicating it.
+    /// rack's E-coord modes call the same method against zone
+    /// measurements instead of duplicating it.
     #[must_use]
     pub fn next_cap(&self, measured: Celsius, current: Utilization) -> Utilization {
         if self.is_emergency(measured) {
@@ -359,43 +374,56 @@ impl EnergyAwareCoordinator {
         }
     }
 
-    /// Energy-optimal airflow for what is *currently executing* — reactive
-    /// sizing, as the scheme optimizes the present operating point rather
-    /// than anticipating demand it has already capped away.
-    fn fan_for_demand(&self, inputs: &CoordinationInputs<'_>) -> Rpm {
-        let spec = inputs.server.spec();
-        let demand = inputs.server.executed_utilization();
-        let speed = inputs
-            .server
-            .min_safe_fan_speed(demand, self.fan_sizing_limit())
-            .unwrap_or(spec.fan_bounds.hi());
-        spec.fan_bounds.clamp(speed)
+    /// The fan command this epoch, if any. In an emergency the cap cut
+    /// saves energy while cooling, so it wins whenever the cap can still
+    /// move: the fan goes to the upper bound only once `current_cap` (the
+    /// cap in force *before* [`Self::next_cap`] applies) sits at its
+    /// floor. Otherwise, at a fan epoch, the energy-optimal airflow:
+    /// `min_safe(limit)`, the model inversion at the sizing limit for what
+    /// is *currently executing*, clamped to `bounds` — or the upper bound
+    /// when no speed holds the limit. Sizing is reactive: the scheme
+    /// optimizes the present operating point rather than anticipating
+    /// demand it has already capped away.
+    #[must_use]
+    pub fn fan_command(
+        &self,
+        measured: Celsius,
+        current_cap: Utilization,
+        fan_epoch: bool,
+        bounds: Bounds<Rpm>,
+        min_safe: impl FnOnce(Celsius) -> Option<Rpm>,
+    ) -> Option<Rpm> {
+        if self.is_emergency(measured) {
+            (current_cap <= self.cap_floor).then(|| bounds.hi())
+        } else if fan_epoch {
+            Some(bounds.clamp(min_safe(self.fan_sizing_limit()).unwrap_or(bounds.hi())))
+        } else {
+            None
+        }
     }
 }
 
 impl Coordinator for EnergyAwareCoordinator {
     fn coordinate(&mut self, inputs: &CoordinationInputs<'_>) -> CoordinationOutcome {
-        let cap = self.next_cap(inputs.measured, inputs.current_cap);
-        if self.is_emergency(inputs.measured) {
-            // Efficiency pick: the cap cut saves energy while cooling, so
-            // it wins whenever the cap can still move; only a cap pinned
-            // at its floor leaves the fan as the remaining knob.
-            let fan_target = (inputs.current_cap <= self.cap_floor)
-                .then(|| inputs.server.spec().fan_bounds.hi());
-            CoordinationOutcome { cap, fan_target }
-        } else {
-            // Energy minimization: restore performance when cool enough,
-            // and (at fan epochs) run the model-minimal airflow.
-            let fan_target = inputs.proposed_fan.map(|_| self.fan_for_demand(inputs));
-            CoordinationOutcome { cap, fan_target }
-        }
+        let server = inputs.server;
+        let fan_target = self.fan_command(
+            inputs.measured,
+            inputs.current_cap,
+            inputs.proposed_fan.is_some(),
+            server.spec().fan_bounds,
+            |limit| server.min_safe_fan_speed(server.executed_utilization(), limit),
+        );
+        CoordinationOutcome { cap: self.next_cap(inputs.measured, inputs.current_cap), fan_target }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gfsc_rack::{RackPlant, RackSpec, RackTopology, RackZoneDef, ServerSlot};
     use gfsc_server::ServerSpec;
+    use gfsc_thermal::Topology;
+    use gfsc_units::Watts;
 
     fn u(x: f64) -> Utilization {
         Utilization::new(x)
@@ -641,6 +669,33 @@ mod tests {
         assert!((fan - expected).abs() < 1.0, "fan {fan} expected {expected}");
         // And the energy-optimal speed is *below* what the PID proposed.
         assert!(fan < rpm(6000.0));
+    }
+
+    #[test]
+    fn fan_command_idles_a_slotless_wall_at_the_lower_bound() {
+        // Zone 1 is a fan wall over empty bays: nothing to cool, so its
+        // inversion answers 0 rpm, which clamps to the lower bound.
+        let zone = |name: &str| RackZoneDef { name: name.to_owned(), fans: 1 };
+        let slot = ServerSlot {
+            name: "srv0".to_owned(),
+            zone: 0,
+            board: Topology::single_socket(),
+            airflow_derate: 1.0,
+            load_weight: 1.0,
+        };
+        let topology = RackTopology::new("partial", vec![zone("z0"), zone("z1")], vec![slot], None);
+        let spec = RackSpec::new(topology);
+        let rack = RackPlant::new(&spec.server.calibration(), &spec.rack).unwrap();
+        let (powers, fans) = ([Watts::new(140.8)], [Rpm::new(4000.0); 2]);
+        let bounds = spec.server.fan_bounds;
+        let c = EnergyAwareCoordinator::date14_rack();
+        let cmd = c.fan_command(Celsius::new(30.0), Utilization::FULL, true, bounds, |limit| {
+            rack.min_safe_zone_fan(1, &powers, &fans, limit)
+        });
+        assert_eq!(cmd, Some(bounds.lo()), "empty wall idles at the lower bound");
+        // Not a fan epoch, not an emergency: the fan holds.
+        let cmd = c.fan_command(Celsius::new(30.0), Utilization::FULL, false, bounds, |_| None);
+        assert_eq!(cmd, None);
     }
 
     #[test]

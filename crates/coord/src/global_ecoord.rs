@@ -1,16 +1,16 @@
 //! Rack-global energy descent: every fan wall sized *jointly* against the
-//! full coupled [`RackPlant`], not through frozen per-zone views.
+//! full coupled [`RackPlant`], not one wall at a time.
 //!
-//! The per-zone E-coord lift ([`crate::ZoneEnergyCoordinator`]) sizes each
-//! wall with every *other* wall frozen at its momentary actual speed. On a
-//! plenum-coupled rack that freezing is exactly wrong: wall airflows are
-//! antitone-coupled (a neighbour slowing down makes *your* minimum safe
-//! speed higher), so per-zone decisions chase each other's slewing actuals
-//! — each wall sizes against a neighbour state that is already moving away
-//! — and the pair oscillates around the joint operating point instead of
-//! sitting on it. Fan power is cubic in speed, so oscillating *around* a
-//! point costs strictly more than holding it (Jensen), and the low half of
-//! each swing under-provides airflow.
+//! The per-zone E-coord mode ([`crate::RackControl::CoordinatedECoord`])
+//! sizes each wall with every *other* wall held at its momentary actual
+//! speed. On a plenum-coupled rack that holding is exactly wrong: wall
+//! airflows are antitone-coupled (a neighbour slowing down makes *your*
+//! minimum safe speed higher), so per-zone decisions chase each other's
+//! slewing actuals — each wall sizes against a neighbour state that is
+//! already moving away — and the pair oscillates around the joint
+//! operating point instead of sitting on it. Fan power is cubic in speed,
+//! so oscillating *around* a point costs strictly more than holding it
+//! (Jensen), and the low half of each swing under-provides airflow.
 //!
 //! [`RackEnergyDescent`] removes the inconsistency: at each fan epoch it
 //! runs a Gauss–Seidel coordinate descent over *all* walls at once —
@@ -26,8 +26,8 @@
 //! the solver, not through the plant a fan period later.
 //!
 //! The cap side is untouched: the same per-zone energy-first policy
-//! (`EnergyAwareCoordinator::next_cap` on the zone measurement) as the
-//! per-zone descent, so a GlobalECoord-vs-CoordinatedECoord comparison
+//! ([`EnergyAwareCoordinator::next_cap`] on the zone measurement) as the
+//! per-zone mode, so a GlobalECoord-vs-CoordinatedECoord comparison
 //! isolates the fan-sizing question. On a single-zone rack the joint
 //! descent degenerates to exactly the per-zone inversion (one coordinate,
 //! nothing to iterate against), which pins the mode into the degenerate
@@ -39,13 +39,14 @@
 //! mode too
 //! (`tests/alloc_free_rack.rs`).
 
-use crate::{EnergyAwareCoordinator, ZoneEnergyCoordinator};
+use crate::EnergyAwareCoordinator;
 use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::RackPlant;
 use gfsc_units::{total_max, Bounds, Celsius, Rpm, Utilization, Watts};
 
 /// The rack-global fan-sizing descent plus the per-zone energy-first cap
-/// policy — the whole-rack counterpart of [`ZoneEnergyCoordinator`].
+/// policy — the whole-rack counterpart of the per-zone
+/// [`EnergyAwareCoordinator::fan_command`].
 ///
 /// # Examples
 ///
@@ -61,7 +62,7 @@ use gfsc_units::{total_max, Bounds, Celsius, Rpm, Utilization, Watts};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RackEnergyDescent {
-    policy: ZoneEnergyCoordinator,
+    policy: EnergyAwareCoordinator,
     max_sweeps: usize,
     tolerance: Rpm,
     /// The fan-vector iterate, one entry per zone.
@@ -75,14 +76,14 @@ pub struct RackEnergyDescent {
 }
 
 impl RackEnergyDescent {
-    /// Creates the descent around the given per-zone cap policy.
+    /// Creates the descent around the given per-zone rule set.
     /// [`RackEnergyDescent::bind`] must size it before the first epoch.
     ///
     /// # Panics
     ///
     /// Panics if `max_sweeps` is zero or `tolerance` is negative.
     #[must_use]
-    pub fn new(policy: ZoneEnergyCoordinator, max_sweeps: usize, tolerance: Rpm) -> Self {
+    pub fn new(policy: EnergyAwareCoordinator, max_sweeps: usize, tolerance: Rpm) -> Self {
         assert!(max_sweeps > 0, "the descent needs at least one sweep");
         assert!(tolerance.value() >= 0.0, "convergence tolerance must be non-negative");
         Self {
@@ -95,13 +96,13 @@ impl RackEnergyDescent {
         }
     }
 
-    /// The rack calibration: the [`ZoneEnergyCoordinator::date14_rack`]
+    /// The rack calibration: the [`EnergyAwareCoordinator::date14_rack`]
     /// rule set (4 K sizing margin, recovery reachable by the zone's own
     /// airflow), six Gauss–Seidel sweeps, 0.5 rpm convergence tolerance —
     /// far below any actuator's quantization step.
     #[must_use]
     pub fn date14_rack() -> Self {
-        Self::new(ZoneEnergyCoordinator::date14_rack(), 6, Rpm::new(0.5))
+        Self::new(EnergyAwareCoordinator::date14_rack(), 6, Rpm::new(0.5))
     }
 
     /// Sizes the scratch for `zones` fan walls (one-time; the epoch loop
@@ -116,10 +117,10 @@ impl RackEnergyDescent {
     }
 
     /// The underlying single-server rule set (shared with the per-zone
-    /// descent, so the two modes differ only in fan sizing).
+    /// mode, so the two modes differ only in fan sizing).
     #[must_use]
     pub fn policy(&self) -> &EnergyAwareCoordinator {
-        self.policy.policy()
+        &self.policy
     }
 
     /// The zone cap for the next epoch — the per-zone policy, verbatim.
@@ -202,7 +203,7 @@ impl RackEnergyDescent {
         rec: &mut Recorder,
     ) {
         assert_eq!(self.targets.len(), plant.zone_count(), "descent bound to a different rack");
-        let limit = self.policy.policy().fan_sizing_limit();
+        let limit = self.policy.fan_sizing_limit();
         let mut sweeps = 0u32;
         let mut residual = 0.0f64;
         for _ in 0..self.max_sweeps {
@@ -245,7 +246,7 @@ impl RackEnergyDescent {
 mod tests {
     use super::*;
     use gfsc_rack::{RackPlant, RackTopology};
-    use gfsc_thermal::{HeatSinkLaw, PlantCalibration, PlantModel, Topology};
+    use gfsc_thermal::{HeatSinkLaw, PlantCalibration, Topology};
     use gfsc_units::{KelvinPerWatt, Seconds};
 
     fn cal() -> PlantCalibration {
@@ -301,8 +302,8 @@ mod tests {
     #[test]
     fn single_zone_descent_matches_the_per_zone_bisection_bitwise() {
         // One coordinate, nothing to iterate against: the joint descent
-        // must reproduce the zone-view bisection exactly — the degenerate
-        // contract that keeps GlobalECoord bit-compatible with
+        // must reproduce the single-zone inversion exactly — the
+        // degenerate contract that keeps GlobalECoord bit-compatible with
         // CoordinatedECoord on a single-zone rack.
         let mut rack =
             RackPlant::new(&cal(), &RackTopology::single_server(Topology::dual_socket())).unwrap();
@@ -312,8 +313,8 @@ mod tests {
         seeded(&mut descent, &rack);
         descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         let limit = descent.policy().fan_sizing_limit();
-        let view = rack.zone_plant(0);
-        let expected = bounds().clamp(view.min_safe_fan_speed(&powers, limit).unwrap());
+        let safe = rack.min_safe_zone_fan(0, &powers, &[rack.fan_speed(0)], limit);
+        let expected = bounds().clamp(safe.unwrap());
         assert_eq!(descent.target(0).value().to_bits(), expected.value().to_bits());
     }
 
@@ -360,6 +361,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sweep")]
     fn zero_sweeps_rejected() {
-        let _ = RackEnergyDescent::new(ZoneEnergyCoordinator::date14_rack(), 0, Rpm::new(0.5));
+        let _ = RackEnergyDescent::new(EnergyAwareCoordinator::date14_rack(), 0, Rpm::new(0.5));
     }
 }

@@ -25,13 +25,14 @@
 //! [`IntegralCapper`] banks per socket, [`CappingCoordinator`] arbitrating
 //! which socket to cap, [`ZoneReferences`] setting topology-aware per-zone
 //! fan references, [`ZoneSsFanBank`] lifting single-step fan scaling to
-//! per-zone fan walls, [`ZoneEnergyCoordinator`] lifting the E-coord
-//! descent onto per-zone `PlantModel` views, [`RackEnergyDescent`] sizing
-//! every wall jointly against the full coupled rack, [`WorkMigrator`]
-//! moving work away from hot servers instead of capping it (Van
-//! Damme-style thermal-aware scheduling), and [`RackLoopSim`] closing
-//! the loop — the full [`RackControl`] solution matrix against the
-//! deliberately-naive [`RackControl::GlobalLockstep`] baseline.
+//! per-zone fan walls, [`EnergyAwareCoordinator::fan_command`] sizing
+//! one wall at a time by the rack's min-safe inversion,
+//! [`RackEnergyDescent`] sizing every wall jointly against the full
+//! coupled rack, [`WorkMigrator`] moving work away from hot servers
+//! instead of capping it (Van Damme-style thermal-aware scheduling), and
+//! [`RackLoopSim`] closing the loop — the full [`RackControl`] solution
+//! matrix against the deliberately-naive [`RackControl::GlobalLockstep`]
+//! baseline.
 //!
 //! # Examples
 //!
@@ -62,7 +63,6 @@ mod reference;
 mod runner;
 mod ssfan;
 mod view;
-mod zone_ecoord;
 mod zone_ssfan;
 
 pub use bank::{RackChannels, RackControlBank, RackControlConfig};
@@ -82,7 +82,6 @@ pub use reference::{AdaptiveReference, FIXED_REFERENCE};
 pub use runner::{run_batch, ClosedLoopSim, ClosedLoopSimBuilder, RunOutcome};
 pub use ssfan::{SingleStepFanScaling, SsFanAction};
 pub use view::RackView;
-pub use zone_ecoord::ZoneEnergyCoordinator;
 pub use zone_ssfan::ZoneSsFanBank;
 
 /// The flight-recorder layer every decision point records into — see

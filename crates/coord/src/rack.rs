@@ -26,13 +26,11 @@
 //! - [`RackControl::CoordinatedSsFan`] — plus a per-zone single-step
 //!   fan-scaling bank ([`ZoneSsFanBank`], Section V-C per zone).
 //! - [`RackControl::CoordinatedECoord`] — the E-coord baseline lifted to
-//!   zones ([`ZoneEnergyCoordinator`]): per-zone energy-first caps and
-//!   model-minimal airflow sized through the per-zone `PlantModel` views.
+//!   zones ([`crate::EnergyAwareCoordinator::fan_command`]): per-zone
+//!   energy-first caps and model-minimal airflow, each wall sized by the
+//!   rack's min-safe inversion.
 
-use crate::{
-    AdaptiveReference, RackChannels, RackControlBank, RackControlConfig, RackEnergyDescent,
-    RunOutcome, ZoneEnergyCoordinator,
-};
+use crate::{AdaptiveReference, RackChannels, RackControlBank, RackControlConfig, RunOutcome};
 use gfsc_control::GainSchedule;
 use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::{RackServer, RackSpec};
@@ -353,17 +351,18 @@ pub enum RackControl {
     },
     /// The E-coord baseline lifted to zones: each zone's cap follows the
     /// energy-first policy on the zone measurement, and each wall runs
-    /// the model-minimal airflow sized through the zone's `PlantModel`
-    /// view. The integral capper bank is bypassed — E-coord brings its
-    /// own cap policy, exactly as it does on a single server.
+    /// the model-minimal airflow, sized by the rack's min-safe inversion
+    /// with every other wall at its actual speed. The integral capper
+    /// bank is bypassed — E-coord brings its own cap policy, exactly as it
+    /// does on a single server.
     CoordinatedECoord,
-    /// The rack-global energy descent ([`RackEnergyDescent`]): the same
-    /// per-zone energy-first cap policy as
+    /// The rack-global energy descent ([`crate::RackEnergyDescent`]): the
+    /// same per-zone energy-first cap policy as
     /// [`RackControl::CoordinatedECoord`], but every fan wall is sized
     /// *jointly* against the full coupled rack (Gauss–Seidel over the
-    /// whole-rack min-safe probes) instead of through frozen per-zone
-    /// views — one zone's boost traded against a plenum-coupled
-    /// neighbour's release inside the solver.
+    /// whole-rack min-safe probes) instead of one at a time against its
+    /// neighbours' actual speeds — one zone's boost traded against a
+    /// plenum-coupled neighbour's release inside the solver.
     GlobalECoord,
     /// [`RackControl::Coordinated`] plus the [`crate::WorkMigrator`]: before the
     /// capper bank cuts a hot socket, a slice of its server's demand
@@ -468,24 +467,6 @@ impl RackLoopSimBuilder {
     #[must_use]
     pub fn gain_schedule(mut self, schedule: GainSchedule) -> Self {
         self.config.gain_schedule = Some(schedule);
-        self
-    }
-
-    /// Replaces the per-zone E-coord policy used by
-    /// [`RackControl::CoordinatedECoord`] (default
-    /// [`ZoneEnergyCoordinator::date14_rack`]).
-    #[must_use]
-    pub fn energy_coordinator(mut self, coordinator: ZoneEnergyCoordinator) -> Self {
-        self.config.energy_coordinator = coordinator;
-        self
-    }
-
-    /// Replaces the rack-global descent used by
-    /// [`RackControl::GlobalECoord`] (default
-    /// [`RackEnergyDescent::date14_rack`]).
-    #[must_use]
-    pub fn energy_descent(mut self, descent: RackEnergyDescent) -> Self {
-        self.config.energy_descent = descent;
         self
     }
 

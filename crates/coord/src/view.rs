@@ -38,8 +38,7 @@ pub trait RackView {
     /// rack this is the plant itself; for a daemon it is the calibrated
     /// model mirror.
     fn plant(&self) -> &RackPlant;
-    /// Mutable model access (per-zone `PlantModel` views are mutable by
-    /// construction).
+    /// Mutable model access.
     fn plant_mut(&mut self) -> &mut RackPlant;
     /// The firmware's (lagged, quantized) view of socket `i`'s junction.
     fn measured_socket(&self, i: usize) -> Celsius;

@@ -7,7 +7,8 @@
 //!   [`EnergyAwareCoordinator`]: the whole stack (plant, sensor chains,
 //!   actuator, cap policy, model-based fan sizing) must produce
 //!   bit-identical traces, because the zone lift *is* the single-server
-//!   decision logic evaluated against the zone's `PlantModel` view.
+//!   decision logic ([`EnergyAwareCoordinator::fan_command`]), with the
+//!   rack's min-safe inversion in place of the server's.
 //! - `CoordinatedSsFan` vs a transparent single-fan loop driving the
 //!   single-server [`SingleStepFanScaling`] state machine directly: the
 //!   bank's windows, guard and release descent must add nothing on a
@@ -18,7 +19,6 @@ use gfsc_coord::obs::Recorder;
 use gfsc_coord::{
     AdaptiveReference, CappingCoordinator, ClosedLoopSim, EnergyAwareCoordinator, FanController,
     FixedPidFan, IntegralCapper, RackControl, RackLoopSim, SingleStepFanScaling, SsFanAction,
-    ZoneEnergyCoordinator,
 };
 use gfsc_rack::{RackServer, RackSpec, RackTopology};
 use gfsc_sensors::MovingAverage;
@@ -71,7 +71,7 @@ fn ecoord_degenerate_rack_replays_the_single_server_closed_loop() {
         .spec(spec())
         .workload(workload())
         .fan(pid_fan(&spec()))
-        .coordinator(EnergyAwareCoordinator::date14())
+        .coordinator(EnergyAwareCoordinator::date14_rack())
         .start_at(Utilization::new(0.1), Rpm::new(1500.0))
         .build();
     let single_out = single.run(horizon);
@@ -79,7 +79,6 @@ fn ecoord_degenerate_rack_replays_the_single_server_closed_loop() {
     let mut rack = RackLoopSim::builder(degenerate_rack_spec())
         .workload(workload())
         .control(RackControl::CoordinatedECoord)
-        .energy_coordinator(ZoneEnergyCoordinator::new(EnergyAwareCoordinator::date14()))
         .build();
     let rack_out = rack.run(horizon);
 
@@ -126,19 +125,13 @@ fn global_descent_degenerate_rack_replays_the_per_zone_descent() {
     // coordinate and nothing to iterate against, so `GlobalECoord` must
     // replay `CoordinatedECoord` — and therefore, transitively through
     // the test above, the single-server E-coord closed loop — bit for
-    // bit. The same `date14` policy on both sides so the thermal events
-    // actually fire.
+    // bit. Both sides run the rack calibration; the spiking workload
+    // still drives it into thermal events, so the caps move.
     let horizon = Seconds::new(2400.0);
     let run = |control: RackControl| {
         let mut sim = RackLoopSim::builder(degenerate_rack_spec())
             .workload(workload())
             .control(control)
-            .energy_coordinator(ZoneEnergyCoordinator::new(EnergyAwareCoordinator::date14()))
-            .energy_descent(gfsc_coord::RackEnergyDescent::new(
-                ZoneEnergyCoordinator::new(EnergyAwareCoordinator::date14()),
-                6,
-                Rpm::new(0.5),
-            ))
             .build();
         sim.run(horizon)
     };

@@ -15,15 +15,16 @@
 //! aggregate and each socket's adjustable-gain integral capper under a
 //! rack coordinator; `coordinated+ss` adds the per-zone single-step bank
 //! (Section V-C per zone) and `coordinated+e-coord` replaces the PID/
-//! capper pair with the energy-first per-zone descent sized through the
-//! zone `PlantModel` views. Two modes go beyond lifting the paper:
-//! `global-e-coord` sizes *all* walls jointly against the full coupled
-//! rack (`gfsc_coord::RackEnergyDescent`) instead of through frozen
-//! per-zone views, and `coordinated+migrate` shifts a hot server's demand
-//! weight to a headroomed server behind another wall before the capper
-//! bank cuts anything (`gfsc_coord::WorkMigrator`, after Van Damme's
-//! thermal-aware scheduling). This study quantifies the matrix, mean ±
-//! 95 % CI over seeds.
+//! capper pair with the energy-first per-zone descent, each wall sized by
+//! the rack's min-safe inversion with the other walls at their actual
+//! speeds. Two modes go beyond lifting the paper: `global-e-coord` sizes
+//! *all* walls jointly against the full coupled rack
+//! (`gfsc_coord::RackEnergyDescent`) instead of one at a time, and
+//! `coordinated+migrate` shifts a hot server's demand weight to a
+//! headroomed server behind another wall before the capper bank cuts
+//! anything (`gfsc_coord::WorkMigrator`, after Van Damme's thermal-aware
+//! scheduling). This study quantifies the matrix, mean ± 95 % CI over
+//! seeds.
 
 use crate::markdown_table;
 use crate::sweep::{aggregate_over_seeds, ScenarioGrid, SeedStats};

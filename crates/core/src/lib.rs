@@ -45,7 +45,7 @@
 //! | [`gfsc_workload`] | synthetic demand traces |
 //! | [`gfsc_control`] | PID, Ziegler–Nichols, adaptive PID, deadzone baseline |
 //! | [`gfsc_server`] | the simulated enterprise server |
-//! | [`gfsc_rack`] | rack-scale plant: fan zones, shared plenum, per-zone views |
+//! | [`gfsc_rack`] | rack-scale plant: fan zones, shared plenum |
 //! | [`gfsc_coord`] | cappers, coordinators, server & rack closed-loop runners |
 //! | `gfsc` (this crate) | solutions, experiments, figure/table harness |
 

@@ -1,12 +1,16 @@
 //! Acceptance pin: the daemon over [`SimTelemetry`] with no faults
 //! armed replays the batch `RackLoopSim` **bit for bit** on the
-//! fan / cap / measured trace surface.
+//! fan / cap / measured trace surface, in every mode of
+//! [`RackControl::ALL`].
 //!
 //! Only the channels driven by polled telemetry are compared
 //! (`u_demand`, per-zone `z{z}_fan_rpm` / `z{z}_t_meas_c`, per-socket
 //! `s{i}_cap`): the hot-spot / junction / reference channels read the
 //! bank's plant model, which in the daemon is the un-stepped mirror —
-//! by design, a daemon only sees what telemetry carries.
+//! by design, a daemon only sees what telemetry carries. The model-based
+//! modes replay too because every min-safe inversion overrides each
+//! socket's power and each wall's speed with the polled values, so the
+//! mirror's own state never reaches a command.
 
 use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
 use gfsc_daemon::{Daemon, DaemonConfig, FaultPlan, SimTelemetry};
@@ -48,6 +52,7 @@ fn bits_of(traces: &TraceSet, zones: usize, sockets: usize) -> Vec<(String, Vec<
 }
 
 fn assert_parity(control: RackControl) {
+    let mode = control.label();
     let spec = RackSpec::new(RackTopology::rack_2u_x4());
 
     let mut sim = RackLoopSim::builder(spec.clone()).workload(workload()).control(control).build();
@@ -66,24 +71,21 @@ fn assert_parity(control: RackControl) {
     let mut daemon = Daemon::new(backend, spec, cfg);
     let streamed = daemon.run(Seconds::new(HORIZON));
 
-    assert_eq!(streamed.metrics.fallback_entries, 0, "no fault may trip the watchdog");
-    assert_eq!(streamed.total_violations, batch.total_violations, "violation accounting");
-    assert_eq!(streamed.total_epochs, batch.total_epochs, "epoch accounting");
+    assert_eq!(streamed.metrics.fallback_entries, 0, "{mode}: no fault may trip the watchdog");
+    assert_eq!(streamed.total_violations, batch.total_violations, "{mode}: violation accounting");
+    assert_eq!(streamed.total_epochs, batch.total_epochs, "{mode}: epoch accounting");
 
     let want = bits_of(&batch.traces, zones, sockets);
     let got = bits_of(&streamed.traces, zones, sockets);
     for ((name, want_t, want_v), (_, got_t, got_v)) in want.iter().zip(&got) {
-        assert_eq!(want_t, got_t, "{name}: sample times diverge");
-        assert_eq!(want_v, got_v, "{name}: sample values diverge");
+        assert_eq!(want_t, got_t, "{mode}: {name}: sample times diverge");
+        assert_eq!(want_v, got_v, "{mode}: {name}: sample values diverge");
     }
 }
 
 #[test]
-fn coordinated_replays_batch_loop_bit_for_bit() {
-    assert_parity(RackControl::Coordinated { adaptive_reference: true });
-}
-
-#[test]
-fn global_ecoord_replays_batch_loop_bit_for_bit() {
-    assert_parity(RackControl::GlobalECoord);
+fn every_mode_replays_batch_loop_bit_for_bit() {
+    for control in RackControl::ALL {
+        assert_parity(control);
+    }
 }

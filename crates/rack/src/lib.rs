@@ -1,15 +1,15 @@
-//! Rack-scale simulation: multi-fan zones, shared plenum, per-zone plant
-//! views.
+//! Rack-scale simulation: multi-fan zones, shared plenum, one coupled
+//! thermal plant.
 //!
 //! The paper controls one fan in one server. A rack is the same physics
 //! one level up: N servers in a shared plenum, cooled by *zones* of fans
 //! (front/rear walls), every zone's fans driving many airflow-dependent
 //! thermal paths at once. The rack structure ([`RackTopology`]) and its
-//! thermal plant ([`RackPlant`], per-zone [`ZonePlant`] views) live in
-//! `gfsc_thermal`, next to the board [`gfsc_thermal::Topology`]; the
-//! closed rack lives in `gfsc_server`, next to the `Server` that is its
-//! one-slot case — servers and racks share one plant and one body. This
-//! crate re-exports them under their rack names:
+//! thermal plant ([`RackPlant`]) live in `gfsc_thermal`, next to the
+//! board [`gfsc_thermal::Topology`]; the closed rack lives in
+//! `gfsc_server`, next to the `Server` that is its one-slot case —
+//! servers and racks share one plant and one body. This crate re-exports
+//! them under their rack names:
 //!
 //! - [`RackServer`]: the closed physical rack — per-zone slew-limited fan
 //!   walls ([`FanActuator`]), per-socket non-ideal sensor chains, per-zone
@@ -41,4 +41,4 @@
 mod server;
 
 pub use gfsc_server::{hottest_reading, FanActuator, LoadWeights, RackServer, RackSpec};
-pub use gfsc_thermal::{PlenumDef, RackPlant, RackTopology, RackZoneDef, ServerSlot, ZonePlant};
+pub use gfsc_thermal::{PlenumDef, RackPlant, RackTopology, RackZoneDef, ServerSlot};

@@ -24,8 +24,6 @@
 //! - [`Plant`]: the thermal backend — the exact two-node model for the
 //!   paper's server, the board compiled as a one-slot
 //!   `gfsc_thermal::RackPlant` for everything else,
-//! - [`PlantModel`]: the same contract as a trait (defined in
-//!   `gfsc_thermal`), so a zone of a rack plant looks like a server,
 //! - [`TempAggregation`]: how per-socket readings fold into the one
 //!   temperature the global controllers act on,
 //! - [`FanPlant`]: a server's fan→measured-temperature loop as a
@@ -60,7 +58,6 @@ mod spec;
 
 pub use actuator::FanActuator;
 pub use chassis::{hottest_reading, LoadWeights};
-pub use gfsc_thermal::PlantModel;
 pub use monitor::PerformanceMonitor;
 pub use plant::FanPlant;
 pub use rack::{RackServer, RackSpec};

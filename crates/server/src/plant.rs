@@ -1,36 +1,8 @@
-//! `gfsc_control::Plant` adapter for Ziegler–Nichols tuning, and the
-//! server plant's side of the [`PlantModel`] contract.
+//! `gfsc_control::Plant` adapter for Ziegler–Nichols tuning.
 
 use crate::{Server, ServerSpec};
 use gfsc_control::Plant;
-use gfsc_thermal::PlantModel;
-use gfsc_units::{Celsius, Rpm, Seconds, Utilization, Watts};
-
-impl PlantModel for crate::Plant {
-    fn socket_count(&self) -> usize {
-        crate::Plant::socket_count(self)
-    }
-
-    fn junction(&self, i: usize) -> Celsius {
-        crate::Plant::junction(self, i)
-    }
-
-    fn hottest_junction(&self) -> Celsius {
-        crate::Plant::hottest_junction(self)
-    }
-
-    fn step(&mut self, dt: Seconds, powers: &[Watts], fan: Rpm) {
-        crate::Plant::step(self, dt, powers, fan);
-    }
-
-    fn steady_state_junction(&self, powers: &[Watts], fan: Rpm) -> Celsius {
-        crate::Plant::steady_state_junction(self, powers, fan)
-    }
-
-    fn min_safe_fan_speed(&self, powers: &[Watts], limit: Celsius) -> Option<Rpm> {
-        crate::Plant::min_safe_fan_speed(self, powers, limit)
-    }
-}
+use gfsc_units::{Rpm, Utilization};
 
 /// The fan → measured-temperature loop as seen by the fan controller, for
 /// closed-loop tuning.

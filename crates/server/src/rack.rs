@@ -110,14 +110,14 @@ impl RackServer {
         &self.spec
     }
 
-    /// The rack thermal plant (for model-based controllers and per-zone
-    /// [`gfsc_thermal::PlantModel`] views).
+    /// The rack thermal plant (structure and steady-state probes for the
+    /// model-based controllers).
     #[must_use]
     pub fn plant(&self) -> &RackPlant {
         &self.plant
     }
 
-    /// Mutable plant access (per-zone views are mutable by construction).
+    /// Mutable plant access.
     #[must_use]
     pub fn plant_mut(&mut self) -> &mut RackPlant {
         &mut self.plant

@@ -20,8 +20,8 @@
 //!   over a shared plenum; a single server is the one-slot rack),
 //! - [`RackPlant`]: a [`RackTopology`] compiled onto the cached
 //!   [`RcNetwork`] — the one plant behind every multi-socket server and
-//!   every rack, with per-zone [`PlantModel`] views ([`ZonePlant`]) for
-//!   the model-based controllers,
+//!   every rack, with the steady-state probes and the per-zone min-safe
+//!   fan inversion the model-based controllers size their walls by,
 //! - [`BatchRcNetwork`]: B same-structure [`RcNetwork`]s stepped in
 //!   lockstep through shared, memoized LU factorizations — bitwise
 //!   identical to scalar stepping, built for wide scenario sweeps,
@@ -63,7 +63,7 @@ pub use heatsink::{HeatSinkLaw, HeatSinkNode};
 pub use network::{
     BoundaryId, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder, SteadyStateScratch,
 };
-pub use plant::{PlantCalibration, PlantModel, RackPlant, ZonePlant};
+pub use plant::{PlantCalibration, RackPlant};
 pub use server_model::ServerThermalModel;
 pub use topology::{
     ChassisDef, PlenumDef, RackTopology, RackZoneDef, ServerSlot, SocketDef, Topology,

@@ -46,36 +46,6 @@ pub struct PlantCalibration {
     pub die_tau: Seconds,
 }
 
-/// The contract model-based controllers rely on: a set of heat sources
-/// behind one fan that can be stepped, probed at steady state, and
-/// inverted for the minimum safe airflow.
-///
-/// A server's plant (`gfsc_server::Plant`) implements it for the
-/// single-server world; [`ZonePlant`] implements it per fan zone of a
-/// rack, so a zone controller sees exactly the interface a server
-/// controller sees.
-pub trait PlantModel {
-    /// Number of heat sources (dies) behind this plant's fan.
-    fn socket_count(&self) -> usize;
-
-    /// Junction temperature of socket `i`.
-    fn junction(&self, i: usize) -> Celsius;
-
-    /// The hottest junction across this plant's sockets.
-    fn hottest_junction(&self) -> Celsius;
-
-    /// Advances the plant by `dt` under per-socket powers and fan speed.
-    fn step(&mut self, dt: Seconds, powers: &[Watts], fan: Rpm);
-
-    /// The hottest steady-state junction at `(powers, fan)` — the model
-    /// inversion target.
-    fn steady_state_junction(&self, powers: &[Watts], fan: Rpm) -> Celsius;
-
-    /// The minimum fan speed keeping every steady-state junction at or
-    /// below `limit`, or `None` if unreachable at any airflow.
-    fn min_safe_fan_speed(&self, powers: &[Watts], limit: Celsius) -> Option<Rpm>;
-}
-
 /// Handles of one socket, resolved once at build time (no name scans on
 /// the step path).
 #[derive(Debug, Clone)]
@@ -656,23 +626,25 @@ impl RackPlant {
     }
 
     /// Runs one non-mutating steady-state probe of the whole rack at
-    /// `powers` with zone `z`'s fan at `fan(z)`, and reduces the solved
-    /// node temperatures.
+    /// `powers` with zone `z`'s fan at `fan(z)`, in the thread's scratch
+    /// (loaded with the live network's conductances and powers), and
+    /// reduces the solved node temperatures. Allocation-free once the
+    /// buffers are warm.
     fn probe_with<R>(
         &self,
         powers: &[Watts],
         fan: impl Fn(usize) -> Rpm,
         reduce: impl FnOnce(&Self, &[f64]) -> R,
     ) -> R {
-        self.probe(
-            |tables| {
-                for (z, &zone) in self.zone_ids.iter().enumerate() {
-                    self.zones.override_probe(zone, fan(z), tables);
-                }
-                self.override_powers(tables, powers);
-            },
-            reduce,
-        )
+        SCRATCH.with(|scratch| {
+            let tables = &mut scratch.borrow_mut().tables;
+            tables.load(&self.net);
+            for (z, &zone) in self.zone_ids.iter().enumerate() {
+                self.zones.override_probe(zone, fan(z), tables);
+            }
+            self.override_powers(tables, powers);
+            reduce(self, self.net.solve_steady_state(tables))
+        })
     }
 
     /// Overrides every socket's power in a probe's tables.
@@ -680,52 +652,6 @@ impl RackPlant {
         for (socket, &power) in self.sockets.iter().zip(powers) {
             tables.set_power(socket.die, power);
         }
-    }
-
-    /// One non-mutating steady-state solve in the thread's scratch:
-    /// `overrides` edits the probe tables (loaded with the live network's
-    /// conductances and powers), and `reduce` reads the solved node
-    /// temperatures. Allocation-free once the buffers are warm.
-    fn probe<R>(
-        &self,
-        overrides: impl FnOnce(&mut SteadyStateScratch),
-        reduce: impl FnOnce(&Self, &[f64]) -> R,
-    ) -> R {
-        SCRATCH.with(|scratch| {
-            let tables = &mut scratch.borrow_mut().tables;
-            tables.load(&self.net);
-            overrides(tables);
-            reduce(self, self.net.solve_steady_state(tables))
-        })
-    }
-
-    /// The min-safe inversion of zone `z`'s fan ([`min_safe`]) in the
-    /// thread's scratch. `hold` edits the probe tables (loaded with the
-    /// live network) once for the whole sweep: it applies every held
-    /// override and claims the swept zone's links into the swept list, in
-    /// override order. Each probe then rewrites only those links.
-    fn sweep_min_safe(
-        &self,
-        z: usize,
-        warm: Rpm,
-        limit: Celsius,
-        hold: impl FnOnce(&mut SteadyStateScratch, &mut Vec<(LinkId, HeatSinkLaw)>),
-    ) -> Option<Rpm> {
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let ProbeScratch { tables, swept } = &mut *scratch;
-            tables.load(&self.net);
-            swept.clear();
-            hold(tables, swept);
-            let exponent = swept.first().map_or(1.0, |(_, law)| law.airflow_exponent());
-            min_safe(limit, warm, exponent, |v| {
-                let mut at = ResistanceAt::new(v);
-                for (link, law) in swept.iter() {
-                    tables.set_link(*link, at.of(law));
-                }
-                self.zone_hottest(z, self.net.solve_steady_state(tables))
-            })
-        })
     }
 
     /// The minimum fan speed for zone `z` keeping every steady-state
@@ -757,7 +683,15 @@ impl RackPlant {
         if self.zone_sockets[z].is_empty() {
             return Some(Rpm::new(0.0));
         }
-        self.sweep_min_safe(z, fans[z], limit, |tables, swept| {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let ProbeScratch { tables, swept } = &mut *scratch;
+            // Set up the tables once for the whole sweep: every other
+            // zone held at its entry in `fans`, every power applied, and
+            // the swept zone's links claimed in override order. Each
+            // probe then rewrites only those links.
+            tables.load(&self.net);
+            swept.clear();
             for (zi, &zone) in self.zone_ids.iter().enumerate() {
                 if zi == z {
                     self.zones.claim_for_sweep(zone, tables, swept);
@@ -766,6 +700,14 @@ impl RackPlant {
                 }
             }
             self.override_powers(tables, powers);
+            let exponent = swept.first().map_or(1.0, |(_, law)| law.airflow_exponent());
+            min_safe(limit, fans[z], exponent, |v| {
+                let mut at = ResistanceAt::new(v);
+                for (link, law) in swept.iter() {
+                    tables.set_link(*link, at.of(law));
+                }
+                self.zone_hottest(z, self.net.solve_steady_state(tables))
+            })
         })
     }
 
@@ -779,19 +721,6 @@ impl RackPlant {
     pub fn equilibrate(&mut self, powers: &[Watts], fans: &[Rpm]) {
         self.prepare_step(powers, fans);
         self.net.snap_to_steady_state();
-    }
-
-    /// A mutable per-zone view implementing the single-fan
-    /// [`PlantModel`] contract: zone `z`'s sockets behind zone `z`'s fan,
-    /// every other zone frozen at its current state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
-    #[must_use]
-    pub fn zone_plant(&mut self, z: usize) -> ZonePlant<'_> {
-        assert!(z < self.zone_ids.len(), "zone {z} out of range");
-        ZonePlant { rack: self, zone: z }
     }
 }
 
@@ -883,11 +812,11 @@ impl Decided {
     }
 }
 
-/// The min-safe inversion every plant view shares: the lowest fan speed
-/// at which `hottest_at` (a steady-state probe, monotone decreasing in
-/// airflow) stays at or below `limit`, or `None` if even unbounded
-/// airflow cannot hold it. An N-socket plant with chassis or plenum
-/// coupling has no closed form, so the answer is defined by a
+/// The min-safe inversion behind [`RackPlant::min_safe_zone_fan`]: the
+/// lowest fan speed at which `hottest_at` (a steady-state probe, monotone
+/// decreasing in airflow) stays at or below `limit`, or `None` if even
+/// unbounded airflow cannot hold it. An N-socket plant with chassis or
+/// plenum coupling has no closed form, so the answer is defined by a
 /// deterministic bisection: 40 halvings of [`BRACKET`] on the test
 /// `hottest > limit`, `Some(0 rpm)` exactly when 100 rpm is safe and
 /// `None` exactly when 1e6 rpm is too hot.
@@ -1024,99 +953,12 @@ fn probe_final_cell(
     }
 }
 
-/// One fan zone of a [`RackPlant`], viewed through the single-fan
-/// [`PlantModel`] contract — the interface a per-zone fan controller (or
-/// tuner) sees. Stepping the view advances the *whole* coupled network,
-/// but only this zone's fan and socket powers move; every other zone keeps
-/// its current operating point, exactly as a zone controller experiences
-/// the rack.
-#[derive(Debug)]
-pub struct ZonePlant<'a> {
-    rack: &'a mut RackPlant,
-    zone: usize,
-}
-
-impl ZonePlant<'_> {
-    /// The flat rack socket index of this zone's socket `i`.
-    fn flat(&self, i: usize) -> usize {
-        self.rack.zone_sockets[self.zone][i]
-    }
-
-    /// Probe the zone's hottest steady-state junction with this zone's
-    /// powers/fan overridden and the rest of the rack at its current
-    /// state. Allocation-free once the probe scratch is warm; the ambient
-    /// for a slotless zone.
-    fn zone_steady_state(&self, powers: &[Watts], fan: Rpm) -> Celsius {
-        assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
-        let rack = &*self.rack;
-        if rack.zone_sockets[self.zone].is_empty() {
-            return rack.ambient;
-        }
-        rack.probe(
-            |tables| {
-                rack.zones.override_probe(rack.zone_ids[self.zone], fan, tables);
-                self.override_powers(tables, powers);
-            },
-            |rack, temps| rack.zone_hottest(self.zone, temps),
-        )
-    }
-
-    /// Overrides this zone's socket powers in a probe's tables.
-    fn override_powers(&self, tables: &mut SteadyStateScratch, powers: &[Watts]) {
-        for (i, &power) in powers.iter().enumerate() {
-            tables.set_power(self.rack.sockets[self.flat(i)].die, power);
-        }
-    }
-}
-
-impl PlantModel for ZonePlant<'_> {
-    fn socket_count(&self) -> usize {
-        self.rack.zone_sockets[self.zone].len()
-    }
-
-    fn junction(&self, i: usize) -> Celsius {
-        self.rack.junction(self.flat(i))
-    }
-
-    fn hottest_junction(&self) -> Celsius {
-        self.rack.hottest_in_zone(self.zone)
-    }
-
-    fn step(&mut self, dt: Seconds, powers: &[Watts], fan: Rpm) {
-        assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
-        for (i, &power) in powers.iter().enumerate() {
-            let die = self.rack.sockets[self.flat(i)].die;
-            self.rack.net.set_power(die, power);
-        }
-        let zone = self.rack.zone_ids[self.zone];
-        self.rack.zones.set_fan(&mut self.rack.net, zone, fan);
-        self.rack.net.step(dt);
-    }
-
-    fn steady_state_junction(&self, powers: &[Watts], fan: Rpm) -> Celsius {
-        self.zone_steady_state(powers, fan)
-    }
-
-    fn min_safe_fan_speed(&self, powers: &[Watts], limit: Celsius) -> Option<Rpm> {
-        if self.socket_count() == 0 {
-            return Some(Rpm::new(0.0));
-        }
-        assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
-        let rack = &*self.rack;
-        // Only this zone is overridden; the rest of the rack stays live.
-        rack.sweep_min_safe(self.zone, rack.fan_speed(self.zone), limit, |tables, swept| {
-            rack.zones.claim_for_sweep(rack.zone_ids[self.zone], tables, swept);
-            self.override_powers(tables, powers);
-        })
-    }
-}
-
-/// The min-safe inversion every plant view shares: the lowest fan speed
-/// at which `hottest_at` (a steady-state probe, monotone decreasing in
-/// airflow) stays at or below `limit`, or `None` if even unbounded
-/// airflow cannot hold it. An N-socket plant with chassis or plenum
-/// coupling has no closed form, so this bisects — deterministically:
-/// fixed bracket, fixed iteration count.
+/// The plain min-safe bisection: the lowest fan speed at which
+/// `hottest_at` (a steady-state probe, monotone decreasing in airflow)
+/// stays at or below `limit`, or `None` if even unbounded airflow cannot
+/// hold it. An N-socket plant with chassis or plenum coupling has no
+/// closed form, so this bisects — deterministically: fixed bracket,
+/// fixed iteration count.
 ///
 /// The reference [`min_safe`] is tested against, verbatim: the runtime
 /// inversion must return exactly what this returns.
@@ -1511,30 +1353,19 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Both min-safe entry points — the whole-rack inversion and the
-        /// zone view's — return exactly the 40-halving oracle's answer,
-        /// whatever warm start the swept zone's held fan supplies.
+        /// The whole-rack inversion returns exactly the 40-halving
+        /// oracle's answer, whatever warm start the swept zone's held fan
+        /// supplies.
         #[test]
         fn min_safe_matches_the_bisection_oracle_bit_for_bit(
             pick in 0usize..10,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Rng::new(seed);
-            let mut rack = inversion_rack(pick, &mut rng);
+            let rack = inversion_rack(pick, &mut rng);
             for z in 0..rack.zone_count() {
                 let (powers, mut fans, limit) = inversion_case(&rack, z, &mut rng);
                 let expected = oracle_zone_fan(&rack, z, &powers, &fans, limit);
-                let zone_powers: Vec<Watts> =
-                    rack.zone_sockets(z).iter().map(|&i| powers[i]).collect();
-                rack.prepare_step(&powers, &fans);
-                let view_expected = {
-                    let view = rack.zone_plant(z);
-                    if view.socket_count() == 0 {
-                        Some(Rpm::new(0.0))
-                    } else {
-                        bisect_min_safe(limit, |v| view.steady_state_junction(&zone_powers, v))
-                    }
-                };
                 for warm in warm_starts(expected, &mut rng) {
                     fans[z] = warm;
                     let got = rack.min_safe_zone_fan(z, &powers, &fans, limit);
@@ -1543,15 +1374,6 @@ mod tests {
                         bits(expected),
                         "{} zone {} limit {:?} warm {:?}: {:?} vs oracle {:?}",
                         rack.zone_count(), z, limit, warm, got, expected
-                    );
-                    // The zone view sweeps from the live fan.
-                    rack.prepare_step(&powers, &fans);
-                    let got = rack.zone_plant(z).min_safe_fan_speed(&zone_powers, limit);
-                    proptest::prop_assert_eq!(
-                        bits(got),
-                        bits(view_expected),
-                        "zone view {} limit {:?} warm {:?}: {:?} vs oracle {:?}",
-                        z, limit, warm, got, view_expected
                     );
                 }
             }
@@ -1615,36 +1437,5 @@ mod tests {
         }
         assert!(tally[0].0 >= 1000, "too few reachable states: {}", tally[0].0);
         assert!(mean(tally[0]) <= 10.0, "reachable states average {:.2} probes", mean(tally[0]));
-    }
-
-    #[test]
-    fn zone_plant_view_honours_the_contract() {
-        let mut rack = rack_1u8();
-        let powers = vec![Watts::new(140.8); 8];
-        rack.equilibrate(&powers, &[Rpm::new(4000.0), Rpm::new(4000.0)]);
-        let before_front = rack.hottest_in_zone(0);
-        let mut zone = rack.zone_plant(1);
-        assert_eq!(zone.socket_count(), 4);
-        assert_eq!(
-            zone.hottest_junction(),
-            zone.junction(3).max(zone.junction(0)).max(zone.junction(1)).max(zone.junction(2))
-        );
-        // Faster zone fan at the same power must cool the zone's sockets.
-        let zone_powers = vec![Watts::new(140.8); 4];
-        let cool = zone.steady_state_junction(&zone_powers, Rpm::new(8000.0));
-        let warm = zone.steady_state_junction(&zone_powers, Rpm::new(2000.0));
-        assert!(cool < warm);
-        let v = zone.min_safe_fan_speed(&zone_powers, Celsius::new(75.0)).expect("reachable");
-        assert!((zone.steady_state_junction(&zone_powers, v) - Celsius::new(75.0)).abs() < 0.01);
-        // Stepping the view moves only this zone's fan; the front wall's
-        // operating point is untouched.
-        for _ in 0..600 {
-            zone.step(Seconds::new(1.0), &zone_powers, Rpm::new(8000.0));
-        }
-        assert!(rack.fan_speed(1) == Rpm::new(8000.0));
-        assert_eq!(rack.fan_speed(0), Rpm::new(4000.0));
-        // Front cools slightly too (coupled network) but only through the
-        // plenum — it must not jump.
-        assert!((rack.hottest_in_zone(0) - before_front).abs() < 3.0);
     }
 }

@@ -11,7 +11,7 @@
 //! hot socket caps the whole rack). The lifted modes run the paper's
 //! remaining solutions per zone: single-step scaling boosts only the wall
 //! whose sockets are violating (Section V-C per zone), and the E-coord
-//! descent sizes each wall from the zone's own plant view. This example
+//! descent sizes each wall by the rack's min-safe inversion. This example
 //! runs the comparison study — including the two rack-native modes, the
 //! rack-global energy descent and the work migrator, on the racks where
 //! each one's advantage is structural — and then zooms into one

@@ -2,11 +2,10 @@
 //! one-server, no-plenum rack, step for step.
 //!
 //! [`Server::new`] compiles a multi-socket board into a one-slot
-//! [`RackPlant`] from [`ServerSpec::calibration`]. Three entry points
-//! reach that one network — the rack's per-zone slice API, the
-//! server-level [`Plant`], and the single-fan [`PlantModel`] view the
-//! per-zone controllers tune on — and each assembles its power and
-//! link overrides its own way. They must never disagree by a single bit.
+//! [`RackPlant`] from [`ServerSpec::calibration`]. Two entry points
+//! reach that one network — the rack's per-zone slice API and the
+//! server-level [`Plant`] — and each assembles its power and link
+//! overrides its own way. They must never disagree by a single bit.
 //!
 //! The closed plant around the network follows the same rule: a
 //! multi-socket [`Server`] is the one-slot [`RackServer`] — fan, sensor
@@ -14,7 +13,7 @@
 
 use gfsc::thermal::Topology;
 use gfsc_rack::{RackPlant, RackServer, RackSpec, RackTopology};
-use gfsc_server::{Plant, PlantModel, Server, ServerSpec};
+use gfsc_server::{Plant, Server, ServerSpec};
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization, Watts};
 use proptest::prelude::*;
 
@@ -48,7 +47,6 @@ fn single_zone_rack_matches_multi_socket_plant_step_for_step() {
     for board in boards() {
         let n = board.sockets().len();
         let (mut plant, mut rack) = server_and_rack(&board);
-        let mut viewed = rack.clone();
         let mut powers = vec![Watts::new(0.0); n];
         for k in 0..500u32 {
             // Exercise fan moves, dt switches and power ramps together.
@@ -59,25 +57,11 @@ fn single_zone_rack_matches_multi_socket_plant_step_for_step() {
             let dt = Seconds::new(if (k / 200) % 2 == 0 { 0.5 } else { 2.0 });
             rack.step(dt, &powers, &[fan]);
             plant.step(dt, &powers, fan);
-            viewed.zone_plant(0).step(dt, &powers, fan);
             for i in 0..n {
-                let bits = rack.junction(i).value().to_bits();
                 assert_eq!(
-                    bits,
+                    rack.junction(i).value().to_bits(),
                     plant.junction(i).value().to_bits(),
                     "{}: server junction {i} diverged at step {k}",
-                    board.label()
-                );
-                assert_eq!(
-                    bits,
-                    viewed.junction(i).value().to_bits(),
-                    "{}: zone-view junction {i} diverged at step {k}",
-                    board.label()
-                );
-                assert_eq!(
-                    rack.heat_sink(i).value().to_bits(),
-                    viewed.heat_sink(i).value().to_bits(),
-                    "{}: zone-view sink {i} diverged at step {k}",
                     board.label()
                 );
             }
@@ -90,26 +74,18 @@ fn single_zone_rack_matches_multi_socket_plant_step_for_step() {
 fn single_zone_rack_matches_multi_socket_steady_state_and_inversion() {
     for board in boards() {
         let n = board.sockets().len();
-        let (plant, mut rack) = server_and_rack(&board);
+        let (plant, rack) = server_and_rack(&board);
         let powers = vec![Watts::new(140.8); n];
         for fan in [1500.0, 3000.0, 6000.0, 8500.0] {
             let fan = Rpm::new(fan);
             let rack_ss = rack.steady_state_hottest_in_zone(0, &powers, &[fan]);
             let plant_ss = plant.steady_state_junction(&powers, fan);
             assert_eq!(rack_ss.value().to_bits(), plant_ss.value().to_bits(), "{}", board.label());
-            let zone_ss = rack.zone_plant(0).steady_state_junction(&powers, fan);
-            assert_eq!(rack_ss.value().to_bits(), zone_ss.value().to_bits(), "{}", board.label());
         }
         let limit = Celsius::new(78.0);
         let rack_min = rack.min_safe_zone_fan(0, &powers, &[Rpm::new(4000.0)], limit);
         assert!(rack_min.is_some(), "{}: 78 °C is reachable", board.label());
         assert_eq!(plant.min_safe_fan_speed(&powers, limit), rack_min, "{}", board.label());
-        assert_eq!(
-            rack.zone_plant(0).min_safe_fan_speed(&powers, limit),
-            rack_min,
-            "{}",
-            board.label()
-        );
     }
 }
 
@@ -177,15 +153,14 @@ fn multi_socket_server_is_the_one_slot_rack_server() {
 }
 
 proptest! {
-    /// Random trajectories on the 2S board: the server's plant, the
-    /// one-slot rack and its zone view never diverge by a single bit.
+    /// Random trajectories on the 2S board: the server's plant and the
+    /// one-slot rack never diverge by a single bit.
     #[test]
     fn random_trajectories_never_diverge(
         seed in 0u64..1024,
         steps in 50usize..200,
     ) {
         let (mut plant, mut rack) = server_and_rack(&Topology::dual_socket());
-        let mut viewed = rack.clone();
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = || {
             state ^= state << 13;
@@ -199,18 +174,11 @@ proptest! {
             let dt = Seconds::new(0.25 + 1.75 * next());
             rack.step(dt, &powers, &[fan]);
             plant.step(dt, &powers, fan);
-            viewed.zone_plant(0).step(dt, &powers, fan);
             for i in 0..2 {
-                let bits = rack.junction(i).value().to_bits();
                 prop_assert_eq!(
-                    bits,
+                    rack.junction(i).value().to_bits(),
                     plant.junction(i).value().to_bits(),
                     "server junction {} diverged at step {}", i, k
-                );
-                prop_assert_eq!(
-                    bits,
-                    viewed.junction(i).value().to_bits(),
-                    "zone-view junction {} diverged at step {}", i, k
                 );
             }
         }
