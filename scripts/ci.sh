@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the gfsc workspace. Run from the repository root:
 #
-#     ./scripts/ci.sh          # full gate: fmt, clippy, lint, build, tests twice
+#     ./scripts/ci.sh          # full gate: fmt, clippy, doc, lint, build, tests twice
 #                              # (GFSC_SWEEP_THREADS=1 and =4 — determinism
 #                              # under both executors), release tests,
 #                              # thermal bitwise oracles at 2000 cases,
@@ -10,7 +10,7 @@
 #                              # perfbench build + one short run per workload,
 #                              # bench check, paper artifacts byte-identical
 #                              # under GFSC_SWEEP_THREADS=1 and =4
-#     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
+#     ./scripts/ci.sh quick    # fmt, clippy, doc, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
 #                              # build; skip the release tests & bench runs
 #
@@ -41,6 +41,9 @@ run_stage() {
 
 run_stage "fmt" cargo fmt --check
 run_stage "clippy" cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+# Rustdoc with warnings denied: a broken or private intra-doc link passes
+# fmt, clippy and the tests, so only this stage catches it.
+run_stage "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked --offline
 # The domain lint gate (lint.toml): panic-freedom on runtime paths,
 # NaN-safe ordering, allocation hygiene in epoch loops, unit hygiene on
 # public signatures, event-taxonomy coverage. Exit 1 on any non-waived
