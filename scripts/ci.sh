@@ -8,8 +8,9 @@
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # large-grid smoke,
 #                              # perfbench build + one short run per workload,
-#                              # bench check, paper artifacts byte-identical
-#                              # under GFSC_SWEEP_THREADS=1 and =4
+#                              # bench check, paper artifacts and example
+#                              # stdout byte-identical under
+#                              # GFSC_SWEEP_THREADS=1 and =4
 #     ./scripts/ci.sh quick    # fmt, clippy, doc, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
 #                              # build; skip the release tests & bench runs
@@ -149,6 +150,25 @@ paper_artifacts() {
     done
 }
 
+# Every example under examples/ runs the same way: built in release,
+# run under a serial and a 4-worker sweep executor, stdout in
+# target/example-stdout/<name>.threads-<n>.txt, diffed against the pinned
+# tests/fixtures/examples/<name>.txt. An example without a pinned
+# fixture fails the stage too. Same re-pin rule as the paper artifacts.
+example_stdout() {
+    local dir=target/example-stdout pinned=tests/fixtures/examples src name threads
+    cargo build -q --release --locked --offline --examples
+    mkdir -p "$dir"
+    for src in examples/*.rs; do
+        name=$(basename "$src" .rs)
+        for threads in 1 4; do
+            GFSC_SWEEP_THREADS=$threads "./target/release/examples/$name" \
+                >"$dir/$name.threads-$threads.txt"
+            diff "$pinned/$name.txt" "$dir/$name.threads-$threads.txt"
+        done
+    done
+}
+
 if [ "${1:-}" = "quick" ]; then
     run_stage "test" cargo test -q --locked --offline
     run_hil_stage
@@ -163,6 +183,7 @@ else
     run_stage "test-threads-4" env GFSC_SWEEP_THREADS=4 cargo test -q --locked --offline
     run_stage "test-release" cargo test -q --release --locked --offline
     run_stage "paper-artifacts" paper_artifacts
+    run_stage "examples" example_stdout
     # The RC-network solves' bitwise oracles at a case count the default
     # suite can't afford: the cached step against the dense uncached
     # step, the steady-state probe against a dense solve, batch lanes
