@@ -2,9 +2,9 @@
 //! extracted from the simulation loop so it can drive any [`RackView`].
 //!
 //! [`RackControlBank`] holds the *controller* state of a rack run — the
-//! per-zone fan loops, per-socket cappers, arbitration layers, E-coord
-//! policies, descent and migrator — and advances it one CPU epoch at a
-//! time against whatever backs the view: the simulated
+//! per-zone fan loops, per-socket cappers, arbitration layers, the E-coord
+//! rule set with its joint descent, and the migrator — and advances it one
+//! CPU epoch at a time against whatever backs the view: the simulated
 //! `gfsc_rack::RackServer` ([`crate::RackLoopSim`]) or a telemetry mirror
 //! of real hardware (the `gfsc-daemon` crate). The epoch logic is the
 //! exact code that used to live inside `RackLoopSim::control_epoch`;
@@ -13,9 +13,9 @@
 
 use crate::runner::MONITOR_WINDOW;
 use crate::{
-    CappingCoordinator, EnergyAwareCoordinator, FanController, FixedPidFan, IntegralCapper,
-    RackControl, RackEnergyDescent, RackView, SingleStepFanScaling, SsFanAction, WorkMigrator,
-    ZoneReferences, ZoneSsFanBank, FIXED_REFERENCE,
+    CappingCoordinator, FanController, FixedPidFan, IntegralCapper, RackControl, RackEnergyDescent,
+    RackView, SingleStepFanScaling, SsFanAction, WorkMigrator, ZoneReferences, ZoneSsFanBank,
+    FIXED_REFERENCE,
 };
 use gfsc_control::{AdaptivePid, GainSchedule, PidGains};
 use gfsc_obs::{EventKind, Recorder, Source};
@@ -34,9 +34,10 @@ use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization, Watts};
 /// [`FIXED_REFERENCE`] for non-adaptive fan loops, 2 K of reference
 /// shading per unit of excess airflow derate, the single-server
 /// single-step scheme ([`SingleStepFanScaling::new`]`(0.3)` over a
-/// 10-epoch violation window), the [`EnergyAwareCoordinator::date14_rack`]
-/// E-coord rule set, the [`RackEnergyDescent::date14_rack`] descent and
-/// the [`WorkMigrator::date14_rack`] migrator. A daemon constructing its
+/// 10-epoch violation window), the [`RackEnergyDescent::date14_rack`]
+/// descent, which holds the one E-coord rule set
+/// ([`crate::EnergyAwareCoordinator::date14_rack`]) both E-coord modes
+/// run, and the [`WorkMigrator::date14_rack`] migrator. A daemon constructing its
 /// bank from a fresh config therefore replays the simulation bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct RackControlConfig {
@@ -63,8 +64,8 @@ impl RackControlConfig {
 
 /// The full controller bank for one rack run: per-zone fan loops,
 /// per-socket integral cappers, the arbitration coordinator, and the
-/// mode-specific machinery (single-step bank, E-coord policies, global
-/// descent, work migrator), plus the enforcement accounting.
+/// mode-specific machinery (single-step bank, the E-coord rule set with
+/// its joint descent, work migrator), plus the enforcement accounting.
 ///
 /// One [`RackControlBank::epoch`] call is one CPU control epoch of the
 /// multi-rate schedule. The caller supplies time, the sampled rack demand
@@ -82,17 +83,16 @@ pub struct RackControlBank {
     references: ZoneReferences,
     /// The per-zone single-step bank (CoordinatedSsFan only).
     ss: Option<ZoneSsFanBank>,
-    /// The per-zone E-coord rule set (CoordinatedECoord only).
-    ecoord: EnergyAwareCoordinator,
-    /// The rack-global fan descent (GlobalECoord only).
-    descent: Option<RackEnergyDescent>,
+    /// The E-coord rule set and the joint fan descent around it (both
+    /// E-coord modes read the rule set; GlobalECoord alone descends).
+    descent: RackEnergyDescent,
     /// The load-weight migrator (MigratingCoordinated only).
     migrator: Option<WorkMigrator>,
     /// Predicted rack demand (the single-server 30-sample filter) feeding
     /// the single-step release descent.
     demand_filter: MovingAverage,
     caps: Vec<Utilization>,
-    /// Per-zone caps (CoordinatedECoord: one cap per zone, applied to
+    /// Per-zone caps (both E-coord modes: one cap per zone, applied to
     /// every socket the zone serves).
     zone_caps: Vec<Utilization>,
     proposed: Vec<Utilization>,
@@ -101,7 +101,7 @@ pub struct RackControlBank {
     measured: Vec<Celsius>,
     /// Whole-rack executing-power scratch for the E-coord inversions.
     rack_powers: Vec<Watts>,
-    /// Per-zone actual-speed scratch for the per-zone E-coord inversions.
+    /// Per-zone actual-speed scratch for the E-coord inversions.
     zone_fans: Vec<Rpm>,
     /// Per-zone violated-socket scratch for the single-step windows.
     zone_violated: Vec<usize>,
@@ -179,11 +179,8 @@ impl RackControlBank {
             )
         });
         let socket_zone: Vec<usize> = (0..sockets).map(|i| plant.zone_of_socket(i)).collect();
-        let descent = matches!(config.control, RackControl::GlobalECoord).then(|| {
-            let mut descent = RackEnergyDescent::date14_rack();
-            descent.bind(zones);
-            descent
-        });
+        let mut descent = RackEnergyDescent::date14_rack();
+        descent.bind(zones);
         let migrator = matches!(config.control, RackControl::MigratingCoordinated { .. })
             .then(WorkMigrator::date14_rack);
 
@@ -196,7 +193,6 @@ impl RackControlBank {
             global_capper: crate::CpuCapController::date14(),
             references,
             ss,
-            ecoord: EnergyAwareCoordinator::date14_rack(),
             descent,
             migrator,
             demand_filter: MovingAverage::new(30),
@@ -448,101 +444,57 @@ impl RackControlBank {
                 }
                 self.ss = bank;
             }
-            RackControl::CoordinatedECoord => {
-                // Per zone: the energy-first policy on the zone
-                // measurement, each wall sized alone by the min-safe
-                // inversion at the powers every socket is currently
-                // executing, every other wall at its actual speed.
-                let cpu_power = self.cpu_power;
+            RackControl::CoordinatedECoord | RackControl::GlobalECoord => {
+                // Both E-coord modes run the one energy-first rule set on
+                // every zone's measurement and cap, at the powers every
+                // socket is currently executing; they differ only in how a
+                // fan epoch sizes the walls.
+                let joint = matches!(self.control, RackControl::GlobalECoord);
                 let bounds = self.fan_bounds;
                 for i in 0..sockets {
-                    self.rack_powers[i] = cpu_power.power(rack.executed()[i]);
+                    self.rack_powers[i] = self.cpu_power.power(rack.executed()[i]);
                 }
                 for z in 0..zones {
                     self.zone_fans[z] = rack.zone_fan_speed(z);
                 }
+                let descent = &mut self.descent;
                 let (powers, fans) = (&self.rack_powers, &self.zone_fans);
-                for z in 0..zones {
-                    let zone_measured = rack.measured_zone(z);
-                    let current = self.zone_caps[z];
-                    let fan_cmd =
-                        self.ecoord.fan_command(zone_measured, current, fan_due, bounds, |limit| {
-                            rack.plant().min_safe_zone_fan(z, powers, fans, limit)
-                        });
-                    if let Some(target) = fan_cmd {
-                        rack.set_zone_fan_target(z, target);
-                    }
-                    let next = self.ecoord.next_cap(zone_measured, current);
-                    if next != current {
-                        self.recorder.record(
-                            epoch,
-                            Source::Zone(z as u16),
-                            EventKind::SocketHot,
-                            zone_measured.value(),
-                        );
-                        self.recorder.record(
-                            epoch,
-                            Source::Zone(z as u16),
-                            EventKind::CapGrant,
-                            next.value(),
-                        );
-                    }
-                    self.zone_caps[z] = next;
-                }
-                for i in 0..sockets {
-                    self.caps[i] = self.zone_caps[self.socket_zone[i]];
-                }
-            }
-            RackControl::GlobalECoord => {
-                // The per-zone E-coord policy on every zone's cap, but the
-                // fan side solved jointly: every wall sized at once
-                // against the full coupled rack at the powers currently
-                // executing.
-                let cpu_power = self.cpu_power;
-                let bounds = self.fan_bounds;
-                // `new` pairs the descent solver with GlobalECoord, so this
-                // arm always finds one; if that invariant ever breaks, hold
-                // the current caps and fans instead of panicking mid-epoch.
-                let Some(descent) = self.descent.as_mut() else {
-                    debug_assert!(false, "GlobalECoord bank built without a descent solver");
-                    self.demands = demands;
-                    return;
-                };
-                for i in 0..sockets {
-                    self.rack_powers[i] = cpu_power.power(rack.executed()[i]);
-                }
                 descent.begin_epoch();
                 for z in 0..zones {
-                    descent.seed(z, rack.zone_fan_speed(z));
+                    descent.seed(z, fans[z]);
                     let zone_measured = rack.measured_zone(z);
+                    // Per zone, each wall sized alone by the rack's
+                    // min-safe inversion, every other wall at its actual
+                    // speed; jointly, only the emergency pin comes from
+                    // here.
+                    let fan_cmd = descent.policy().fan_command(
+                        zone_measured,
+                        self.zone_caps[z],
+                        fan_due && !joint,
+                        bounds,
+                        |limit| rack.plant().min_safe_zone_fan(z, powers, fans, limit),
+                    );
                     if descent.policy().is_emergency(zone_measured) {
-                        if self.zone_caps[z] <= descent.policy().cap_floor() {
-                            // Cap pinned at its floor: the wall is the only
-                            // knob left — to maximum, every epoch, exactly
-                            // like the per-zone mode; the neighbours size
-                            // against that fact.
-                            descent.seed(z, bounds.hi());
-                            rack.set_zone_fan_target(z, bounds.hi());
+                        // An emergency wall (pinned or holding) does not
+                        // join the descent; the neighbours size against
+                        // its pin.
+                        descent.freeze(z);
+                        if let Some(pin) = fan_cmd {
+                            descent.seed(z, pin);
                             self.recorder.record(
                                 epoch,
                                 Source::Zone(z as u16),
                                 EventKind::EmergencyClamp,
-                                zone_measured.value(),
+                                pin.value(),
                             );
                         }
-                        // An emergency wall (pinned or holding) does not
-                        // join the descent this epoch.
-                        descent.freeze(z);
+                    }
+                    if let Some(target) = fan_cmd {
+                        rack.set_zone_fan_target(z, target);
                     }
                 }
-                if fan_due {
-                    descent.descend(
-                        rack.plant(),
-                        &self.rack_powers,
-                        bounds,
-                        epoch,
-                        &mut self.recorder,
-                    );
+                if joint && fan_due {
+                    descent.descend(rack.plant(), powers, bounds, epoch, &mut self.recorder);
                     for z in 0..zones {
                         if !descent.is_frozen(z) {
                             rack.set_zone_fan_target(z, descent.target(z));
@@ -550,14 +502,15 @@ impl RackControlBank {
                     }
                 }
                 for z in 0..zones {
+                    let zone_measured = rack.measured_zone(z);
                     let current = self.zone_caps[z];
-                    let next = descent.next_cap(rack.measured_zone(z), current);
+                    let next = descent.policy().next_cap(zone_measured, current);
                     if next != current {
                         self.recorder.record(
                             epoch,
                             Source::Zone(z as u16),
                             EventKind::SocketHot,
-                            rack.measured_zone(z).value(),
+                            zone_measured.value(),
                         );
                         self.recorder.record(
                             epoch,

@@ -277,32 +277,6 @@ pub struct EnergyAwareCoordinator {
 }
 
 impl EnergyAwareCoordinator {
-    /// Creates the coordinator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fan_margin` is negative or the steps are not positive.
-    #[must_use]
-    pub fn new(
-        t_emergency: Celsius,
-        fan_margin: f64,
-        recovery_threshold: Celsius,
-        cap_raise_step: f64,
-        cap_cut_step: f64,
-        cap_floor: Utilization,
-    ) -> Self {
-        assert!(fan_margin >= 0.0, "fan margin must be non-negative");
-        assert!(cap_raise_step > 0.0 && cap_cut_step > 0.0, "cap steps must be positive");
-        Self {
-            t_emergency,
-            fan_margin,
-            recovery_threshold,
-            cap_raise_step,
-            cap_cut_step,
-            cap_floor,
-        }
-    }
-
     /// The calibration used in the Table III comparison: emergencies at
     /// 80 °C, fan sized for 79 °C (energy-first: run as close to the limit
     /// as the model allows), recovery only below 78 °C, 3 %/s raises and
@@ -316,7 +290,14 @@ impl EnergyAwareCoordinator {
     /// exactly the "huge performance degradation" behaviour of Table III.
     #[must_use]
     pub fn date14() -> Self {
-        Self::new(Celsius::new(80.0), 1.0, Celsius::new(78.0), 0.03, 0.10, Utilization::new(0.10))
+        Self {
+            t_emergency: Celsius::new(80.0),
+            fan_margin: 1.0,
+            recovery_threshold: Celsius::new(78.0),
+            cap_raise_step: 0.03,
+            cap_cut_step: 0.10,
+            cap_floor: Utilization::new(0.10),
+        }
     }
 
     /// The rack calibration: the [`Self::date14`] rule set with the fan
@@ -331,7 +312,7 @@ impl EnergyAwareCoordinator {
     /// reproduction, trap included.)
     #[must_use]
     pub fn date14_rack() -> Self {
-        Self::new(Celsius::new(80.0), 4.0, Celsius::new(78.0), 0.03, 0.10, Utilization::new(0.10))
+        Self { fan_margin: 4.0, ..Self::date14() }
     }
 
     /// Whether `measured` is at or above the thermal-event threshold.

@@ -25,28 +25,33 @@
 //! boost is traded against a plenum-coupled neighbour's release inside
 //! the solver, not through the plant a fan period later.
 //!
-//! The cap side is untouched: the same per-zone energy-first policy
-//! ([`EnergyAwareCoordinator::next_cap`] on the zone measurement) as the
-//! per-zone mode, so a GlobalECoord-vs-CoordinatedECoord comparison
-//! isolates the fan-sizing question. On a single-zone rack the joint
-//! descent degenerates to exactly the per-zone inversion (one coordinate,
-//! nothing to iterate against), which pins the mode into the degenerate
-//! parity contract (`crates/coord/tests/rack_degenerate.rs`).
+//! Everything else is shared: the rack bank runs both E-coord modes
+//! through one arm over the one rule set this descent holds
+//! ([`RackEnergyDescent::policy`]) — the zone cap
+//! ([`EnergyAwareCoordinator::next_cap`] on the zone measurement) and the
+//! emergency pin at maximum ([`EnergyAwareCoordinator::fan_command`]) —
+//! so a GlobalECoord-vs-CoordinatedECoord comparison isolates the
+//! fan-sizing question. On a single-zone rack the joint descent
+//! degenerates to exactly the per-zone inversion (one coordinate, nothing
+//! to iterate against), which pins the mode into the degenerate parity
+//! contract (`crates/coord/tests/rack_degenerate.rs`).
 //!
 //! All scratch (the target vector, the freeze marks) is sized once at
-//! [`RackEnergyDescent::bind`]; the inversion reuses the plant's per-thread
-//! probe scratch, so the rack epoch loop stays allocation-free in this
-//! mode too
+//! [`RackEnergyDescent::bind`], which the rack bank calls for every mode;
+//! the inversion reuses the plant's per-thread probe scratch, so the rack
+//! epoch loop stays allocation-free in this mode too
 //! (`tests/alloc_free_rack.rs`).
 
 use crate::EnergyAwareCoordinator;
 use gfsc_obs::{EventKind, Recorder, Source};
 use gfsc_rack::RackPlant;
-use gfsc_units::{total_max, Bounds, Celsius, Rpm, Utilization, Watts};
+use gfsc_units::{total_max, Bounds, Rpm, Watts};
 
-/// The rack-global fan-sizing descent plus the per-zone energy-first cap
-/// policy — the whole-rack counterpart of the per-zone
-/// [`EnergyAwareCoordinator::fan_command`].
+/// The rack-global fan-sizing descent around the E-coord rule set — the
+/// whole-rack counterpart of the per-zone sizing in
+/// [`EnergyAwareCoordinator::fan_command`]. The rule set
+/// ([`Self::policy`]) is the one both rack E-coord modes run for zone caps
+/// and emergency pins; the descent replaces only the per-zone sizing.
 ///
 /// # Examples
 ///
@@ -56,15 +61,15 @@ use gfsc_units::{total_max, Bounds, Celsius, Rpm, Utilization, Watts};
 ///
 /// let mut descent = RackEnergyDescent::date14_rack();
 /// descent.bind(2);
-/// // The cap side is the per-zone policy, verbatim.
-/// let cap = descent.next_cap(Celsius::new(80.5), Utilization::new(0.7));
+/// // One rule set: walls sized for 76 °C, caps cut at an 80 °C emergency.
+/// let policy = descent.policy();
+/// assert_eq!(policy.fan_sizing_limit(), Celsius::new(76.0));
+/// let cap = policy.next_cap(Celsius::new(80.5), Utilization::new(0.7));
 /// assert!(cap < Utilization::new(0.7));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RackEnergyDescent {
     policy: EnergyAwareCoordinator,
-    max_sweeps: usize,
-    tolerance: Rpm,
     /// The fan-vector iterate, one entry per zone.
     targets: Vec<Rpm>,
     /// Zones excluded from the descent this epoch (emergency holds and
@@ -75,34 +80,25 @@ pub struct RackEnergyDescent {
     pinned: Vec<bool>,
 }
 
+/// Gauss–Seidel sweeps per descent, at most.
+const MAX_SWEEPS: usize = 6;
+/// Convergence tolerance of a sweep, rpm — far below any actuator's
+/// quantization step.
+const TOLERANCE_RPM: f64 = 0.5;
+
 impl RackEnergyDescent {
-    /// Creates the descent around the given per-zone rule set.
+    /// The rack calibration: the [`EnergyAwareCoordinator::date14_rack`]
+    /// rule set (4 K sizing margin, recovery reachable by the zone's own
+    /// airflow), six Gauss–Seidel sweeps, 0.5 rpm convergence tolerance.
     /// [`RackEnergyDescent::bind`] must size it before the first epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_sweeps` is zero or `tolerance` is negative.
     #[must_use]
-    pub fn new(policy: EnergyAwareCoordinator, max_sweeps: usize, tolerance: Rpm) -> Self {
-        assert!(max_sweeps > 0, "the descent needs at least one sweep");
-        assert!(tolerance.value() >= 0.0, "convergence tolerance must be non-negative");
+    pub fn date14_rack() -> Self {
         Self {
-            policy,
-            max_sweeps,
-            tolerance,
+            policy: EnergyAwareCoordinator::date14_rack(),
             targets: Vec::new(),
             frozen: Vec::new(),
             pinned: Vec::new(),
         }
-    }
-
-    /// The rack calibration: the [`EnergyAwareCoordinator::date14_rack`]
-    /// rule set (4 K sizing margin, recovery reachable by the zone's own
-    /// airflow), six Gauss–Seidel sweeps, 0.5 rpm convergence tolerance —
-    /// far below any actuator's quantization step.
-    #[must_use]
-    pub fn date14_rack() -> Self {
-        Self::new(EnergyAwareCoordinator::date14_rack(), 6, Rpm::new(0.5))
     }
 
     /// Sizes the scratch for `zones` fan walls (one-time; the epoch loop
@@ -116,17 +112,12 @@ impl RackEnergyDescent {
         self.pinned.resize(zones, false);
     }
 
-    /// The underlying single-server rule set (shared with the per-zone
-    /// mode, so the two modes differ only in fan sizing).
+    /// The underlying single-server rule set: the one both rack E-coord
+    /// modes run for zone caps and emergency pins, so the two differ only
+    /// in fan sizing.
     #[must_use]
     pub fn policy(&self) -> &EnergyAwareCoordinator {
         &self.policy
-    }
-
-    /// The zone cap for the next epoch — the per-zone policy, verbatim.
-    #[must_use]
-    pub fn next_cap(&self, measured: Celsius, current: Utilization) -> Utilization {
-        self.policy.next_cap(measured, current)
     }
 
     /// Clears the epoch's freeze marks. Call once per control epoch,
@@ -206,7 +197,7 @@ impl RackEnergyDescent {
         let limit = self.policy.fan_sizing_limit();
         let mut sweeps = 0u32;
         let mut residual = 0.0f64;
-        for _ in 0..self.max_sweeps {
+        for _ in 0..MAX_SWEEPS {
             let mut moved = 0.0f64;
             for z in 0..self.targets.len() {
                 if self.frozen[z] {
@@ -220,7 +211,7 @@ impl RackEnergyDescent {
             }
             sweeps += 1;
             residual = moved;
-            if moved <= self.tolerance.value() {
+            if moved <= TOLERANCE_RPM {
                 break;
             }
         }
@@ -247,7 +238,7 @@ mod tests {
     use super::*;
     use gfsc_rack::{RackPlant, RackTopology};
     use gfsc_thermal::{HeatSinkLaw, PlantCalibration, Topology};
-    use gfsc_units::{KelvinPerWatt, Seconds};
+    use gfsc_units::{Celsius, KelvinPerWatt, Seconds};
 
     fn cal() -> PlantCalibration {
         PlantCalibration {
@@ -356,11 +347,5 @@ mod tests {
         seeded(&mut descent, &rack);
         descent.descend(&rack, &powers, bounds(), 0, &mut Recorder::disarmed());
         assert_eq!(descent.target(1), bounds().lo(), "empty wall idles at the lower bound");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sweep")]
-    fn zero_sweeps_rejected() {
-        let _ = RackEnergyDescent::new(EnergyAwareCoordinator::date14_rack(), 0, Rpm::new(0.5));
     }
 }

@@ -25,10 +25,12 @@
 //! [`IntegralCapper`] banks per socket, [`CappingCoordinator`] arbitrating
 //! which socket to cap, [`ZoneReferences`] setting topology-aware per-zone
 //! fan references, [`ZoneSsFanBank`] lifting single-step fan scaling to
-//! per-zone fan walls, [`EnergyAwareCoordinator::fan_command`] sizing
-//! one wall at a time by the rack's min-safe inversion,
-//! [`RackEnergyDescent`] sizing every wall jointly against the full
-//! coupled rack, [`WorkMigrator`] moving work away from hot servers
+//! per-zone fan walls, one [`EnergyAwareCoordinator`] rule set for both
+//! rack E-coord modes (zone caps and the emergency pin; its
+//! [`EnergyAwareCoordinator::fan_command`] sizes one wall at a time by the
+//! rack's min-safe inversion), [`RackEnergyDescent`] holding that rule
+//! set and sizing every wall jointly against the full coupled rack,
+//! [`WorkMigrator`] moving work away from hot servers
 //! instead of capping it (Van Damme-style thermal-aware scheduling), and
 //! [`RackLoopSim`] closing the loop — the full [`RackControl`] solution
 //! matrix against the deliberately-naive [`RackControl::GlobalLockstep`]

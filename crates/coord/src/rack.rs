@@ -352,17 +352,20 @@ pub enum RackControl {
     /// The E-coord baseline lifted to zones: each zone's cap follows the
     /// energy-first policy on the zone measurement, and each wall runs
     /// the model-minimal airflow, sized by the rack's min-safe inversion
-    /// with every other wall at its actual speed. The integral capper
-    /// bank is bypassed — E-coord brings its own cap policy, exactly as it
-    /// does on a single server.
+    /// with every other wall at its actual speed. In an emergency the cap
+    /// cut wins; once the zone cap sits at its floor the wall is pinned
+    /// at its maximum, recorded as an `EmergencyClamp` carrying the pinned
+    /// speed. The integral capper bank is bypassed — E-coord brings its
+    /// own cap policy, exactly as it does on a single server.
     CoordinatedECoord,
     /// The rack-global energy descent ([`crate::RackEnergyDescent`]): the
-    /// same per-zone energy-first cap policy as
-    /// [`RackControl::CoordinatedECoord`], but every fan wall is sized
-    /// *jointly* against the full coupled rack (Gauss–Seidel over the
-    /// whole-rack min-safe probes) instead of one at a time against its
-    /// neighbours' actual speeds — one zone's boost traded against a
-    /// plenum-coupled neighbour's release inside the solver.
+    /// same rule set as [`RackControl::CoordinatedECoord`] for zone caps
+    /// and emergency pins, run by the same arm of the rack bank, but every
+    /// unpinned wall outside an emergency is sized *jointly* against the
+    /// full coupled rack (Gauss–Seidel over the whole-rack min-safe
+    /// probes) instead of one at a time against its neighbours' actual
+    /// speeds — one zone's boost traded against a plenum-coupled
+    /// neighbour's release inside the solver.
     GlobalECoord,
     /// [`RackControl::Coordinated`] plus the [`crate::WorkMigrator`]: before the
     /// capper bank cuts a hot socket, a slice of its server's demand
@@ -867,6 +870,38 @@ mod tests {
             .iter()
             .any(|name| out.traces.require(name).unwrap().values().iter().any(|&v| v >= hi - 1.0));
         assert!(boosted, "no zone ever boosted under a spiking workload");
+    }
+
+    #[test]
+    fn ecoord_modes_record_every_max_pin_as_an_emergency_clamp() {
+        for control in [RackControl::CoordinatedECoord, RackControl::GlobalECoord] {
+            // Spikes drive zones into emergencies until their caps reach
+            // the floor, the only state in which E-coord pins a wall.
+            let workload = Workload::builder(SquareWave::date14())
+                .gaussian_noise(0.04, 5)
+                .spikes(1.0 / 180.0, Seconds::new(30.0), 0.8, 6)
+                .build();
+            let mut sim = RackLoopSim::builder(RackSpec::new(RackTopology::rack_1u_x8()))
+                .workload(workload)
+                .control(control)
+                .flight_recorder(65_536)
+                .build();
+            let flight = sim.run(Seconds::new(1200.0)).flight.expect("recorder was armed");
+            assert_eq!(flight.dropped, 0, "{control:?}: the ring overflowed");
+            let hi = sim.server().spec().server.fan_bounds.hi().value();
+            let clamps: Vec<f64> = flight
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::EmergencyClamp)
+                .filter(|e| matches!(e.source, Source::Zone(_)))
+                .map(|e| e.value)
+                .collect();
+            assert!(!clamps.is_empty(), "{control:?}: no wall was ever pinned");
+            assert!(
+                clamps.iter().all(|&v| v == hi),
+                "{control:?}: a clamp payload is not the pinned speed {hi}: {clamps:?}"
+            );
+        }
     }
 
     #[test]

@@ -72,8 +72,11 @@ pub enum EventKind {
     /// The coordinator's per-epoch cut budget ran out before this
     /// proposal. Payload: the proposal that was held (0–1).
     CapDenied,
-    /// The emergency path bypassed the budget (reading past the
-    /// emergency threshold). Payload: enforced cap (0–1).
+    /// An emergency forced a knob. A socket: the coordinator's cut
+    /// bypassed the budget (reading past the emergency threshold);
+    /// payload: enforced cap (0–1). A zone: E-coord pinned the wall at
+    /// its maximum because the zone cap sat at its floor; payload: the
+    /// pinned speed, rpm.
     EmergencyClamp,
     /// Rack-level marker that the cut budget was exhausted this epoch.
     /// Payload: number of held proposals.
