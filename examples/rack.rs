@@ -1,6 +1,6 @@
 //! Rack-scale control: the full solution matrix — global lockstep vs the
 //! coordinated two-layer controller, per-zone single-step fan scaling,
-//! and the per-zone E-coord descent.
+//! and per-zone E-coord.
 //!
 //! A rack couples everything a single server couples, one level up: fan
 //! *zones* (front/rear walls) serve sets of servers through a shared
@@ -10,8 +10,9 @@
 //! (the cool wall spins as fast as the hot one) and in performance (one
 //! hot socket caps the whole rack). The lifted modes run the paper's
 //! remaining solutions per zone: single-step scaling boosts only the wall
-//! whose sockets are violating (Section V-C per zone), and the E-coord
-//! descent sizes each wall by the rack's min-safe inversion. This example
+//! whose sockets are violating (Section V-C per zone), and E-coord runs
+//! energy-first caps per zone with each wall sized alone by the rack's
+//! min-safe inversion, every other wall at its actual speed. This example
 //! runs the comparison study — including the two rack-native modes, the
 //! rack-global energy descent and the work migrator, on the racks where
 //! each one's advantage is structural — and then zooms into one
@@ -35,7 +36,8 @@ fn main() {
         "\nlockstep             = one PID, every wall in lockstep (naive baseline)\n\
          coordinated[+adaptive] = per-zone fan loops + capper bank under the rack coordinator\n\
          coordinated+ss       = + per-zone single-step fan scaling (paper Section V-C per zone)\n\
-         coordinated+e-coord  = per-zone energy-first descent on the zone plant views\n\
+         coordinated+e-coord  = each wall sized alone by the rack's min-safe inversion, \
+         every other wall at its actual speed\n\
          global-e-coord       = every wall sized jointly against the full coupled rack\n\
          coordinated+migrate  = hot servers shed load weight to headroomed walls before capping"
     );
