@@ -79,13 +79,9 @@ fn allocations_recorded(control: RackControl, horizon: Seconds, recorder: Option
 
 #[test]
 fn rack_epoch_loop_does_not_allocate_per_epoch() {
-    for control in [
-        RackControl::Coordinated { adaptive_reference: true },
-        RackControl::CoordinatedSsFan { adaptive_reference: true },
-        RackControl::CoordinatedECoord,
-        RackControl::GlobalECoord,
-        RackControl::MigratingCoordinated { adaptive_reference: true },
-    ] {
+    // Every mode of the matrix: each runs the same `RackControlBank::epoch`
+    // the daemon runs.
+    for control in RackControl::ALL {
         // Warm up one run so lazily-initialized process state doesn't skew
         // the first measurement.
         let _ = allocations_for(control, Seconds::new(120.0));
