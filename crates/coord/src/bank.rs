@@ -37,8 +37,9 @@ use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization, Watts};
 /// 10-epoch violation window), the [`RackEnergyDescent::date14_rack`]
 /// descent, which holds the one E-coord rule set
 /// ([`crate::EnergyAwareCoordinator::date14_rack`]) both E-coord modes
-/// run, and the [`WorkMigrator::date14_rack`] migrator. A daemon constructing its
-/// bank from a fresh config therefore replays the simulation bit-for-bit.
+/// run, and the [`WorkMigrator::date14_rack`] migrator. A daemon
+/// constructing its bank from a fresh config therefore replays the
+/// simulation bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct RackControlConfig {
     /// The control mode.
