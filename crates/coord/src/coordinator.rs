@@ -321,12 +321,6 @@ impl EnergyAwareCoordinator {
         measured >= self.t_emergency
     }
 
-    /// The lowest cap the scheme will cut to.
-    #[must_use]
-    pub fn cap_floor(&self) -> Utilization {
-        self.cap_floor
-    }
-
     /// The steady-state junction target the model-based fan sizing aims
     /// for (`t_emergency − fan_margin`).
     #[must_use]
