@@ -361,11 +361,11 @@ pub enum RackControl {
     /// The rack-global energy descent ([`crate::RackEnergyDescent`]): the
     /// same rule set as [`RackControl::CoordinatedECoord`] for zone caps
     /// and emergency pins, run by the same arm of the rack bank, but every
-    /// unpinned wall outside an emergency is sized *jointly* against the
-    /// full coupled rack (Gauss–Seidel over the whole-rack min-safe
-    /// probes) instead of one at a time against its neighbours' actual
-    /// speeds — one zone's boost traded against a plenum-coupled
-    /// neighbour's release inside the solver.
+    /// wall outside an emergency is sized *jointly* against the full
+    /// coupled rack (Gauss–Seidel over the whole-rack min-safe probes)
+    /// instead of one at a time against its neighbours' actual speeds —
+    /// one zone's boost traded against a plenum-coupled neighbour's
+    /// release inside the solver.
     GlobalECoord,
     /// [`RackControl::Coordinated`] plus the [`crate::WorkMigrator`]: before the
     /// capper bank cuts a hot socket, a slice of its server's demand
