@@ -111,13 +111,12 @@ pub struct RackControlBank {
     /// Spec constants the epoch logic needs, captured at construction.
     cpu_power: CpuPowerModel,
     fan_bounds: Bounds<Rpm>,
+    cpu_interval: Seconds,
     violations: u64,
     socket_epochs: u64,
     lost_utilization: f64,
     /// The decision flight recorder (disarmed unless the config armed it).
     recorder: Recorder,
-    /// CPU epochs run — the stamp every recorded event carries.
-    epoch_index: u32,
 }
 
 impl std::fmt::Debug for RackControlBank {
@@ -209,11 +208,11 @@ impl RackControlBank {
             socket_zone,
             cpu_power: server.cpu_power,
             fan_bounds: server.fan_bounds,
+            cpu_interval: server.cpu_control_interval,
             violations: 0,
             socket_epochs: 0,
             lost_utilization: 0.0,
             recorder: config.recorder,
-            epoch_index: 0,
         }
     }
 
@@ -229,18 +228,20 @@ impl RackControlBank {
         &self.recorder
     }
 
-    /// The decision flight recorder, writable — the daemon records its
-    /// watchdog transitions (fallback entry/exit) onto the same stream
-    /// the controllers use.
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
+    /// Records one rack-level event at instant `now` onto the stream the
+    /// controllers use, stamped as they are: the daemon's watchdog and
+    /// pacing transitions (fallback entry/exit, deadline misses,
+    /// overruns), including those of cycles the bank sits out.
+    pub fn record(&mut self, now: Seconds, kind: EventKind, value: f64) {
+        self.recorder.record(self.stamp(now), Source::Rack, kind, value);
     }
 
-    /// CPU epochs run so far — the stamp the next recorded event will
-    /// carry.
-    #[must_use]
-    pub fn epoch_index(&self) -> u32 {
-        self.epoch_index
+    /// The stamp of every event recorded at `now`: the CPU epoch it falls
+    /// on, `round(now / cpu_control_interval)`. It is exact, because
+    /// `ServerSpec::validate` makes `sim_dt` divide the CPU interval, and
+    /// it keeps advancing while firmware fallback suspends the bank.
+    fn stamp(&self, now: Seconds) -> u32 {
+        (now / self.cpu_interval).round() as u32
     }
 
     /// The enforced per-socket executed utilizations of the latest epoch
@@ -309,8 +310,7 @@ impl RackControlBank {
     ) {
         let sockets = rack.socket_count();
         let zones = rack.zone_count();
-        let epoch = self.epoch_index;
-        self.epoch_index = self.epoch_index.wrapping_add(1);
+        let epoch = self.stamp(now);
 
         let mut demands = core::mem::take(&mut self.demands);
         rack.socket_demands(demand, &mut demands);

@@ -21,10 +21,10 @@
 //! and CLI errors are diagnostics, not backtraces.
 
 use gfsc_daemon::{
-    BackendKind, Daemon, DaemonEvent, DaemonRunOutcome, DaemondSpec, FallbackReason, FanActuator,
-    MockClock, MonotonicClock, TelemetrySource,
+    BackendKind, Daemon, DaemonRunOutcome, DaemondSpec, FallbackReason, FanActuator, MockClock,
+    MonotonicClock, TelemetrySource,
 };
-use gfsc_obs::explain;
+use gfsc_obs::{explain, EventKind};
 use gfsc_sim::TraceSet;
 use gfsc_units::Seconds;
 use std::path::{Path, PathBuf};
@@ -212,21 +212,25 @@ fn drill_overruns(spec: &DaemondSpec, artifacts: Option<&Path>) -> Result<String
             m.deadline_misses
         ));
     }
-    let entry = outcome
+    // The round trip is read off the flight recorder: its stamps are
+    // CPU epochs, fallback cycles included.
+    let flight = outcome.flight.as_ref().filter(|f| f.dropped == 0).ok_or(
+        "the overrun drill reads the fallback round trip off the flight recorder: \
+         set [daemon] recorder_capacity large enough to hold the whole run",
+    )?;
+    let entry = flight
         .events
         .iter()
-        .find_map(|e| match e {
-            DaemonEvent::FallbackEntered { at, reason: FallbackReason::OverrunStreak } => Some(*at),
-            _ => None,
+        .find(|e| {
+            e.kind == EventKind::FallbackEntered && e.value == FallbackReason::OverrunStreak.code()
         })
+        .map(|e| e.epoch)
         .ok_or("the overrun streak never tripped firmware fallback")?;
-    let exit = outcome
+    let exit = flight
         .events
         .iter()
-        .find_map(|e| match e {
-            DaemonEvent::FallbackExited { at } if at.value() > entry.value() => Some(*at),
-            _ => None,
-        })
+        .find(|e| e.kind == EventKind::FallbackExited && e.epoch > entry)
+        .map(|e| e.epoch)
         .ok_or("the loop never recovered from the overrun fallback")?;
     if m.in_fallback {
         return Err("the daemon is still in fallback at the horizon".into());
@@ -239,8 +243,8 @@ fn drill_overruns(spec: &DaemondSpec, artifacts: Option<&Path>) -> Result<String
          fallback held [{:.1}, {:.1}] sim s",
         m.deadline_misses,
         m.worst_lateness_s,
-        entry.value(),
-        exit.value()
+        f64::from(entry) * interval.value(),
+        f64::from(exit) * interval.value()
     ))
 }
 

@@ -25,15 +25,20 @@
 //! daemon keeps polling; after `recovery_window` of clean, fresh
 //! telemetry it takes manual control back and re-arms the bank
 //! bumplessly ([`gfsc_coord::RackControlBank::reset_after_fallback`]).
-//! Every transition is counted in [`DaemonMetrics`] and timestamped in
-//! the run's event log.
+//! Every transition is counted in [`DaemonMetrics`] and, when the
+//! control config arms the flight recorder, recorded once on the
+//! decision stream the controllers use. That stream is the daemon's one
+//! record of its transitions: each event is stamped with its cycle's CPU
+//! epoch ([`gfsc_coord::RackControlBank::record`]), fallback cycles
+//! included, so stamp × `cpu_control_interval` is the instant it
+//! happened.
 
 use crate::{
     DaemonMetrics, DaemonRackView, FanActuator, MetricsEndpoint, PacingConfig, TelemetrySource,
     WallClock,
 };
 use gfsc_coord::{RackChannels, RackControlBank, RackControlConfig, RackView};
-use gfsc_obs::{EventKind, FlightSnapshot, Source};
+use gfsc_obs::{EventKind, FlightSnapshot};
 use gfsc_rack::RackSpec;
 use gfsc_sensors::{SensorHealth, SensorStatus};
 use gfsc_sim::{plant_steps, Cadence, TraceSet};
@@ -72,23 +77,6 @@ impl FallbackReason {
             Self::OverrunStreak => 4.0,
         }
     }
-}
-
-/// One timestamped watchdog transition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DaemonEvent {
-    /// Firmware fallback engaged.
-    FallbackEntered {
-        /// When the watchdog tripped.
-        at: Seconds,
-        /// What tripped it.
-        reason: FallbackReason,
-    },
-    /// Closed-loop control re-engaged after a clean recovery window.
-    FallbackExited {
-        /// When manual control resumed.
-        at: Seconds,
-    },
 }
 
 /// Everything that parameterizes a daemon beyond the rack spec: the
@@ -145,8 +133,6 @@ pub struct DaemonRunOutcome {
     /// per-socket `s{i}_cap` / …). Fallback cycles record nothing —
     /// the bank was not consulted.
     pub traces: TraceSet,
-    /// Timestamped watchdog transitions.
-    pub events: Vec<DaemonEvent>,
     /// Final metric snapshot.
     pub metrics: DaemonMetrics,
     /// Violated socket-epochs (closed-loop cycles only).
@@ -156,8 +142,11 @@ pub struct DaemonRunOutcome {
     /// Simulated duration.
     pub horizon: Seconds,
     /// The decision-event recording, when the control config armed the
-    /// flight recorder (`None` otherwise). Watchdog fallback entry/exit
-    /// rides the same stream as the controller decisions.
+    /// flight recorder (`None` otherwise): the daemon's one record of its
+    /// watchdog and pacing transitions, on the same stream as the
+    /// controller decisions. Every event carries its cycle's CPU epoch,
+    /// fallback cycles included (stamp × `cpu_control_interval` is the
+    /// simulated second it happened at).
     pub flight: Option<FlightSnapshot>,
 }
 
@@ -176,7 +165,6 @@ pub struct Daemon<B: TelemetrySource + FanActuator> {
     health: Vec<SensorHealth>,
     metrics: DaemonMetrics,
     state: LoopState,
-    events: Vec<DaemonEvent>,
     endpoint: Option<MetricsEndpoint>,
     temp_scratch: Vec<Option<Celsius>>,
     tach_scratch: Vec<Rpm>,
@@ -227,7 +215,6 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 .collect(),
             metrics,
             state: LoopState::Closed,
-            events: Vec::new(),
             endpoint: None,
             temp_scratch: vec![None; sockets],
             tach_scratch: vec![start; zones],
@@ -364,7 +351,6 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
 
         DaemonRunOutcome {
             traces,
-            events: self.events.clone(),
             metrics: self.metrics.clone(),
             total_violations: self.bank.violations(),
             total_epochs: self.bank.socket_epochs(),
@@ -454,15 +440,8 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                     self.consecutive_failures = 0;
                     self.metrics.fallback_exits += 1;
                     self.metrics.in_fallback = false;
-                    self.events.push(DaemonEvent::FallbackExited { at: now });
                     let code = self.fallback_reason.take().map_or(0.0, FallbackReason::code);
-                    let epoch = self.bank.epoch_index();
-                    self.bank.recorder_mut().record(
-                        epoch,
-                        Source::Rack,
-                        EventKind::FallbackExited,
-                        code,
-                    );
+                    self.bank.record(now, EventKind::FallbackExited, code);
                 }
             }
             LoopState::Closed => {
@@ -559,25 +538,13 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
             if lateness.value() > self.metrics.worst_lateness_s {
                 self.metrics.worst_lateness_s = lateness.value();
             }
-            let epoch = self.bank.epoch_index();
-            self.bank.recorder_mut().record(
-                epoch,
-                Source::Rack,
-                EventKind::DeadlineMissed,
-                lateness.value(),
-            );
+            self.bank.record(now, EventKind::DeadlineMissed, lateness.value());
         }
         let overran = duration.value() > period_wall.value();
         if overran {
             self.metrics.cycle_overruns += 1;
             *overrun_streak += 1;
-            let epoch = self.bank.epoch_index();
-            self.bank.recorder_mut().record(
-                epoch,
-                Source::Rack,
-                EventKind::CycleOverrun,
-                duration.value(),
-            );
+            self.bank.record(now, EventKind::CycleOverrun, duration.value());
             if *overrun_streak >= cfg.max_overrun_streak {
                 self.enter_fallback(now, FallbackReason::OverrunStreak);
             }
@@ -606,14 +573,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
         self.consecutive_failures = 0;
         self.metrics.fallback_entries += 1;
         self.metrics.in_fallback = true;
-        self.events.push(DaemonEvent::FallbackEntered { at: now, reason });
         self.fallback_reason = Some(reason);
-        let epoch = self.bank.epoch_index();
-        self.bank.recorder_mut().record(
-            epoch,
-            Source::Rack,
-            EventKind::FallbackEntered,
-            reason.code(),
-        );
+        self.bank.record(now, EventKind::FallbackEntered, reason.code());
     }
 }

@@ -43,7 +43,7 @@ mod view;
 mod wallclock;
 
 pub use config::{BackendKind, CapsSpec, DaemondSpec, IpmiSpec, WorkloadSpec};
-pub use daemon::{Daemon, DaemonConfig, DaemonEvent, DaemonRunOutcome, FallbackReason};
+pub use daemon::{Daemon, DaemonConfig, DaemonRunOutcome, FallbackReason};
 pub use discover::discover_socket_sensors;
 pub use enforce::{CapEnforcer, EnforceLog, NullEnforcer, RaplEnforcer, RecordingEnforcer};
 pub use ipmi::{

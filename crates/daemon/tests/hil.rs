@@ -9,13 +9,16 @@
 //! deterministic (pinned seeds, simulated clock), so a failure replays
 //! exactly.
 //!
-//! Each scenario also appends its event log and final metric snapshot
-//! to `target/daemon-hil/<scenario>.log` — the artifact the nightly
-//! workflow uploads.
+//! Each scenario reads its fallback round trip off the flight
+//! recorder, the daemon's one record of its transitions: every event
+//! is stamped with its cycle's CPU epoch, fallback cycles included.
+//! Each also writes its final metric snapshot to
+//! `target/daemon-hil/<scenario>.log` and its recording to
+//! `<scenario>.events` — the artifacts the nightly workflow uploads.
 
 use gfsc_coord::{RackControl, RackControlConfig};
 use gfsc_daemon::{
-    Daemon, DaemonConfig, DaemonEvent, DaemonRunOutcome, FallbackReason, FaultPlan, SimTelemetry,
+    Daemon, DaemonConfig, DaemonRunOutcome, FallbackReason, FaultPlan, SimTelemetry,
 };
 use gfsc_obs::{explain, EventKind, Recorder};
 use gfsc_rack::{RackSpec, RackTopology};
@@ -47,6 +50,7 @@ fn run_scenario(name: &str, faults: FaultPlan, cfg_tune: impl FnOnce(&mut Daemon
     cfg.control.recorder = Recorder::armed(4096);
     cfg.stale_after = Seconds::new(5.0);
     cfg_tune(&mut cfg);
+    let cpu_interval = spec.server.cpu_control_interval.value();
     let backend =
         SimTelemetry::new(spec.clone(), workload(), cfg.start_utilization, cfg.start_fan, faults);
     let mut daemon = Daemon::new(backend, spec, cfg);
@@ -62,14 +66,28 @@ fn run_scenario(name: &str, faults: FaultPlan, cfg_tune: impl FnOnce(&mut Daemon
         !daemon.backend().in_firmware_fallback(),
         "{name}: firmware still holds the rack at the end of the run"
     );
-    Drill { outcome }
+    Drill { outcome, cpu_interval }
 }
 
 struct Drill {
     outcome: DaemonRunOutcome,
+    /// Seconds per flight-recorder stamp.
+    cpu_interval: f64,
 }
 
 impl Drill {
+    /// The `(seconds, payload)` of every recorded `kind` event.
+    fn recorded(&self, kind: EventKind) -> Vec<(f64, f64)> {
+        let flight = self.outcome.flight.as_ref().expect("every drill arms the recorder");
+        assert_eq!(flight.dropped, 0, "the ring holds the whole run");
+        flight
+            .events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (f64::from(e.epoch) * self.cpu_interval, e.value))
+            .collect()
+    }
+
     /// Asserts exactly one fallback round-trip: entered for `reason`
     /// within `[from, deadline]`, exited within `[exit_from, exit_by]`.
     fn assert_round_trip(
@@ -80,36 +98,21 @@ impl Drill {
         exit_from: f64,
         exit_by: f64,
     ) {
-        let entries: Vec<_> = self
-            .outcome
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                DaemonEvent::FallbackEntered { at, reason } => Some((at.value(), *reason)),
-                DaemonEvent::FallbackExited { .. } => None,
-            })
-            .collect();
-        let exits: Vec<_> = self
-            .outcome
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                DaemonEvent::FallbackExited { at } => Some(at.value()),
-                DaemonEvent::FallbackEntered { .. } => None,
-            })
-            .collect();
+        let entries = self.recorded(EventKind::FallbackEntered);
+        let exits = self.recorded(EventKind::FallbackExited);
         assert_eq!(entries.len(), 1, "one fallback entry, got {entries:?}");
         assert_eq!(exits.len(), 1, "one fallback exit, got {exits:?}");
         let (entered_at, entered_for) = entries[0];
-        assert_eq!(entered_for, reason, "fallback reason");
+        assert_eq!(entered_for, reason.code(), "fallback reason");
         assert!(
             (from..=deadline).contains(&entered_at),
             "fallback entered at {entered_at} s, watchdog deadline was [{from}, {deadline}] s"
         );
+        let (exited_at, exited_from) = exits[0];
+        assert_eq!(exited_from, reason.code(), "the exit names what it recovered from");
         assert!(
-            (exit_from..=exit_by).contains(&exits[0]),
-            "closed loop re-engaged at {} s, expected [{exit_from}, {exit_by}] s",
-            exits[0]
+            (exit_from..=exit_by).contains(&exited_at),
+            "closed loop re-engaged at {exited_at} s, expected [{exit_from}, {exit_by}] s"
         );
 
         // The transitions are exported, not just logged.
@@ -124,9 +127,9 @@ impl Drill {
     }
 }
 
-/// Appends the scenario's event log + metric snapshot under
-/// `target/daemon-hil/` for CI artifact upload, plus the flight
-/// recorder snapshot as `<name>.events` (the `gfsc-explain` input).
+/// Writes the scenario's metric snapshot under `target/daemon-hil/`
+/// for CI artifact upload, plus the flight recorder snapshot as
+/// `<name>.events` (the `gfsc-explain` input).
 fn write_log(name: &str, outcome: &DaemonRunOutcome, max_junction_c: f64) {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/daemon-hil");
     if std::fs::create_dir_all(dir).is_err() {
@@ -139,9 +142,6 @@ fn write_log(name: &str, outcome: &DaemonRunOutcome, max_junction_c: f64) {
         "# horizon: {} s, max true junction: {max_junction_c:.2} C",
         outcome.horizon.value()
     );
-    for event in &outcome.events {
-        let _ = writeln!(file, "{event:?}");
-    }
     let _ = write!(file, "{}", outcome.metrics.render());
     if let Some(flight) = &outcome.flight {
         let _ = std::fs::write(format!("{dir}/{name}.events"), flight.to_text());
@@ -163,20 +163,9 @@ fn frozen_sensor_trips_freeze_budget_then_recovers() {
     drill.assert_round_trip(FallbackReason::SensorLoss, 120.0, 170.0, 300.0, 315.0);
     assert_eq!(drill.outcome.metrics.controller_panics, 0);
 
-    // The fallback round-trip is on the flight recorder's event stream
-    // too, with the reason encoded — the causal chain `gfsc-explain`
-    // renders from the uploaded `.events` artifact.
+    // The round trip is the causal chain `gfsc-explain` renders from the
+    // uploaded `.events` artifact, with the reason encoded.
     let flight = drill.outcome.flight.as_ref().expect("recorder was armed");
-    let entered: Vec<_> =
-        flight.events.iter().filter(|e| e.kind == EventKind::FallbackEntered).collect();
-    let exited: Vec<_> =
-        flight.events.iter().filter(|e| e.kind == EventKind::FallbackExited).collect();
-    assert_eq!(entered.len(), 1, "one recorded fallback entry: {entered:?}");
-    assert_eq!(exited.len(), 1, "one recorded fallback exit: {exited:?}");
-    assert_eq!(entered[0].value, 0.0, "sensor-loss reason code");
-    // The bank is suspended while firmware holds the rack, so the exit
-    // lands on the same (or a later) epoch stamp — never an earlier one.
-    assert!(entered[0].epoch <= exited[0].epoch, "entry precedes exit");
     let timeline = explain::render_timeline(flight);
     assert!(
         timeline.contains("watchdog entered firmware fallback (sensor-loss)"),
@@ -248,7 +237,10 @@ fn fault_free_run_never_trips_the_watchdog() {
     let drill = run_scenario("fault-free", FaultPlan::none(), |cfg| {
         cfg.freeze_after = Some(Seconds::new(45.0));
     });
-    assert!(drill.outcome.events.is_empty(), "events: {:?}", drill.outcome.events);
+    for kind in [EventKind::FallbackEntered, EventKind::FallbackExited] {
+        let recorded = drill.recorded(kind);
+        assert!(recorded.is_empty(), "{}: {recorded:?}", kind.label());
+    }
     assert_eq!(drill.outcome.metrics.fallback_entries, 0);
     assert!(drill.outcome.total_epochs > 0, "closed loop actually ran");
     // Fans were actually driven: at least one write per fan epoch.

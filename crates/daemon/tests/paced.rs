@@ -23,8 +23,7 @@
 
 use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
 use gfsc_daemon::{
-    Daemon, DaemonConfig, DaemonEvent, DaemondSpec, FallbackReason, FaultPlan, MockClock,
-    SimTelemetry,
+    Daemon, DaemonConfig, DaemondSpec, FallbackReason, FaultPlan, MockClock, SimTelemetry,
 };
 use gfsc_obs::{explain, EventKind, Recorder};
 use gfsc_rack::{RackSpec, RackTopology};
@@ -149,46 +148,36 @@ fn overrun_burst_is_accounted_and_streak_fallback_round_trips() {
     assert_eq!(m.fallback_exits, 1);
     assert!(!m.in_fallback, "recovered by the horizon");
 
-    // The round trip on the event log, with deterministic windows: the
-    // streak budget trips on the 5th consecutive overrun (cycle 124),
-    // and recovery = grid catch-up (cycle 135) + the 10 s clean window.
-    let entries: Vec<_> = outcome
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            DaemonEvent::FallbackEntered { at, reason } => Some((at.value(), *reason)),
-            DaemonEvent::FallbackExited { .. } => None,
-        })
-        .collect();
-    let exits: Vec<_> = outcome
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            DaemonEvent::FallbackExited { at } => Some(at.value()),
-            DaemonEvent::FallbackEntered { .. } => None,
-        })
-        .collect();
+    // The round trip on the flight event stream, with deterministic
+    // windows: the streak budget trips on the 5th consecutive overrun
+    // (cycle 124), and recovery = grid catch-up (cycle 135) + the 10 s
+    // clean window. Stamps are CPU epochs, fallback cycles included.
+    let flight = outcome.flight.as_ref().expect("recorder armed by the fixture");
+    assert_eq!(flight.dropped, 0, "the ring holds the whole run");
+    let interval = spec.rack_spec().expect("fixture topology").server.cpu_control_interval;
+    let recorded = |kind: EventKind| -> Vec<(f64, f64)> {
+        flight
+            .events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (f64::from(e.epoch) * interval.value(), e.value))
+            .collect()
+    };
+    let entries = recorded(EventKind::FallbackEntered);
+    let exits = recorded(EventKind::FallbackExited);
     assert_eq!(entries.len(), 1, "one fallback entry: {entries:?}");
-    assert_eq!(entries[0].1, FallbackReason::OverrunStreak);
+    assert_eq!(entries[0].1, FallbackReason::OverrunStreak.code());
     assert!(
         (123.0..=127.0).contains(&entries[0].0),
         "streak fallback due at ~124 s, got {} s",
         entries[0].0
     );
     assert_eq!(exits.len(), 1, "one fallback exit: {exits:?}");
-    assert!((143.0..=148.0).contains(&exits[0]), "recovery due at ~145 s, got {} s", exits[0]);
+    assert!((143.0..=148.0).contains(&exits[0].0), "recovery due at ~145 s, got {} s", exits[0].0);
 
-    // Every miss and overrun is on the flight event stream, and the
-    // fallback entry carries the overrun-streak reason code.
-    let flight = outcome.flight.as_ref().expect("recorder armed by the fixture");
-    let missed = flight.events.iter().filter(|e| e.kind == EventKind::DeadlineMissed).count();
-    let overran = flight.events.iter().filter(|e| e.kind == EventKind::CycleOverrun).count();
-    assert_eq!(missed, 14, "recorded deadline misses");
-    assert_eq!(overran, 10, "recorded overruns");
-    let entered: Vec<_> =
-        flight.events.iter().filter(|e| e.kind == EventKind::FallbackEntered).collect();
-    assert_eq!(entered.len(), 1);
-    assert_eq!(entered[0].value, FallbackReason::OverrunStreak.code());
+    // Every miss and overrun is on the same stream.
+    assert_eq!(recorded(EventKind::DeadlineMissed).len(), 14, "recorded deadline misses");
+    assert_eq!(recorded(EventKind::CycleOverrun).len(), 10, "recorded overruns");
 
     // And the human-facing timeline narrates the whole chain.
     let timeline = explain::render_timeline(flight);
