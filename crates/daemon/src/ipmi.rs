@@ -35,9 +35,9 @@ pub struct IpmiReading {
 ///
 /// Garbage tolerance: rows with fewer than five fields (truncation,
 /// interleaved stderr) are skipped; `no reading` / `ns` / `na` /
-/// `n/a` / `disabled` / hex state words (`0x...`) and unparseable
-/// values become `None`; decimal commas and thousands separators are
-/// accepted.
+/// `n/a` / `disabled` / hex state words (`0x...`), unparseable values
+/// and readings in any unit but `degrees C` become `None`; decimal
+/// commas and thousands separators are accepted.
 #[must_use]
 pub fn parse_sdr_temperatures(text: &str) -> Vec<IpmiReading> {
     let mut readings = Vec::new();
@@ -77,8 +77,8 @@ pub fn parse_sensors_temperatures(text: &str) -> Vec<IpmiReading> {
     readings
 }
 
-/// Parses one sdr reading field. `45 degrees C` → 45.0; placeholders
-/// and garbage → `None`.
+/// Parses one sdr reading field. `45 degrees C` → 45.0; placeholders,
+/// other units and garbage → `None`.
 fn parse_reading(field: &str) -> Option<Celsius> {
     let field = field.trim();
     let lowered = field.to_ascii_lowercase();
@@ -92,11 +92,13 @@ fn parse_reading(field: &str) -> Option<Celsius> {
         return None;
     }
     let token = field.split_whitespace().next()?;
-    // A raw hex placeholder (`0x0000`, discrete-sensor state words) is
-    // not a temperature, even though `0x...` would parse as 0 through a
-    // lenient number path — and 0 °C is exactly the fabricated-reading
-    // failure the module invariant forbids.
-    if token.get(..2).is_some_and(|prefix| prefix.eq_ignore_ascii_case("0x")) {
+    // Only a `degrees C` reading is a temperature. `113 degrees F`,
+    // `5400 RPM`, `45 percent` or a bare hex state word (`0x0180`) read
+    // as °C would be exactly the fabricated reading the module invariant
+    // forbids. A unit cut short by a truncated listing (`38 degr`) still
+    // counts as the `degrees C` it begins.
+    let unit = field[token.len()..].trim_start();
+    if unit.is_empty() || !"degrees C".starts_with(unit) {
         return None;
     }
     // `try_new` (not `new`): the wire is untrusted, and a NaN that slipped

@@ -111,6 +111,19 @@ fn na_and_hex_state_placeholders_parse_as_none_never_zero() {
 }
 
 #[test]
+fn readings_in_other_units_parse_as_none_never_celsius() {
+    // A listing can carry a Fahrenheit BMC's row, a fan tachometer or a
+    // utilization sensor. None of them is a temperature in °C: each must
+    // read as missing, not as 113, 5400 or 45 °C.
+    let readings = parse_sdr_temperatures(include_str!("fixtures/sdr_units.txt"));
+    assert_eq!(readings.len(), 4);
+    assert_eq!(value_of(&readings, "Inlet Temp"), Some(Celsius::new(24.0)));
+    assert_eq!(value_of(&readings, "CPU0 Temp"), None, "'degrees F' is not °C");
+    assert_eq!(value_of(&readings, "Fan1"), None, "'RPM' is not a temperature");
+    assert_eq!(value_of(&readings, "CPU Usage"), None, "'percent' is not a temperature");
+}
+
+#[test]
 fn discovery_keeps_unreadable_sockets_in_numeric_order() {
     // The fixture lists CPU1 before CPU0 and leaves both unreadable:
     // discovery must still map socket i → `CPUi Temp` — readability is
