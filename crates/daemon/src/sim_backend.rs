@@ -63,8 +63,6 @@ pub struct SimTelemetry {
     faults: FaultPlan,
     /// The last sampled rack demand — what the CPUs run between epochs.
     last_demand: Utilization,
-    /// The caps most recently written (released in fallback).
-    caps: Vec<Utilization>,
     /// The enforced utilizations the plant steps with.
     executed: Vec<Utilization>,
     /// The frozen sensor's latched value while its window is active.
@@ -97,14 +95,12 @@ impl SimTelemetry {
         let zones = server.zone_count();
         server.equilibrate(start_utilization, &vec![start_fan; zones]);
         let executed = server.executed().to_vec();
-        let sockets = executed.len();
         let max_junction = server.true_junction();
         Self {
             server,
             workload,
             faults,
             last_demand: start_utilization,
-            caps: vec![Utilization::FULL; sockets],
             executed,
             frozen_latch: None,
             fallback: false,
@@ -229,13 +225,12 @@ impl FanActuator for SimTelemetry {
         if self.nack_active() {
             return Err(TelemetryError::Nack("injected cap-write NACK".into()));
         }
-        assert_eq!(caps.len(), self.caps.len(), "one cap per socket");
-        self.caps.copy_from_slice(caps);
+        assert_eq!(caps.len(), self.executed.len(), "one cap per socket");
         // The enforced point until the next epoch: min(demand, cap),
         // computed exactly as the control bank computes its `executed`
         // (same weights, same demand sample) — the parity contract.
-        for i in 0..self.executed.len() {
-            self.executed[i] = self.server.socket_demand(i, self.last_demand).min(self.caps[i]);
+        for (i, &cap) in caps.iter().enumerate() {
+            self.executed[i] = self.server.socket_demand(i, self.last_demand).min(cap);
         }
         Ok(())
     }
@@ -254,7 +249,6 @@ impl FanActuator for SimTelemetry {
         self.fallback = true;
         let hi = self.server.spec().server.fan_bounds.hi();
         self.server.set_all_fan_targets(hi);
-        self.caps.fill(Utilization::FULL);
         self.server.socket_demands(self.last_demand, &mut self.executed);
         Ok(())
     }
