@@ -10,7 +10,8 @@
 //!   `TraceSet::spill_to` — decisions are *reconstructed* from channel
 //!   deltas, see `gfsc::experiments::explain::events_from_traces`),
 //! - `--demo`, which flies the default recorded run (global energy
-//!   descent on the shared-plenum rack) and explains it.
+//!   descent on the 1U×8 rack under the paper's spiking workload) and
+//!   explains it.
 //!
 //! Usage: `cargo run --release -p gfsc-bench --bin gfsc_explain --
 //! (<run.events> | <spill-dir> | --demo) [--out PATH]`
@@ -55,10 +56,14 @@ fn main() -> ExitCode {
     }
     let timeline = match (demo, input) {
         (true, _) => {
-            let report = run(&ExplainConfig::default());
+            let config = ExplainConfig::default();
+            let report = run(&config);
             format!(
-                "demo run: global-e-coord on shared-plenum, {:.2} % violated socket-epochs\n{}",
-                report.violation_percent, report.timeline
+                "demo run: {} on {}, {:.2} % violated socket-epochs\n{}",
+                config.control.label(),
+                config.rack.label(),
+                report.violation_percent,
+                report.timeline
             )
         }
         (false, Some(path)) => match explain_path(Path::new(&path)) {

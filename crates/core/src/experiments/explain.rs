@@ -26,7 +26,6 @@ use gfsc_obs::{Event, EventKind, FlightSnapshot, Source};
 use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_sim::TraceSet;
 use gfsc_units::Seconds;
-use gfsc_workload::{SquareWave, Workload};
 
 /// Configuration of a recorded explanation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,19 +36,21 @@ pub struct ExplainConfig {
     pub control: RackControl,
     /// Simulated duration.
     pub horizon: Seconds,
-    /// Workload noise seed (the run is deterministic given the seed).
+    /// Seed of the paper's workload ([`crate::date14_workload`]); the
+    /// run is deterministic given the seed.
     pub seed: u64,
     /// Flight-recorder ring capacity, in events.
     pub capacity: usize,
 }
 
 impl Default for ExplainConfig {
-    /// The global energy descent on the strongly-coupled shared-plenum
-    /// rack — the mode with the richest decision stream (descent sweeps,
-    /// residuals, per-zone targets and pins, emergency clamps).
+    /// The global energy descent on the 1U×8 rack under the paper's
+    /// spiking workload: the load spikes drive walls to their maximum
+    /// (emergency clamps) and zone caps down and back up (cap grants),
+    /// between the descent's sweeps, residuals and per-zone targets.
     fn default() -> Self {
         Self {
-            rack: RackTopology::shared_plenum(4),
+            rack: RackTopology::rack_1u_x8(),
             control: RackControl::GlobalECoord,
             horizon: Seconds::new(600.0),
             seed: 42,
@@ -70,17 +71,17 @@ pub struct ExplainReport {
     pub violation_percent: f64,
 }
 
-/// Flies `config` with the recorder armed and renders the timeline.
+/// Flies `config` under the paper's workload
+/// ([`crate::date14_workload`]) with the recorder armed and renders the
+/// timeline.
 ///
 /// # Panics
 ///
 /// Panics if `config.capacity` is zero.
 #[must_use]
 pub fn run(config: &ExplainConfig) -> ExplainReport {
-    let workload =
-        Workload::builder(SquareWave::date14()).gaussian_noise(0.04, config.seed).build();
     let mut sim = RackLoopSim::builder(RackSpec::new(config.rack.clone()))
-        .workload(workload)
+        .workload(crate::date14_workload(config.seed))
         .control(config.control)
         .flight_recorder(config.capacity)
         .build();
@@ -163,12 +164,17 @@ mod tests {
         let report =
             run(&ExplainConfig { horizon: Seconds::new(240.0), ..ExplainConfig::default() });
         assert!(!report.flight.events.is_empty(), "descent run recorded nothing");
-        // The descent's own instrumentation is on the stream…
-        assert!(
-            report.flight.events.iter().any(|e| e.kind == EventKind::DescentSweeps),
-            "no sweep events: {:?}",
-            report.flight.events
-        );
+        // The descent's own instrumentation is on the stream, and the
+        // load spikes show the rule set at work: a wall pinned at its
+        // maximum and a zone cap moved.
+        for kind in [EventKind::DescentSweeps, EventKind::EmergencyClamp, EventKind::CapGrant] {
+            assert!(
+                report.flight.events.iter().any(|e| e.kind == kind),
+                "no {} events: {:?}",
+                kind.label(),
+                report.flight.events
+            );
+        }
         // …and the timeline narrates it grouped by epoch.
         assert!(report.timeline.contains("epoch "), "{}", report.timeline);
         assert!(report.timeline.contains("Gauss–Seidel sweeps"), "{}", report.timeline);

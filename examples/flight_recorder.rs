@@ -3,9 +3,11 @@
 //! the `.events` text format that CI archives for every HIL drill.
 //!
 //! The run is the default explanation scenario — the rack-global energy
-//! descent on the strongly-coupled shared-plenum rack, the mode with
-//! the richest decision stream (Gauss–Seidel sweep counts, convergence
-//! residuals, per-zone fan targets and bound pins, emergency clamps).
+//! descent on the 1U×8 rack under the paper's spiking workload. Its
+//! stream holds the descent's Gauss–Seidel sweep counts, convergence
+//! residuals and per-zone fan targets, the walls the spikes pin at
+//! their maximum (emergency clamps), and the zone caps the rule set
+//! moves (each cap grant after the zone measurement behind it).
 //!
 //! Run with: `cargo run --release --example flight_recorder`
 
