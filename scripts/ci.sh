@@ -54,11 +54,13 @@ run_stage "lint" cargo run -q --locked --offline -p gfsc-lint -- \
 run_stage "build" cargo build --release --locked --offline
 
 # The hardware-in-the-loop drill runs in BOTH profiles: the daemon vs the
-# simulated rack on the 2U×4 preset with injected faults (frozen sensor,
-# dropped-reads burst, actuator NACK), asserting firmware fallback within
-# the watchdog deadline, bounded true junction temperatures, and clean
-# re-engagement. Scenario logs + flight-recorder `.events` snapshots land
-# in target/daemon-hil/.
+# simulated rack on the 2U×4 preset in six scenarios (frozen sensor,
+# dropped-reads burst, NaN-poisoned sensor, actuator NACK, poll panic,
+# and a fault-free run that must never trip the watchdog). Each fault
+# asserts firmware fallback within the watchdog deadline, bounded true
+# junction temperatures, and clean re-engagement, read off the flight
+# recorder. Scenario logs + flight-recorder `.events` snapshots land in
+# target/daemon-hil/.
 run_hil_stage() {
     run_stage "daemon-hil" cargo test -q --locked --offline -p gfsc-daemon --test hil
 }
