@@ -77,26 +77,16 @@ pub fn parse_sensors_temperatures(text: &str) -> Vec<IpmiReading> {
     readings
 }
 
-/// Parses one sdr reading field. `45 degrees C` → 45.0; placeholders,
-/// other units and garbage → `None`.
+/// Parses one sdr reading field: a number in `degrees C`
+/// (`45 degrees C` → 45.0). Anything else is `None`: placeholders
+/// (`No Reading`, `ns`, `N/A`, `Disabled`), hex state words (`0x0180`),
+/// other units (`113 degrees F`, `5400 RPM`, `45 percent`) and garbage.
+/// Read as °C, each would be exactly the fabricated reading the module
+/// invariant forbids. A unit cut short by a truncated listing
+/// (`38 degr`) still counts as the `degrees C` it begins.
 fn parse_reading(field: &str) -> Option<Celsius> {
     let field = field.trim();
-    let lowered = field.to_ascii_lowercase();
-    if field.is_empty()
-        || lowered.starts_with("no reading")
-        || lowered == "ns"
-        || lowered == "na"
-        || lowered == "n/a"
-        || lowered.starts_with("disabled")
-    {
-        return None;
-    }
     let token = field.split_whitespace().next()?;
-    // Only a `degrees C` reading is a temperature. `113 degrees F`,
-    // `5400 RPM`, `45 percent` or a bare hex state word (`0x0180`) read
-    // as °C would be exactly the fabricated reading the module invariant
-    // forbids. A unit cut short by a truncated listing (`38 degr`) still
-    // counts as the `degrees C` it begins.
     let unit = field[token.len()..].trim_start();
     if unit.is_empty() || !"degrees C".starts_with(unit) {
         return None;
