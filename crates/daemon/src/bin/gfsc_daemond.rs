@@ -218,19 +218,13 @@ fn drill_overruns(spec: &DaemondSpec, artifacts: Option<&Path>) -> Result<String
         "the overrun drill reads the fallback round trip off the flight recorder: \
          set [daemon] recorder_capacity large enough to hold the whole run",
     )?;
-    let entry = flight
-        .events
-        .iter()
-        .find(|e| {
-            e.kind == EventKind::FallbackEntered && e.value == FallbackReason::OverrunStreak.code()
-        })
-        .map(|e| e.epoch)
+    let mut events = flight.events.iter();
+    let streak = FallbackReason::OverrunStreak.code();
+    let entry = events
+        .find(|e| e.kind == EventKind::FallbackEntered && e.value == streak)
         .ok_or("the overrun streak never tripped firmware fallback")?;
-    let exit = flight
-        .events
-        .iter()
-        .find(|e| e.kind == EventKind::FallbackExited && e.epoch > entry)
-        .map(|e| e.epoch)
+    let exit = events
+        .find(|e| e.kind == EventKind::FallbackExited)
         .ok_or("the loop never recovered from the overrun fallback")?;
     if m.in_fallback {
         return Err("the daemon is still in fallback at the horizon".into());
@@ -243,8 +237,8 @@ fn drill_overruns(spec: &DaemondSpec, artifacts: Option<&Path>) -> Result<String
          fallback held [{:.1}, {:.1}] sim s",
         m.deadline_misses,
         m.worst_lateness_s,
-        f64::from(entry) * interval.value(),
-        f64::from(exit) * interval.value()
+        f64::from(entry.epoch) * interval.value(),
+        f64::from(exit.epoch) * interval.value()
     ))
 }
 

@@ -25,7 +25,6 @@ use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_sim::FaultSchedule;
 use gfsc_units::Seconds;
 use gfsc_workload::{SquareWave, Workload};
-use std::io::Write as _;
 
 /// Junction ceiling for every drill: the 80 °C safe limit plus the
 /// transient margin a fault window is allowed to consume.
@@ -135,14 +134,13 @@ fn write_log(name: &str, outcome: &DaemonRunOutcome, max_junction_c: f64) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let Ok(mut file) = std::fs::File::create(format!("{dir}/{name}.log")) else { return };
-    let _ = writeln!(file, "# daemon-hil scenario: {name}");
-    let _ = writeln!(
-        file,
-        "# horizon: {} s, max true junction: {max_junction_c:.2} C",
-        outcome.horizon.value()
+    let log = format!(
+        "# daemon-hil scenario: {name}\n\
+         # horizon: {} s, max true junction: {max_junction_c:.2} C\n{}",
+        outcome.horizon.value(),
+        outcome.metrics.render()
     );
-    let _ = write!(file, "{}", outcome.metrics.render());
+    let _ = std::fs::write(format!("{dir}/{name}.log"), log);
     if let Some(flight) = &outcome.flight {
         let _ = std::fs::write(format!("{dir}/{name}.events"), flight.to_text());
     }

@@ -198,7 +198,8 @@ impl EventKind {
 /// One recorded controller decision.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Event {
-    /// Controller epoch the decision happened in.
+    /// The CPU control epoch the event happened in: its instant over
+    /// the CPU control interval, so stamp × interval is the time.
     pub epoch: u32,
     /// Who decided / was decided about.
     pub source: Source,
