@@ -1,87 +1,51 @@
-//! Every `DESIGN.md` section the code cites exists.
+//! Every `DESIGN.md` section the code cites has a heading.
 //!
-//! Comments, docs and pinned artifact output cite the design notes by
-//! section number (for example the calibration constants in `table1`'s
-//! stdout). A citation that names no heading sends the reader nowhere,
-//! so this scans `crates/`, `src/`, `examples/` and `tests/fixtures/`
-//! for `DESIGN.md` followed by one or more `§N` and checks each `N`
-//! against the `## §N` headings of `DESIGN.md`.
+//! Comments, docs and pinned artifact output (`table1`'s stdout) cite
+//! the design notes as `DESIGN.md` followed by `§N` or `§N/§M`. This
+//! scans `crates/`, `src/`, `examples/` and `tests/fixtures/` for them
+//! and checks each `N` against the `## §N` headings.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-const ROOT: &str = env!("CARGO_MANIFEST_DIR");
-
-/// The section numbers `DESIGN.md` has headings for.
-fn headings() -> BTreeSet<u32> {
-    let text = std::fs::read_to_string(Path::new(ROOT).join("DESIGN.md"))
-        .expect("DESIGN.md exists at the repository root");
-    text.lines()
-        .filter(|line| line.starts_with('#'))
-        .filter_map(|line| line.trim_start_matches('#').strip_prefix(" §"))
-        .filter_map(|rest| leading_number(rest).map(|(n, _)| n))
+/// The section numbers a line starts with: `§4/§5 …` gives 4 and 5.
+fn sections(line: &str) -> Vec<u32> {
+    line.split('/')
+        .map_while(|part| {
+            let digits = part.strip_prefix('§')?;
+            let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len());
+            digits[..end].parse().ok()
+        })
         .collect()
 }
 
-/// The number at the start of `text` and what follows it.
-fn leading_number(text: &str) -> Option<(u32, &str)> {
-    let end = text.find(|c: char| !c.is_ascii_digit()).unwrap_or(text.len());
-    Some((text[..end].parse().ok()?, &text[end..]))
-}
-
-/// Every section cited in `text`: each `DESIGN.md`, optionally
-/// backquoted, followed by `§N`, `§N/§M`, ….
-fn citations(text: &str) -> Vec<u32> {
-    let mut cited = Vec::new();
-    for (at, _) in text.match_indices("DESIGN.md") {
-        let mut rest = text[at + "DESIGN.md".len()..].trim_start_matches('`').trim_start();
-        while let Some((n, after)) = rest.strip_prefix('§').and_then(leading_number) {
-            cited.push(n);
-            rest = after.strip_prefix('/').unwrap_or("");
-        }
-    }
-    cited
-}
-
-fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let path = entry.path();
+/// Appends `(file, section)` for every citation under `dir`.
+fn collect_citations(dir: &Path, cited: &mut Vec<(String, u32)>) {
+    for path in std::fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()) {
         if path.is_dir() {
-            files_under(&path, out);
-        } else {
-            out.push(path);
+            collect_citations(&path, cited);
+        } else if let Ok(text) = std::fs::read_to_string(&path) {
+            for (at, name) in text.match_indices("DESIGN.md") {
+                let rest = text[at + name.len()..].trim_start_matches('`').trim_start();
+                let line = rest.lines().next().unwrap_or_default();
+                cited.extend(sections(line).into_iter().map(|n| (path.display().to_string(), n)));
+            }
         }
     }
 }
 
 #[test]
 fn every_cited_design_section_has_a_heading() {
-    let headings = headings();
-    let mut files = Vec::new();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md"))
+        .expect("DESIGN.md exists at the repository root");
+    let headings: Vec<u32> =
+        design.lines().filter_map(|line| line.strip_prefix("## ")).flat_map(sections).collect();
+    let mut cited = Vec::new();
     for dir in ["crates", "src", "examples", "tests/fixtures"] {
-        files_under(&Path::new(ROOT).join(dir), &mut files);
+        collect_citations(&root.join(dir), &mut cited);
     }
-    let mut checked = 0;
-    for file in &files {
-        // Binary files are not text and cite nothing.
-        let Ok(text) = std::fs::read_to_string(file) else { continue };
-        for section in citations(&text) {
-            assert!(
-                headings.contains(&section),
-                "{} cites DESIGN.md §{section}, which has no heading (headings: {headings:?})",
-                file.display()
-            );
-            checked += 1;
-        }
+    assert!(!cited.is_empty(), "no DESIGN.md citation found: the scan looks in the wrong place");
+    for (file, section) in cited {
+        assert!(headings.contains(&section), "{file} cites DESIGN.md §{section}: no such heading");
     }
-    assert!(checked > 0, "no DESIGN.md citation found: the scan is looking in the wrong place");
-}
-
-#[test]
-fn citations_are_read_in_every_form_the_code_uses() {
-    assert_eq!(citations("see DESIGN.md §4)."), [4]);
-    assert_eq!(citations("(see DESIGN.md §4/§5)"), [4, 5]);
-    assert_eq!(citations("`DESIGN.md` §5 for the rationale"), [5]);
-    assert_eq!(citations("the constants DESIGN.md documents"), Vec::<u32>::new());
 }
