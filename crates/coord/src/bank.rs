@@ -236,10 +236,9 @@ impl RackControlBank {
         self.recorder.record(self.stamp(now), Source::Rack, kind, value);
     }
 
-    /// The stamp of every event recorded at `now`: the CPU epoch it falls
-    /// on, `round(now / cpu_control_interval)`. It is exact, because
-    /// `ServerSpec::validate` makes `sim_dt` divide the CPU interval, and
-    /// it keeps advancing while firmware fallback suspends the bank.
+    /// The stamp of every event recorded at `now`: its CPU epoch. Exact,
+    /// because `ServerSpec::validate` makes `sim_dt` divide the CPU
+    /// interval; it keeps advancing while firmware fallback holds the rack.
     fn stamp(&self, now: Seconds) -> u32 {
         (now / self.cpu_interval).round() as u32
     }

@@ -71,9 +71,7 @@ pub struct ExplainReport {
     pub violation_percent: f64,
 }
 
-/// Flies `config` under the paper's workload
-/// ([`crate::date14_workload`]) with the recorder armed and renders the
-/// timeline.
+/// Flies `config` with the recorder armed and renders the timeline.
 ///
 /// # Panics
 ///

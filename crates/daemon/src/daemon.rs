@@ -26,12 +26,10 @@
 //! telemetry it takes manual control back and re-arms the bank
 //! bumplessly ([`gfsc_coord::RackControlBank::reset_after_fallback`]).
 //! Every transition is counted in [`DaemonMetrics`] and, when the
-//! control config arms the flight recorder, recorded once on the
-//! decision stream the controllers use. That stream is the daemon's one
-//! record of its transitions: each event is stamped with its cycle's CPU
-//! epoch ([`gfsc_coord::RackControlBank::record`]), fallback cycles
-//! included, so stamp × `cpu_control_interval` is the instant it
-//! happened.
+//! control config arms the flight recorder, recorded on the controllers'
+//! decision stream ([`gfsc_coord::RackControlBank::record`]), stamped
+//! with its cycle's CPU epoch, fallback cycles included. That stream is
+//! the daemon's one record of its transitions.
 
 use crate::{
     DaemonMetrics, DaemonRackView, FanActuator, MetricsEndpoint, PacingConfig, TelemetrySource,
@@ -142,11 +140,9 @@ pub struct DaemonRunOutcome {
     /// Simulated duration.
     pub horizon: Seconds,
     /// The decision-event recording, when the control config armed the
-    /// flight recorder (`None` otherwise): the daemon's one record of its
-    /// watchdog and pacing transitions, on the same stream as the
-    /// controller decisions. Every event carries its cycle's CPU epoch,
-    /// fallback cycles included (stamp × `cpu_control_interval` is the
-    /// simulated second it happened at).
+    /// flight recorder (`None` otherwise): the controllers' decisions and
+    /// the daemon's one record of its watchdog and pacing transitions,
+    /// each stamped with its cycle's CPU epoch, fallback cycles included.
     pub flight: Option<FlightSnapshot>,
 }
 
