@@ -11,7 +11,7 @@
 use core::cell::RefCell;
 use core::fmt;
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Identifier of a capacitive node inside an [`RcNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +31,7 @@ impl NodeId {
 /// via [`RcNetwork::link_id`] so per-step re-parameterization (e.g. the
 /// sink→ambient conductance moving with fan speed) skips the name scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkId(usize);
+pub struct LinkId(pub(crate) usize);
 
 /// Identifier of a boundary node inside an [`RcNetwork`], resolved once
 /// via [`RcNetwork::boundary_id`].
@@ -85,11 +85,52 @@ pub(crate) enum Endpoint {
     Boundary(usize),
 }
 
+impl From<NodeId> for Endpoint {
+    fn from(id: NodeId) -> Self {
+        Endpoint::Node(id.0)
+    }
+}
+
+impl From<BoundaryId> for Endpoint {
+    fn from(id: BoundaryId) -> Self {
+        Endpoint::Boundary(id.0)
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct Link {
     pub(crate) a: Endpoint,
     pub(crate) b: Endpoint,
     pub(crate) conductance: f64, // W/K
+}
+
+/// The nodes and boundaries of a network under construction, by index in
+/// insertion order: what [`RcNetwork::new`] compiles with the links
+/// between them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Nodes {
+    names: Vec<String>,
+    capacitances: Vec<f64>,
+    initials: Vec<f64>,
+    boundary_names: Vec<String>,
+    boundary_temps: Vec<f64>,
+}
+
+impl Nodes {
+    /// Adds a capacitive node.
+    pub(crate) fn node(&mut self, name: String, cap: JoulesPerKelvin, initial: Celsius) -> NodeId {
+        self.names.push(name);
+        self.capacitances.push(cap.value());
+        self.initials.push(initial.value());
+        NodeId(self.names.len() - 1)
+    }
+
+    /// Adds a fixed-temperature boundary node.
+    pub(crate) fn boundary(&mut self, name: String, temperature: Celsius) -> BoundaryId {
+        self.boundary_names.push(name);
+        self.boundary_temps.push(temperature.value());
+        BoundaryId(self.boundary_names.len() - 1)
+    }
 }
 
 /// Builder for [`RcNetwork`].
@@ -115,11 +156,7 @@ pub(crate) struct Link {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RcNetworkBuilder {
-    node_names: Vec<String>,
-    capacitances: Vec<f64>,
-    initials: Vec<f64>,
-    boundary_names: Vec<String>,
-    boundary_temps: Vec<f64>,
+    nodes: Nodes,
     links: Vec<(String, String, f64)>,
 }
 
@@ -138,17 +175,14 @@ impl RcNetworkBuilder {
         capacitance: JoulesPerKelvin,
         initial: Celsius,
     ) -> Self {
-        self.node_names.push(name.into());
-        self.capacitances.push(capacitance.value());
-        self.initials.push(initial.value());
+        self.nodes.node(name.into(), capacitance, initial);
         self
     }
 
     /// Adds a fixed-temperature boundary node (e.g. ambient air).
     #[must_use]
     pub fn boundary(mut self, name: impl Into<String>, temperature: Celsius) -> Self {
-        self.boundary_names.push(name.into());
-        self.boundary_temps.push(temperature.value());
+        self.nodes.boundary(name.into(), temperature);
         self
     }
 
@@ -172,100 +206,24 @@ impl RcNetworkBuilder {
     /// unknown name or joins two boundaries, the network is empty, or any
     /// node lacks a path to a boundary.
     pub fn build(self) -> Result<RcNetwork, NetworkError> {
-        if self.node_names.is_empty() {
-            return Err(NetworkError::Empty);
-        }
-        // Name uniqueness across nodes *and* boundaries; of several
-        // duplicated names the lexicographically first is reported.
-        let mut names: HashMap<&str, Endpoint> =
-            HashMap::with_capacity(self.node_names.len() + self.boundary_names.len());
-        let mut duplicate: Option<&str> = None;
+        // A repeated name resolves to either holder: `RcNetwork::new`
+        // rejects it before it reads a link.
         let nodes =
-            self.node_names.iter().enumerate().map(|(i, n)| (n.as_str(), Endpoint::Node(i)));
-        let boundaries = self
-            .boundary_names
-            .iter()
-            .enumerate()
+            self.nodes.names.iter().enumerate().map(|(i, n)| (n.as_str(), Endpoint::Node(i)));
+        let boundaries = (self.nodes.boundary_names.iter().enumerate())
             .map(|(i, n)| (n.as_str(), Endpoint::Boundary(i)));
-        for (name, endpoint) in nodes.chain(boundaries) {
-            if names.insert(name, endpoint).is_some() && duplicate.is_none_or(|d| name < d) {
-                duplicate = Some(name);
-            }
-        }
-        if let Some(name) = duplicate {
-            return Err(NetworkError::DuplicateName(name.to_owned()));
-        }
+        let names: HashMap<&str, Endpoint> = nodes.chain(boundaries).collect();
         let resolve = |name: &str| -> Result<Endpoint, NetworkError> {
             names.get(name).copied().ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
         };
-        let mut links = Vec::with_capacity(self.links.len());
-        for (a, b, g) in &self.links {
-            let ea = resolve(a)?;
-            let eb = resolve(b)?;
-            if matches!((ea, eb), (Endpoint::Boundary(_), Endpoint::Boundary(_))) {
-                return Err(NetworkError::BoundaryToBoundary(a.clone(), b.clone()));
-            }
-            links.push(Link { a: ea, b: eb, conductance: *g });
-        }
-
-        // Every node must reach a boundary (flood fill from boundaries).
-        let n = self.node_names.len();
-        let adjacency = Adjacency::new(n, &links);
-        let mut reached = vec![false; n];
-        let mut frontier: Vec<usize> = Vec::with_capacity(n);
-        for link in &links {
-            match (link.a, link.b) {
-                (Endpoint::Node(i), Endpoint::Boundary(_))
-                | (Endpoint::Boundary(_), Endpoint::Node(i))
-                    if !reached[i] =>
-                {
-                    reached[i] = true;
-                    frontier.push(i);
-                }
-                _ => {}
-            }
-        }
-        while let Some(i) = frontier.pop() {
-            for &o in adjacency.neighbours(i) {
-                let o = o as usize;
-                if !reached[o] {
-                    reached[o] = true;
-                    frontier.push(o);
-                }
-            }
-        }
-        if let Some(i) = reached.iter().position(|&r| !r) {
-            return Err(NetworkError::FloatingNode(self.node_names[i].clone()));
-        }
-
-        let pattern = Pattern::new(&adjacency);
-        // Every link not between two nodes joins a node to a boundary.
-        let mut boundary_links = Vec::with_capacity(links.len() - adjacency.neighbours.len() / 2);
-        boundary_links.extend(links.iter().enumerate().filter_map(|(l, link)| {
-            match (link.a, link.b) {
-                (Endpoint::Node(i), Endpoint::Boundary(k))
-                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, l)),
-                _ => None,
-            }
-        }));
-        Ok(RcNetwork {
-            node_names: self.node_names,
-            capacitances: self.capacitances,
-            temperatures: self.initials,
-            powers: vec![0.0; n],
-            boundary_names: self.boundary_names,
-            boundary_temps: self.boundary_temps,
-            links,
-            boundary_links,
-            factor: LuFactor::new(),
-            pattern,
-            factored_dt: f64::NAN,
-            matrix_dirty: true,
-            params_version: 0,
-            changed_links: Vec::new(),
-            rhs: vec![0.0; n],
-            batch_memo: (0, 0, 0, 0),
-        })
+        // Resolved up front, since the names borrow `self.nodes`; an
+        // unresolved link keeps its place, so its error comes in link order.
+        let links: Vec<Result<Link, NetworkError>> = self
+            .links
+            .iter()
+            .map(|(a, b, g)| Ok(Link { a: resolve(a)?, b: resolve(b)?, conductance: *g }))
+            .collect();
+        RcNetwork::new(self.nodes, links)
     }
 }
 
@@ -327,7 +285,7 @@ impl Adjacency {
 /// sink→ambient link moves with fan speed).
 ///
 /// The matrix is sparse: a node couples only to the nodes it is linked
-/// to. [`RcNetworkBuilder::build`] works out once where Gaussian
+/// to. Construction works out once where Gaussian
 /// elimination (in node order, without row exchanges) can make an entry
 /// nonzero — the *elimination pattern* — and every factorization, every
 /// steady-state probe and the batched stepper then touch only those
@@ -381,6 +339,106 @@ pub struct RcNetwork {
 }
 
 impl RcNetwork {
+    /// The one constructor, behind [`RcNetworkBuilder::build`] and
+    /// [`crate::RackPlant::new`]: checks, in this order, for an empty
+    /// network, a duplicate name (the lexicographically first), each link
+    /// in turn (an endpoint the builder could not resolve arrives as its
+    /// error; a boundary-to-boundary link) and a floating node.
+    pub(crate) fn new(
+        nodes: Nodes,
+        links: impl IntoIterator<Item = Result<Link, NetworkError>>,
+    ) -> Result<Self, NetworkError> {
+        let Nodes { names: node_names, capacitances, initials, boundary_names, boundary_temps } =
+            nodes;
+        if node_names.is_empty() {
+            return Err(NetworkError::Empty);
+        }
+        // Name uniqueness across nodes *and* boundaries.
+        let mut seen: HashSet<&str> =
+            HashSet::with_capacity(node_names.len() + boundary_names.len());
+        let mut duplicate: Option<&str> = None;
+        for name in node_names.iter().chain(&boundary_names) {
+            if !seen.insert(name) && duplicate.is_none_or(|d| name.as_str() < d) {
+                duplicate = Some(name);
+            }
+        }
+        if let Some(name) = duplicate {
+            return Err(NetworkError::DuplicateName(name.to_owned()));
+        }
+        let links = links.into_iter();
+        let mut checked = Vec::with_capacity(links.size_hint().0);
+        for link in links {
+            let link = link?;
+            if let (Endpoint::Boundary(a), Endpoint::Boundary(b)) = (link.a, link.b) {
+                return Err(NetworkError::BoundaryToBoundary(
+                    boundary_names[a].clone(),
+                    boundary_names[b].clone(),
+                ));
+            }
+            checked.push(link);
+        }
+        let links = checked;
+
+        // Every node must reach a boundary (flood fill from boundaries).
+        let n = node_names.len();
+        let adjacency = Adjacency::new(n, &links);
+        let mut reached = vec![false; n];
+        let mut frontier: Vec<usize> = Vec::with_capacity(n);
+        for link in &links {
+            match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Boundary(_))
+                | (Endpoint::Boundary(_), Endpoint::Node(i))
+                    if !reached[i] =>
+                {
+                    reached[i] = true;
+                    frontier.push(i);
+                }
+                _ => {}
+            }
+        }
+        while let Some(i) = frontier.pop() {
+            for &o in adjacency.neighbours(i) {
+                let o = o as usize;
+                if !reached[o] {
+                    reached[o] = true;
+                    frontier.push(o);
+                }
+            }
+        }
+        if let Some(i) = reached.iter().position(|&r| !r) {
+            return Err(NetworkError::FloatingNode(node_names[i].clone()));
+        }
+
+        let pattern = Pattern::new(&adjacency);
+        // Every link not between two nodes joins a node to a boundary.
+        let mut boundary_links = Vec::with_capacity(links.len() - adjacency.neighbours.len() / 2);
+        boundary_links.extend(links.iter().enumerate().filter_map(|(l, link)| {
+            match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Boundary(k))
+                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, l)),
+                _ => None,
+            }
+        }));
+        Ok(RcNetwork {
+            node_names,
+            capacitances,
+            temperatures: initials,
+            powers: vec![0.0; n],
+            boundary_names,
+            boundary_temps,
+            links,
+            boundary_links,
+            factor: LuFactor::new(),
+            pattern,
+            factored_dt: f64::NAN,
+            matrix_dirty: true,
+            params_version: 0,
+            changed_links: Vec::new(),
+            rhs: vec![0.0; n],
+            batch_memo: (0, 0, 0, 0),
+        })
+    }
+
     /// Looks up a capacitive node by name.
     #[must_use]
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
@@ -530,13 +588,9 @@ impl RcNetwork {
     }
 
     fn resolve(&self, name: &str) -> Result<Endpoint, NetworkError> {
-        if let Some(i) = self.node_names.iter().position(|n| n == name) {
-            Ok(Endpoint::Node(i))
-        } else if let Some(i) = self.boundary_names.iter().position(|n| n == name) {
-            Ok(Endpoint::Boundary(i))
-        } else {
-            Err(NetworkError::UnknownName(name.to_owned()))
-        }
+        (self.node_id(name).map(Endpoint::from))
+            .or_else(|| self.boundary_id(name).map(Endpoint::from))
+            .ok_or_else(|| NetworkError::UnknownName(name.to_owned()))
     }
 
     /// Solves the backward-Euler system for one step of `dt`, updating all

@@ -21,9 +21,10 @@
 //! not to the square of its node count.
 
 use crate::heatsink::ResistanceAt;
+use crate::network::{Endpoint, Link, Nodes};
 use crate::{
-    BoundaryId, FanZoneMap, HeatSinkLaw, LinkId, NetworkError, NodeId, PlenumDef, RackTopology,
-    RcNetwork, RcNetworkBuilder, ServerSlot, SteadyStateScratch, ZoneId,
+    BoundaryId, FanZoneMap, HeatSinkLaw, LinkId, NetworkError, NodeId, RackTopology, RcNetwork,
+    SteadyStateScratch, ZoneId,
 };
 use gfsc_units::{total_max, Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 
@@ -139,15 +140,36 @@ impl RackPlant {
     pub fn new(cal: &PlantCalibration, topology: &RackTopology) -> Result<Self, NetworkError> {
         topology.validate();
         let fan0 = cal.tau_speed;
-        let mut builder = RcNetworkBuilder::new().boundary("ambient", cal.ambient);
+        // One pass in build order: every node and link is added by handle,
+        // and every airflow-dependent link is attached to its zone as it is
+        // added (each socket's sink→ambient path or its fins', then each
+        // zone's plenum exhaust).
+        let mut nodes = Nodes::default();
+        let ambient_boundary = nodes.boundary("ambient".to_owned(), cal.ambient);
+        let ambient = Endpoint::from(ambient_boundary);
+        let mut links: Vec<Link> = Vec::new();
+        let mut link = |a: NodeId, b: Endpoint, resistance: KelvinPerWatt| {
+            links.push(Link { a: a.into(), b, conductance: 1.0 / resistance.value() });
+            LinkId(links.len() - 1)
+        };
+        let mut zones = FanZoneMap::new();
+        let zone_ids: Vec<ZoneId> =
+            topology.zones().iter().map(|zone| zones.add_zone(zone.name.clone(), fan0)).collect();
+        let mut sockets = Vec::with_capacity(topology.total_sockets());
+        let mut zone_sockets = vec![Vec::new(); topology.zones().len()];
+        let mut server_ranges = Vec::with_capacity(topology.servers().len());
         let mut zone_sink_caps: Vec<(f64, usize)> = vec![(0.0, 0); topology.zones().len()];
         // Server nodes/links first, in slot order; the plenum comes after
         // every server.
         for slot in topology.servers() {
             let segments = slot.board.sink_segments();
+            let zone = zone_ids[slot.zone];
+            let start = sockets.len();
+            let mut fins = Vec::with_capacity(segments);
             let mut sink_cap_sum = 0.0;
             for socket in slot.board.sockets() {
-                let law = Self::socket_law(cal, slot, socket.airflow_derate);
+                // The base law derated by slot position × socket position.
+                let law = cal.law.with_airflow_derate(slot.airflow_derate * socket.airflow_derate);
                 let r_jc = KelvinPerWatt::new(cal.r_jc.value() * socket.r_jc_scale);
                 // Capacitances from the quoted time constants, exactly as
                 // the hand-rolled nodes calibrate them: C = tau / R(tau_speed)
@@ -159,15 +181,15 @@ impl RackPlant {
                 let entry = &mut zone_sink_caps[slot.zone];
                 entry.0 += sink_cap.value();
                 entry.1 += 1;
-                let die = format!("die-{}-{}", slot.name, socket.name);
-                let sink = format!("sink-{}-{}", slot.name, socket.name);
-                builder = builder.node(die.clone(), die_cap, cal.ambient).link(die, &sink, r_jc);
+                let die =
+                    nodes.node(format!("die-{}-{}", slot.name, socket.name), die_cap, cal.ambient);
+                let sink_name = format!("sink-{}-{}", slot.name, socket.name);
+                zone_sockets[slot.zone].push(sockets.len());
                 if segments == 0 {
-                    builder = builder.node(&sink, sink_cap, cal.ambient).link(
-                        sink,
-                        "ambient",
-                        law.resistance(fan0),
-                    );
+                    let sink = nodes.node(sink_name, sink_cap, cal.ambient);
+                    link(die, sink.into(), r_jc);
+                    zones.attach(zone, link(sink, ambient, law.resistance(fan0)), law);
+                    sockets.push(SocketHandles { die, sink, zone: slot.zone });
                     continue;
                 }
                 // Folded fin-array sink: the lumped capacitance splits
@@ -176,41 +198,43 @@ impl RackPlant {
                 // parallel reproduce the lumped convective path), the base
                 // spreads into every fin, and the fins couple pairwise —
                 // the dense Schur-complement remnant of eliminating the
-                // fast shared-air node from a detailed model.
+                // fast shared-air node from a detailed model. Every fin
+                // breathes the zone fan; identical laws per socket let the
+                // zone evaluate the law once per socket.
                 let fin_law = law.with_airflow_derate(segments as f64);
                 let node_cap = JoulesPerKelvin::new(sink_cap.value() / (segments + 1) as f64);
                 let spread = KelvinPerWatt::new(0.2);
                 let mix = KelvinPerWatt::new(0.8);
-                builder = builder.node(&sink, node_cap, cal.ambient);
+                let sink = nodes.node(sink_name, node_cap, cal.ambient);
+                link(die, sink.into(), r_jc);
+                fins.clear();
                 for j in 0..segments {
-                    let fin = Self::fin_name(slot, &socket.name, j);
-                    builder = builder
-                        .node(&fin, node_cap, cal.ambient)
-                        .link(&sink, &fin, spread)
-                        .link(&fin, "ambient", fin_law.resistance(fan0));
-                    for i in 0..j {
-                        builder = builder.link(Self::fin_name(slot, &socket.name, i), &fin, mix);
+                    let name = format!("fin{j}-{}-{}", slot.name, socket.name);
+                    let fin = nodes.node(name, node_cap, cal.ambient);
+                    link(sink, fin.into(), spread);
+                    zones.attach(zone, link(fin, ambient, fin_law.resistance(fan0)), fin_law);
+                    for &earlier in &fins {
+                        link(earlier, fin.into(), mix);
                     }
+                    fins.push(fin);
                 }
+                sockets.push(SocketHandles { die, sink, zone: slot.zone });
             }
             if let Some(chassis) = slot.board.chassis() {
                 let cap = JoulesPerKelvin::new(
                     chassis.capacitance_scale * sink_cap_sum / slot.board.sockets().len() as f64,
                 );
-                let chassis_name = format!("chassis-{}", slot.name);
-                builder = builder.node(chassis_name.clone(), cap, cal.ambient);
-                for socket in slot.board.sockets() {
-                    builder = builder.link(
-                        format!("sink-{}-{}", slot.name, socket.name),
-                        &chassis_name,
-                        chassis.coupling,
-                    );
+                let node = nodes.node(format!("chassis-{}", slot.name), cap, cal.ambient);
+                for socket in &sockets[start..] {
+                    link(socket.sink, node.into(), chassis.coupling);
                 }
-                builder = builder.link(chassis_name, "ambient", chassis.exhaust);
+                link(node, ambient, chassis.exhaust);
             }
+            server_ranges.push((start, sockets.len()));
         }
         // Plenum air nodes after every server, one per zone, then the
         // coupling/exhaust/recirculation paths.
+        let mut plenums = Vec::new();
         if let Some(plenum) = topology.plenum() {
             // A slotless zone still has an air volume; size it from the
             // rack-wide mean sink capacitance (its own mean is 0/0).
@@ -225,94 +249,26 @@ impl RackPlant {
                 } else {
                     JoulesPerKelvin::new(plenum.capacitance_scale * cap_sum / sockets as f64)
                 };
-                builder = builder.node(format!("plenum-{}", zone.name), cap, cal.ambient);
+                plenums.push(nodes.node(format!("plenum-{}", zone.name), cap, cal.ambient));
             }
-            for slot in topology.servers() {
-                let plenum_name = format!("plenum-{}", topology.zones()[slot.zone].name);
-                for socket in slot.board.sockets() {
-                    builder = builder.link(
-                        format!("sink-{}-{}", slot.name, socket.name),
-                        plenum_name.clone(),
-                        plenum.coupling,
-                    );
-                }
+            for socket in &sockets {
+                link(socket.sink, plenums[socket.zone].into(), plenum.coupling);
             }
-            for zone in topology.zones() {
-                let exhaust = Self::exhaust_law(cal, plenum, zone.fans);
-                builder = builder.link(
-                    format!("plenum-{}", zone.name),
-                    "ambient",
-                    exhaust.resistance(fan0),
-                );
+            for (z, zone) in topology.zones().iter().enumerate() {
+                // The base law derated by `exhaust_derate / fans`: a whole
+                // wall of fans pushes the shared air out proportionally
+                // more freely than one.
+                let law = cal.law.with_airflow_derate(plenum.exhaust_derate / zone.fans as f64);
+                zones.attach(zone_ids[z], link(plenums[z], ambient, law.resistance(fan0)), law);
             }
             if let Some(recirculation) = plenum.recirculation {
-                for pair in topology.zones().windows(2) {
-                    let [upstream, downstream] = pair else { continue };
-                    builder = builder.link(
-                        format!("plenum-{}", upstream.name),
-                        format!("plenum-{}", downstream.name),
-                        recirculation,
-                    );
+                for pair in plenums.windows(2) {
+                    let &[upstream, downstream] = pair else { continue };
+                    link(upstream, downstream.into(), recirculation);
                 }
             }
         }
-        let net = builder.build()?;
-
-        // Resolve handles and attach every airflow-dependent link to its
-        // zone: each socket's sink→ambient path (or its fins'), then the
-        // zone's plenum exhaust.
-        let mut zones = FanZoneMap::new();
-        let zone_ids: Vec<ZoneId> =
-            topology.zones().iter().map(|zone| zones.add_zone(zone.name.clone(), fan0)).collect();
-        let mut sockets = Vec::with_capacity(topology.total_sockets());
-        let mut zone_sockets = vec![Vec::new(); topology.zones().len()];
-        let mut server_ranges = Vec::with_capacity(topology.servers().len());
-        for slot in topology.servers() {
-            let segments = slot.board.sink_segments();
-            let start = sockets.len();
-            for socket in slot.board.sockets() {
-                let sink_name = format!("sink-{}-{}", slot.name, socket.name);
-                let law = Self::socket_law(cal, slot, socket.airflow_derate);
-                if segments == 0 {
-                    zones.attach(zone_ids[slot.zone], net.link_id(&sink_name, "ambient")?, law);
-                } else {
-                    // Every fin breathes the zone fan; identical laws per
-                    // socket let the zone evaluate the law once per socket.
-                    let fin_law = law.with_airflow_derate(segments as f64);
-                    for j in 0..segments {
-                        let fin = Self::fin_name(slot, &socket.name, j);
-                        zones.attach(zone_ids[slot.zone], net.link_id(&fin, "ambient")?, fin_law);
-                    }
-                }
-                zone_sockets[slot.zone].push(sockets.len());
-                let die_name = format!("die-{}-{}", slot.name, socket.name);
-                sockets.push(SocketHandles {
-                    die: net
-                        .node_id(&die_name)
-                        .ok_or_else(|| NetworkError::UnknownName(die_name.clone()))?,
-                    sink: net
-                        .node_id(&sink_name)
-                        .ok_or_else(|| NetworkError::UnknownName(sink_name.clone()))?,
-                    zone: slot.zone,
-                });
-            }
-            server_ranges.push((start, sockets.len()));
-        }
-        let mut plenums = Vec::new();
-        if let Some(plenum) = topology.plenum() {
-            for (z, zone) in topology.zones().iter().enumerate() {
-                let name = format!("plenum-{}", zone.name);
-                zones.attach(
-                    zone_ids[z],
-                    net.link_id(&name, "ambient")?,
-                    Self::exhaust_law(cal, plenum, zone.fans),
-                );
-                plenums.push(net.node_id(&name).ok_or(NetworkError::UnknownName(name))?);
-            }
-        }
-        let ambient_boundary = net
-            .boundary_id("ambient")
-            .ok_or_else(|| NetworkError::UnknownName("ambient".to_string()))?;
+        let net = RcNetwork::new(nodes, links.into_iter().map(Ok))?;
         Ok(Self {
             net,
             zones,
@@ -324,24 +280,6 @@ impl RackPlant {
             ambient: cal.ambient,
             ambient_boundary,
         })
-    }
-
-    /// A socket's effective resistance law: the base law derated by slot
-    /// position × socket position.
-    fn socket_law(cal: &PlantCalibration, slot: &ServerSlot, socket_derate: f64) -> HeatSinkLaw {
-        cal.law.with_airflow_derate(slot.airflow_derate * socket_derate)
-    }
-
-    /// Zone `z`'s plenum-exhaust law: the base law derated by
-    /// `exhaust_derate / fans` (a whole wall of fans pushes the shared air
-    /// out proportionally more freely than one).
-    fn exhaust_law(cal: &PlantCalibration, plenum: &PlenumDef, zone_fans: usize) -> HeatSinkLaw {
-        cal.law.with_airflow_derate(plenum.exhaust_derate / zone_fans as f64)
-    }
-
-    /// Node name of fin `j` on a finned socket's sink.
-    fn fin_name(slot: &ServerSlot, socket: &str, j: usize) -> String {
-        format!("fin{j}-{}-{socket}", slot.name)
     }
 
     /// Number of fan zones.
