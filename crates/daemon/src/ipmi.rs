@@ -80,15 +80,14 @@ pub fn parse_sensors_temperatures(text: &str) -> Vec<IpmiReading> {
 /// Parses one sdr reading field: a number in `degrees C`
 /// (`45 degrees C` → 45.0). Anything else is `None`: placeholders
 /// (`No Reading`, `ns`, `N/A`, `Disabled`), hex state words (`0x0180`),
-/// other units (`113 degrees F`, `5400 RPM`, `45 percent`) and garbage.
-/// Read as °C, each would be exactly the fabricated reading the module
-/// invariant forbids. A unit cut short by a truncated listing
-/// (`38 degr`) still counts as the `degrees C` it begins.
+/// other units (`113 degrees F`, `5400 RPM`, `45 percent`), units cut
+/// short by a truncated listing (`113 degr` may have been
+/// `113 degrees F`) and garbage. Read as °C, each would be exactly the
+/// fabricated reading the module invariant forbids.
 fn parse_reading(field: &str) -> Option<Celsius> {
     let field = field.trim();
     let token = field.split_whitespace().next()?;
-    let unit = field[token.len()..].trim_start();
-    if unit.is_empty() || !"degrees C".starts_with(unit) {
+    if field[token.len()..].trim_start() != "degrees C" {
         return None;
     }
     // `try_new` (not `new`): the wire is untrusted, and a NaN that slipped

@@ -70,10 +70,12 @@ fn truncated_rows_are_skipped_not_zeroed() {
     let readings = parse_sdr_temperatures(include_str!("fixtures/sdr_truncated.txt"));
     // Only the intact first row and the row truncated *after* its
     // numeric reading survive; rows cut before the reading field (and
-    // the row with a blank name) vanish entirely.
+    // the row with a blank name) vanish entirely. The survivor cut inside
+    // its unit (`38 degr`) reads as missing: the unit it began may have
+    // been `degrees F`.
     assert_eq!(readings.len(), 2);
     assert_eq!(value_of(&readings, "Inlet Temp"), Some(Celsius::new(24.0)));
-    assert_eq!(value_of(&readings, "Exhaust Temp"), Some(Celsius::new(38.0)));
+    assert_eq!(value_of(&readings, "Exhaust Temp"), None, "'degr' is not a whole unit");
     assert!(readings.iter().all(|r| !r.name.starts_with("CPU")), "truncated CPU rows dropped");
     assert_no_fabricated_zero(&readings);
 }
