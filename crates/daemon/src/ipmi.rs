@@ -54,6 +54,14 @@ pub fn parse_sdr_temperatures(text: &str) -> Vec<IpmiReading> {
     readings
 }
 
+/// The socket temperatures a die can report, °C. Some BMCs pass an
+/// on-die sensor's distance below its throttle point through as a
+/// temperature (Rotem et al., PAPERS.md), so `-42 degrees C` can mean a
+/// socket 42 K short of throttling, not a cold one; and a die shuts down
+/// at its thermal trip point long before 150 °C. A socket reading outside
+/// this range is not a measurement.
+const SOCKET_READABLE_C: core::ops::RangeInclusive<f64> = 0.0..=150.0;
+
 /// Parses lm-sensors style output: `Core 0:  +45.0°C  (high = ...)`.
 /// Any `label: +value°C` line yields a reading; everything else
 /// (adapter headers, voltages, blank lines) is skipped.
@@ -234,7 +242,8 @@ impl<R: CommandRunner> IpmiAdapter<R> {
     }
 
     /// Polls every mapped socket temperature from
-    /// `ipmitool sdr type temperature`.
+    /// `ipmitool sdr type temperature`. A reading below 0 °C or above
+    /// 150 °C is `None`, like an unreadable one.
     ///
     /// # Errors
     ///
@@ -256,7 +265,8 @@ impl<R: CommandRunner> IpmiAdapter<R> {
                 .iter()
                 .filter(|r| &r.name == wanted)
                 .nth(earlier_uses)
-                .and_then(|r| r.value);
+                .and_then(|r| r.value)
+                .filter(|t| SOCKET_READABLE_C.contains(&t.value()));
         }
         Ok(())
     }

@@ -148,6 +148,23 @@ fn repeated_sensor_name_reads_one_row_per_socket() {
 }
 
 #[test]
+fn impossible_socket_readings_poll_as_none() {
+    // A BMC that passes an on-die margin through as a temperature prints
+    // `-42 degrees C` for a socket 42 K short of throttling, and 200 °C is
+    // past any die's trip point. The parser keeps both (it checks units
+    // only), but neither is a socket temperature: each polls as None,
+    // which the watchdog's stale path handles.
+    let listing = include_str!("fixtures/sdr_socket_range.txt");
+    let parsed = parse_sdr_temperatures(listing);
+    assert_eq!(value_of(&parsed, "CPU0 Temp"), Some(Celsius::new(-42.0)));
+    let names = ["CPU0 Temp", "CPU1 Temp", "CPU2 Temp"].map(String::from).to_vec();
+    let mut adapter = IpmiAdapter::new(Scripted::new(listing), names, 1, fan_bounds());
+    let mut out = [Some(Celsius::new(1.0)); 3];
+    adapter.read_temperatures(&mut out).unwrap();
+    assert_eq!(out, [None, None, Some(Celsius::new(45.0))]);
+}
+
+#[test]
 fn discovery_maps_cpu_rows_from_one_listing_or_fails() {
     let clean = Scripted::new(include_str!("fixtures/sdr_clean.txt"));
     let calls = Rc::clone(&clean.calls);
