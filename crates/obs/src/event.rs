@@ -67,7 +67,11 @@ pub enum EventKind {
     SocketHot,
     /// The integral capper proposed a cut. Payload: proposed cap (0–1).
     CapProposal,
-    /// The coordinator granted a cut. Payload: granted cap (0–1).
+    /// A cap was granted. A socket: the coordinator granted its capper's
+    /// cut. A zone: an E-coord mode moved the cap every socket in the
+    /// zone runs under. The rack: the lockstep baseline's aggregate
+    /// capper moved the one cap every socket runs under. Payload: the
+    /// granted cap (0–1).
     CapGrant,
     /// The coordinator's per-epoch cut budget ran out before this
     /// proposal. Payload: the proposal that was held (0–1).

@@ -8,7 +8,7 @@
 //! works on snapshots parsed back from `.events` files just as well as
 //! on live recorders.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Source};
 use crate::fallback_reason_label;
 use crate::recorder::FlightSnapshot;
 use std::fmt::Write as _;
@@ -21,9 +21,18 @@ pub fn narrate(event: &Event) -> String {
     match event.kind {
         EventKind::SocketHot => format!("{src} measured {v:.1} °C"),
         EventKind::CapProposal => format!("capper proposed cap {v:.3} for {src}"),
-        EventKind::CapGrant => format!("coordinator granted cap {v:.3} to {src}"),
+        EventKind::CapGrant => match src {
+            Source::Zone(_) => format!("zone cap of {src} set to {v:.3}"),
+            Source::Rack => format!("rack capper set every cap to {v:.3}"),
+            Source::Socket(_) | Source::Server(_) => {
+                format!("coordinator granted cap {v:.3} to {src}")
+            }
+        },
         EventKind::CapDenied => format!("budget held {src}'s proposal at {v:.3}"),
-        EventKind::EmergencyClamp => format!("emergency clamp forced {src} to {v:.3}"),
+        EventKind::EmergencyClamp => match src {
+            Source::Zone(_) => format!("emergency clamp pinned {src}'s wall at {v:.0} rpm"),
+            _ => format!("emergency clamp forced {src} to {v:.3}"),
+        },
         EventKind::BudgetExhausted => format!("cut budget exhausted ({v:.0} proposals held)"),
         EventKind::MigrationShift => format!("migrator shifted load off {src} ({v:.1} °C)"),
         EventKind::MigrationAbsorb => format!("{src} absorbed migrated load ({v:.1} °C)"),
@@ -89,7 +98,6 @@ pub fn render_timeline(snapshot: &FlightSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Source;
 
     #[test]
     fn timeline_groups_by_epoch_and_narrates_causally() {
@@ -122,6 +130,27 @@ mod tests {
         let text = render_timeline(&snap);
         assert!(text.contains("7 dropped"), "{text}");
         assert!(text.contains("ring saturated"), "{text}");
+    }
+
+    #[test]
+    fn cap_grants_and_clamps_narrate_by_source() {
+        let narrated = |source, kind, value| narrate(&Event::new(7, source, kind, value));
+        assert_eq!(
+            narrated(Source::Zone(1), EventKind::CapGrant, 0.9),
+            "zone cap of z1 set to 0.900"
+        );
+        assert_eq!(
+            narrated(Source::Rack, EventKind::CapGrant, 0.9),
+            "rack capper set every cap to 0.900"
+        );
+        assert_eq!(
+            narrated(Source::Zone(1), EventKind::EmergencyClamp, 8500.0),
+            "emergency clamp pinned z1's wall at 8500 rpm"
+        );
+        assert_eq!(
+            narrated(Source::Socket(3), EventKind::EmergencyClamp, 0.98),
+            "emergency clamp forced s3 to 0.980"
+        );
     }
 
     #[test]
